@@ -121,26 +121,27 @@ def cmd_synth(args) -> int:
 
 
 def _parse_model_flags(args, input_size) -> ModelConfig:
-    kind = args.recurrence
+    merged = dict(_load_config_file(args.config).get("model", {})
+                  if args.config else {})
+    if args.recurrence is not None:
+        merged["recurrence"] = args.recurrence
+    kind = merged.get("recurrence", "none")
     if kind == "convlstm" and args.ema_at is not None:
         raise UsageError("--ema-at does not apply to --recurrence convlstm")
     if kind in ("none", "convlstm") and args.alpha is not None:
         raise UsageError(f"--alpha does not apply to --recurrence {kind}")
-    points = tuple(p for p in (args.ema_at or "bottleneck").split(",") if p)
-    alpha = args.alpha
-    if alpha is None:
-        alpha = 0.3 if len(points) == 2 else 0.1  # dual placement default
-    file_cfg = {}
-    if args.config:
-        file_cfg = _load_config_file(args.config).get("model", {})
-    merged = dict(file_cfg)
-    merged.update(input_size=tuple(input_size), recurrence=kind, alpha=alpha,
-                  seed=args.seed)
+    merged["input_size"] = tuple(input_size)
+    if args.seed is not None:
+        merged["seed"] = args.seed
     if kind in ("none", "convlstm"):
-        merged.pop("alpha", None)
         merged["alpha"] = 0.1
     else:
-        merged["ema_points"] = points
+        if args.ema_at is not None:
+            merged["ema_points"] = tuple(p for p in args.ema_at.split(",") if p)
+        if args.alpha is not None:
+            merged["alpha"] = args.alpha
+        elif "alpha" not in merged:  # dual placement default
+            merged["alpha"] = 0.3 if len(merged.get("ema_points", ())) == 2 else 0.1
     if args.stages is not None:
         merged["stages"] = args.stages
     if args.base_channels is not None:
@@ -324,14 +325,14 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, help="square frame size (default 32)")
     p.add_argument("--noise", type=float, help="pixel noise amplitude")
     p.add_argument("--speed", type=float, help="max blob speed px/frame")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("data_dir")
     p.add_argument("out_dir")
     p.add_argument("--config", help="INI config file ([model]/[train] sections)")
-    p.add_argument("--recurrence", default="none",
+    p.add_argument("--recurrence", help="temporal memory (default none)",
                    choices=["none", "ema", "ema-trainable", "ema-residual",
                             "convlstm"])
     p.add_argument("--ema-at", help="comma list of insertion points: "
@@ -347,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--clip-length", type=int, help="BPTT window (default 10)")
     p.add_argument("--augment", action="store_true",
                    help="mirror/right-angle-rotation augmentation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or prediction dir")
@@ -402,6 +403,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an internal check, e.g. the [0, 1] map guard
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -80,17 +80,21 @@ def _auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
     """ROC area by threshold sweep over all distinct scores (>= counts as a
     detection), trapezoidal rule. Equals the pairwise ordering statistic
     with ties credited 0.5."""
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
-    pos_sorted = np.sort(pos)
-    neg_sorted = np.sort(neg)
-    tpr = [0.0]
-    fpr = [0.0]
-    for t in thresholds:
-        tpr.append((len(pos) - np.searchsorted(pos_sorted, t, side="left"))
-                   / len(pos))
-        fpr.append((len(neg) - np.searchsorted(neg_sorted, t, side="left"))
-                   / len(neg))
-    return float(np.trapezoid(tpr, fpr))
+    scores = np.concatenate((pos, neg))
+    scores.sort()
+    distinct = np.empty(scores.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(scores[1:], scores[:-1], out=distinct[1:])
+    thresholds = scores[distinct][::-1]
+    # ROC points from (0, 0): share of each class scoring >= each threshold
+    tpr = np.zeros(thresholds.size + 1)
+    fpr = np.zeros(thresholds.size + 1)
+    tpr[1:] = len(pos) - np.sort(pos).searchsorted(thresholds)
+    fpr[1:] = len(neg) - np.sort(neg).searchsorted(thresholds)
+    tpr /= len(pos)
+    fpr /= len(neg)
+    # the element operations of np.trapezoid(tpr, fpr): the same area bits
+    return float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
 
 
 def auc_judd(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
@@ -127,6 +131,7 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
     if pool_arr.size == 0:
         return None
     flat = pred.reshape(-1)
+    pos = flat[pos_idx]
     n_neg = len(pos_idx)
     replace = pool_arr.size < n_neg
     if replace:
@@ -136,7 +141,7 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
     scores = []
     for _ in range(n_splits):
         neg_idx = rng.choice(pool_arr, size=n_neg, replace=replace)
-        scores.append(_auc_from_scores(flat[pos_idx], flat[neg_idx]))
+        scores.append(_auc_from_scores(pos, flat[neg_idx]))
     return float(np.mean(scores))
 
 
@@ -205,18 +210,34 @@ def evaluate_predictions(samples, predictions: dict[str, list[np.ndarray]],
     """Score predicted maps against a dataset of VideoSamples.
 
     `predictions` maps video_id to per-frame (H, W) arrays. The s-AUC
-    negative pool for a video is the union of fixations from all other
-    videos in the set.
+    negative pool for a video is the set of distinct pixels fixated in any
+    other video, built once per video from one pass over the dataset's
+    fixations. It holds the same pixels as all other videos' frame
+    fixations together, so every draw and s-AUC value equals scoring
+    against those frames directly. The pool has one FixationMap per
+    fixation extent; a second extent makes `auc_shuffled` raise.
     """
     per_frame: dict[str, dict[str, list[Optional[float]]]] = {
         m: {} for m in METRIC_NAMES}
-    all_fix = {s.video_id: s.fixations for s in samples}
+    # distinct fixated pixels of each video, by extent; a frame without
+    # fixations still records its extent
+    fixated: dict[str, dict[tuple[int, int], set]] = {}
+    for s in samples:
+        by_extent = fixated[s.video_id] = {}
+        for f in s.fixations:
+            by_extent.setdefault(f.extent, set()).update(f.points)
     for s in samples:
         preds = predictions[s.video_id]
         if len(preds) != len(s.gt_maps):
             raise ValueError(f"video {s.video_id}: {len(preds)} predictions "
                              f"for {len(s.gt_maps)} frames")
-        pool = [f for vid, fl in all_fix.items() if vid != s.video_id for f in fl]
+        merged: dict[tuple[int, int], set] = {}
+        for vid, by_extent in fixated.items():
+            if vid != s.video_id:
+                for extent, points in by_extent.items():
+                    merged.setdefault(extent, set()).update(points)
+        pool = [FixationMap(sorted(points), extent)
+                for extent, points in merged.items()]
         rows = {m: [] for m in METRIC_NAMES}
         for t, pred in enumerate(preds):
             fix = s.fixations[t]

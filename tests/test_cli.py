@@ -8,6 +8,7 @@ import pytest
 from salrec import cli
 from salrec.data import read_dataset, write_predictions
 from salrec.gradcheck import GradCheckResult
+from salrec.model import Model
 
 
 def run(*argv):
@@ -113,6 +114,66 @@ class TestEval:
         run("synth", wrong, "--videos", 1, "--frames", 2, "--size", 32)
         assert run("eval", wrong, tmp_path / "e", "--checkpoint",
                    out / "checkpoint_final.salr") == 2
+
+
+    def test_map_guard_failure_exits_3(self, small_ds, tmp_path, monkeypatch,
+                                       capsys):
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--epochs", 1) == 0
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("saliency map left [0, 1] or went non-finite")
+
+        monkeypatch.setattr(Model, "forward_frame", broken)
+        assert run("eval", small_ds, tmp_path / "e", "--checkpoint",
+                   out / "checkpoint_final.salr") == 3
+        assert "error: saliency map left [0, 1]" in capsys.readouterr().err
+
+
+class TestConfigPrecedence:
+    """Command-line flags > INI file values > defaults."""
+
+    def resolved(self, run_dir):
+        return json.loads((run_dir / "config.json").read_text())
+
+    def test_ini_values_beat_defaults(self, small_ds, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nrecurrence = ema\nalpha = 0.2\n\n"
+                       "[train]\nseed = 5\n")
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--config", ini, "--epochs", 1) == 0
+        cfg = self.resolved(out)
+        assert cfg["model"]["recurrence"] == "ema"
+        assert cfg["model"]["alpha"] == 0.2
+        assert cfg["train"]["seed"] == 5
+
+    def test_flags_beat_ini_values(self, small_ds, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nrecurrence = ema\nalpha = 0.2\n"
+                       "ema_points = output\n\n[train]\nseed = 5\n")
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--config", ini, "--epochs", 1,
+                   "--alpha", 0.4, "--ema-at", "bottleneck", "--seed", 3) == 0
+        cfg = self.resolved(out)
+        assert cfg["model"]["recurrence"] == "ema"
+        assert cfg["model"]["alpha"] == 0.4
+        assert cfg["model"]["ema_points"] == ["bottleneck"]
+        assert cfg["model"]["seed"] == 3
+        assert cfg["train"]["seed"] == 3
+
+    def test_alpha_checked_against_ini_recurrence(self, small_ds, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nrecurrence = convlstm\n")
+        assert run("train", small_ds, tmp_path / "run", "--config", ini,
+                   "--alpha", 0.2, "--epochs", 1) == 1
+
+    def test_synth_seed_from_ini(self, tmp_path):
+        ini = tmp_path / "synth.ini"
+        ini.write_text("[synth]\nseed = 4\n")
+        out = tmp_path / "ds"
+        assert run("synth", out, "--config", ini, "--videos", 1, "--frames", 2,
+                   "--size", 16) == 0
+        assert self.resolved(out)["synth"]["seed"] == 4
 
 
 class TestCompare:

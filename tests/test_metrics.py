@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from salrec.metrics import (FixationMap, MetricReport, aggregate, auc_judd,
-                            auc_shuffled, cc, compare_per_video, nss, sim)
+from salrec.data import VideoSample
+from salrec.metrics import (FixationMap, MetricReport, _auc_from_scores,
+                            aggregate, auc_judd, auc_shuffled, cc,
+                            compare_per_video, evaluate_predictions, nss, sim)
 
 
 def pairwise_auc(pos, neg):
@@ -16,6 +18,22 @@ def pairwise_auc(pos, neg):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def loop_auc_from_scores(pos, neg):
+    """Reference sweep: one pair of searchsorted calls per threshold, area by
+    np.trapezoid. `_auc_from_scores` must reproduce it bit for bit."""
+    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
+    pos_sorted = np.sort(pos)
+    neg_sorted = np.sort(neg)
+    tpr = [0.0]
+    fpr = [0.0]
+    for t in thresholds:
+        tpr.append((len(pos) - np.searchsorted(pos_sorted, t, side="left"))
+                   / len(pos))
+        fpr.append((len(neg) - np.searchsorted(neg_sorted, t, side="left"))
+                   / len(neg))
+    return float(np.trapezoid(tpr, fpr))
 
 
 def oracle_auc_judd(pred, fix):
@@ -161,6 +179,34 @@ class TestAucJudd:
         assert auc_judd(np.exp(3 * pred), fix) == pytest.approx(base, abs=1e-10)
 
 
+SCORES = st.lists(st.floats(allow_nan=False), min_size=1, max_size=60)
+TIED_SCORES = st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
+                       min_size=1, max_size=60)
+
+
+class TestAucSweep:
+    @settings(max_examples=200)
+    @given(st.one_of(SCORES, TIED_SCORES), st.one_of(SCORES, TIED_SCORES))
+    def test_bit_identical_to_loop(self, pos, neg):
+        pos, neg = np.array(pos), np.array(neg)
+        assert _auc_from_scores(pos, neg) == loop_auc_from_scores(pos, neg)
+
+    @pytest.mark.parametrize("pos, neg", [
+        ([0.3], [0.7]), ([0.7], [0.3]), ([0.5], [0.5]),  # single elements
+        ([0.4] * 7, [0.4] * 3),  # all scores equal
+        ([0.2, 0.2, 0.9], [0.2, 0.9, 0.9, 0.9]),  # ties across classes
+    ])
+    def test_edge_cases_bit_identical(self, pos, neg):
+        pos, neg = np.array(pos), np.array(neg)
+        assert _auc_from_scores(pos, neg) == loop_auc_from_scores(pos, neg)
+
+    def test_auc_judd_sized_input(self):
+        rng = np.random.default_rng(13)
+        scores = np.round(rng.uniform(size=32 * 32) * 64) / 64
+        pos, neg = scores[:9], scores[9:]
+        assert _auc_from_scores(pos, neg) == loop_auc_from_scores(pos, neg)
+
+
 class TestAucShuffled:
     def pool(self, extent, points):
         return [FixationMap(points, extent)]
@@ -290,3 +336,66 @@ class TestFixationMap:
     def test_duplicates_permitted(self):
         fix = FixationMap([(1, 1), (1, 1)], (4, 4))
         assert len(fix.unique_indices((4, 4))) == 1
+
+
+def make_video(vid, extent, n_frames, seed):
+    """A video with 5 random fixations per frame; frames double as gt maps."""
+    rng = np.random.default_rng(seed)
+    h, w = extent
+    fixations = [FixationMap([(int(r), int(c)) for r, c in
+                              zip(rng.integers(0, h, 5), rng.integers(0, w, 5))],
+                             extent) for _ in range(n_frames)]
+    maps = [rng.uniform(size=extent) for _ in range(n_frames)]
+    return VideoSample(vid, frames=maps, gt_maps=maps, fixations=fixations)
+
+
+def tied_predictions(samples, seed):
+    rng = np.random.default_rng(seed)
+    return {s.video_id: [np.round(rng.uniform(size=m.shape) * 8) / 8
+                         for m in s.gt_maps] for s in samples}
+
+
+class TestEvaluatePredictions:
+    def test_sauc_equals_direct_call_with_every_other_frame(self):
+        samples = [make_video(f"v{i}", (12, 12), 5, seed=i) for i in range(4)]
+        samples[1].fixations[2] = FixationMap([], (12, 12))
+        preds = tied_predictions(samples, seed=99)
+        report = evaluate_predictions(samples, preds, n_splits=20, seed=3)
+        for s in samples:
+            pool = [f for o in samples if o.video_id != s.video_id
+                    for f in o.fixations]
+            for t, pred in enumerate(preds[s.video_id]):
+                fix = s.fixations[t]
+                want = (auc_shuffled(pred, fix, pool, n_splits=20, rng_seed=3 + t)
+                        if fix.points else None)
+                assert report.per_frame["s-AUC"][s.video_id][t] == want
+        assert report.per_frame["s-AUC"]["v1"][2] is None
+
+    def test_extents_differ_across_videos_rejected(self):
+        samples = [make_video("small", (8, 8), 2, seed=0),
+                   make_video("large", (16, 16), 2, seed=1)]
+        with pytest.raises(ValueError, match="extents differ"):
+            evaluate_predictions(samples, tied_predictions(samples, seed=2),
+                                 n_splits=5)
+
+    def test_single_video_has_no_sauc(self):
+        samples = [make_video("only", (8, 8), 4, seed=0)]
+        with pytest.warns(UserWarning, match="s-AUC: videos with zero valid"):
+            report = evaluate_predictions(samples, tied_predictions(samples, 1),
+                                          n_splits=5)
+        assert report.per_frame["s-AUC"]["only"] == [None] * 4
+        assert report.dataset_means["s-AUC"] is None
+        assert report.dataset_means["NSS"] is not None
+
+    def test_video_without_frames_accepted(self):
+        samples = [make_video(f"v{i}", (8, 8), 3, seed=i) for i in range(2)]
+        preds = tied_predictions(samples, seed=4)
+        base = evaluate_predictions(samples, preds, n_splits=5)
+        empty = VideoSample("empty", frames=[], gt_maps=[], fixations=[])
+        with pytest.warns(UserWarning, match="excluded"):
+            report = evaluate_predictions(samples + [empty],
+                                          {**preds, "empty": []}, n_splits=5)
+        for m, videos in base.per_frame.items():
+            assert report.per_frame[m] == {**videos, "empty": []}
+            assert report.video_means[m]["empty"] is None
+            assert report.dataset_means[m] == base.dataset_means[m]
