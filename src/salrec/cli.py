@@ -172,7 +172,6 @@ def cmd_train(args) -> int:
                                  "train": asdict(train_cfg)})
     model = build(model_cfg)
     log_path = out / "loss_log.txt"
-    log = open(log_path, "w")
 
     def on_epoch(epoch, report, optimizer, rng):
         log.write(f"epoch {epoch + 1} mean_bce {report.mean_loss:.8f}\n")
@@ -180,9 +179,9 @@ def cmd_train(args) -> int:
         save_checkpoint(out / f"checkpoint_epoch{epoch + 1:02d}.salr",
                         model, optimizer, rng, epoch + 1, train_cfg)
 
-    optimizer, rng, reports = train(model, samples, train_cfg,
-                                    epoch_callback=on_epoch)
-    log.close()
+    with open(log_path, "w") as log:
+        optimizer, rng, reports = train(model, samples, train_cfg,
+                                        epoch_callback=on_epoch)
     save_checkpoint(out / "checkpoint_final.salr", model, optimizer, rng,
                     train_cfg.epochs, train_cfg)
     print(f"trained {train_cfg.epochs} epochs; "

@@ -336,6 +336,15 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
 
     Output spatial size is (H + 2*padding - kH) // stride + 1. Bias, when
     given, is added per output channel (the one sanctioned broadcast).
+
+    Layout: the input windows form an (N, H'*W', Cin*kH*kW) matrix, each
+    window flattened in (Cin, kH, kW) order to match the kernel viewed as
+    a (Cout, Cin*kH*kW) matrix. Contract: the forward output (that matrix
+    product) and the input gradient (kernel taps (i, j) added in row-major
+    order into a zeroed buffer) are exact, bit for bit the np.pad +
+    sliding_window_view formulation kept as the test oracle. The kernel
+    gradient is one (Cout, N*H'*W') x (N*H'*W', Cin*kH*kW) GEMM, so it
+    matches that formulation only up to summation order.
     """
     if input.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
@@ -358,11 +367,17 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
-    xp = np.pad(input.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, Cin, H', W', kH, kW)
-    ho, wo = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, cin * kh * kw)
+    if padding:
+        xp = np.zeros((n, cin, hp, wp))
+        xp[:, :, padding:padding + h, padding:padding + w] = input.data
+    else:
+        xp = input.data
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(  # (N, H', W', Cin, kH, kW)
+        xp, shape=(n, ho, wo, cin, kh, kw),
+        strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+    cols = windows.reshape(n, ho * wo, cin * kh * kw)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
     out = cols @ kmat.T  # (N, H'*W', Cout)
     if bias is not None:
@@ -370,23 +385,22 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
 
     def bwd(g):
-        gmat = g.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # (N, H'W', Cout)
+        g3 = g.reshape(n, cout, ho * wo)
         if kernel.requires_grad:
-            dk = np.einsum("npo,npk->ok", gmat, cols)
+            gk = g3.transpose(1, 0, 2).reshape(cout, n * ho * wo)
+            dk = gk @ cols.reshape(n * ho * wo, cin * kh * kw)
             kernel.accumulate_grad(dk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if input.requires_grad:
-            dcols = (gmat @ kmat).reshape(n, ho, wo, cin, kh, kw)
-            dcols = dcols.transpose(0, 3, 4, 5, 1, 2)  # (N, Cin, kH, kW, H', W')
-            dxp = np.zeros((n, cin, hp, wp))
+            dcols = (g3.transpose(0, 2, 1) @ kmat).reshape(n, ho, wo, cin, kh, kw)
+            dxp = np.zeros((n, hp, wp, cin))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += dcols[:, :, i, j]
-            if padding:
-                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
-            input.accumulate_grad(dxp)
+                    dxp[:, i:i + stride * ho:stride,
+                        j:j + stride * wo:stride] += dcols[..., i, j]
+            dx = dxp[:, padding:padding + h, padding:padding + w]
+            input.accumulate_grad(dx.transpose(0, 3, 1, 2))
 
     parents = (input, kernel) if bias is None else (input, kernel, bias)
     return _node(out, parents, bwd)

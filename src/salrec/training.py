@@ -9,6 +9,7 @@ forward while gradients do not.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -89,22 +90,36 @@ class Adam:
 
 def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
                state: RecurrenceStates, optimizer: Adam,
-               video_id: str, rng=None) -> tuple[float, RecurrenceStates]:
+               video_id: str, rng=None, first_frame: int = 0,
+               epoch: int = 0) -> tuple[float, RecurrenceStates]:
     """One optimizer step over an unrolled clip; returns (mean BCE, carried
-    state). The state must come from the same video or be fresh."""
+    state). The state must come from the same video or be fresh.
+
+    A non-finite map or clip loss raises RuntimeError before any gradient
+    or optimizer update, naming the video, the clip's frames (counted from
+    `first_frame`) and the epoch (`epoch` is 0-based, the message 1-based).
+    """
     if state.video_id is None:
         state.video_id = video_id
     elif state.video_id != video_id:
         raise ValueError(f"state carries video {state.video_id!r} but clip is "
                          f"from {video_id!r}; reset at video boundaries")
-    losses = []
-    for frame, gt in zip(frames, gts):
-        pred = model.forward_frame(frame, state, training=True, rng=rng)
-        losses.append(bce_loss(pred, gt))
-    total = losses[0]
-    for l in losses[1:]:
-        total = add(total, l)
-    loss = scale(total, 1.0 / len(losses))
+    try:
+        losses = []
+        for frame, gt in zip(frames, gts):
+            pred = model.forward_frame(frame, state, training=True, rng=rng)
+            losses.append(bce_loss(pred, gt))
+        total = losses[0]
+        for l in losses[1:]:
+            total = add(total, l)
+        loss = scale(total, 1.0 / len(losses))
+        if not np.isfinite(loss.item()):
+            raise RuntimeError(f"non-finite training loss {loss.item()}")
+    except RuntimeError as exc:  # this check or the forward pass's map guard
+        raise RuntimeError(
+            f"{exc}: video {video_id!r}, "
+            f"frames {first_frame}-{first_frame + len(frames) - 1}, "
+            f"epoch {epoch + 1}") from exc
     model.registry.zero_grad()
     backward(loss)
     optimizer.step()
@@ -130,7 +145,7 @@ def _augment_video(frames, gts, mirror: bool, rot_k: int):
 
 
 def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
-                rng: np.random.Generator) -> EpochReport:
+                rng: np.random.Generator, epoch: int = 0) -> EpochReport:
     """One pass over the dataset: videos in shuffled order, consecutive
     clips within a video carry state, augmentation drawn per video."""
     if not samples:
@@ -151,7 +166,8 @@ def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
             clip_f = [Tensor(f[None, None]) for f in frames[start:start + cfg.clip_length]]
             clip_g = [Tensor(g[None, None]) for g in gts[start:start + cfg.clip_length]]
             loss, state = train_clip(model, clip_f, clip_g, state, optimizer,
-                                     s.video_id, rng=rng)
+                                     s.video_id, rng=rng, first_frame=start,
+                                     epoch=epoch)
             clip_losses.append(loss)
         per_video[s.video_id] = float(np.mean(clip_losses))
     return EpochReport(mean_loss=float(np.mean(list(per_video.values()))),
@@ -216,25 +232,35 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
                  "beta2": optimizer.beta2, "eps": optimizer.eps,
                  "alpha_lr": optimizer.alpha_lr, "t": optimizer.t},
     }
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        cfg_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        f.write(struct.pack("<I", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        names = model.registry.names()
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            _write_blob(f, name, model.registry[name].data)
-        f.write(struct.pack("<I", 2 * len(names)))
-        for name in names:
-            _write_blob(f, f"adam.m.{name}", optimizer.m[name])
-        for name in names:
-            _write_blob(f, f"adam.v.{name}", optimizer.v[name])
-        rng_bytes = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
-        f.write(struct.pack("<I", len(rng_bytes)))
-        f.write(rng_bytes)
-        f.write(struct.pack("<I", epoch))
+    # write a sibling file and rename it over the target, so a crash
+    # mid-write leaves the previous checkpoint at `path` intact
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            cfg_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+            f.write(struct.pack("<I", len(cfg_bytes)))
+            f.write(cfg_bytes)
+            names = model.registry.names()
+            f.write(struct.pack("<I", len(names)))
+            for name in names:
+                _write_blob(f, name, model.registry[name].data)
+            f.write(struct.pack("<I", 2 * len(names)))
+            for name in names:
+                _write_blob(f, f"adam.m.{name}", optimizer.m[name])
+            for name in names:
+                _write_blob(f, f"adam.v.{name}", optimizer.v[name])
+            rng_bytes = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+            f.write(struct.pack("<I", len(rng_bytes)))
+            f.write(rng_bytes)
+            f.write(struct.pack("<I", epoch))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
@@ -255,10 +281,14 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
             if n_params != len(model.registry):
                 raise ValueError(f"{path}: {n_params} parameters in file, "
                                  f"model has {len(model.registry)}")
+            seen = set()
             for _ in range(n_params):
                 name, data = _read_blob(f)
                 if name not in model.registry:
                     raise ValueError(f"{path}: unknown parameter {name!r}")
+                if name in seen:
+                    raise ValueError(f"{path}: parameter {name!r} appears twice")
+                seen.add(name)
                 param = model.registry[name]
                 if param.shape != data.shape:
                     raise ValueError(
@@ -271,18 +301,28 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                              eps=adam_hdr["eps"], alpha_lr=adam_hdr["alpha_lr"])
             optimizer.t = adam_hdr["t"]
             (n_moments,) = struct.unpack("<I", _read_exact(f, 4))
+            if n_moments != 2 * n_params:
+                raise ValueError(f"{path}: {n_moments} Adam moments in file, "
+                                 f"expected {2 * n_params}")
+            # each name may be read once: every one of the 2 * n_params
+            # moments must then be present
+            unread = {f"adam.{kind}.{p}": moments[p]
+                      for kind, moments in (("m", optimizer.m), ("v", optimizer.v))
+                      for p in model.registry.names()}
             for _ in range(n_moments):
                 name, data = _read_blob(f)
-                kind, pname = name.split(".", 2)[1], name.split(".", 2)[2]
-                target = optimizer.m if kind == "m" else optimizer.v
-                if pname not in target or target[pname].shape != data.shape:
-                    raise ValueError(f"{path}: moment {name!r} does not match model")
-                target[pname][...] = data
+                target = unread.pop(name, None)
+                if target is None or target.shape != data.shape:
+                    raise ValueError(f"{path}: moment {name!r} is unknown, "
+                                     f"repeated or of the wrong shape")
+                target[...] = data
             (rlen,) = struct.unpack("<I", _read_exact(f, 4))
             rng_state = json.loads(_read_exact(f, rlen).decode("utf-8"))
             rng = np.random.default_rng(0)
             rng.bit_generator.state = rng_state
             (epoch,) = struct.unpack("<I", _read_exact(f, 4))
+            if f.read(1):
+                raise ValueError(f"{path}: trailing bytes after the epoch counter")
     except struct.error as exc:
         raise ValueError(f"{path}: truncated checkpoint") from exc
     train_cfg = TrainConfig(**header["train"]) if header["train"] else None
@@ -302,7 +342,7 @@ def train(model: Model, samples, cfg: TrainConfig,
         rng = np.random.default_rng(cfg.seed)
     reports = []
     for epoch in range(start_epoch, cfg.epochs):
-        report = train_epoch(model, samples, cfg, optimizer, rng)
+        report = train_epoch(model, samples, cfg, optimizer, rng, epoch=epoch)
         reports.append(report)
         if epoch_callback is not None:
             epoch_callback(epoch, report, optimizer, rng)

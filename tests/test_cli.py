@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from salrec import cli
 from salrec.data import read_dataset, write_predictions
 from salrec.gradcheck import GradCheckResult
-from salrec.model import Model
+from salrec.model import Model, build
 
 
 def run(*argv):
@@ -89,6 +90,20 @@ class TestTrain:
         assert (out / "checkpoint_final.salr").exists()
         lines = (out / "loss_log.txt").read_text().splitlines()
         assert len(lines) == 2 and lines[0].startswith("epoch 1 mean_bce ")
+
+    def test_non_finite_parameter_exits_3(self, small_ds, tmp_path,
+                                          monkeypatch, capsys):
+        def poisoned(cfg):
+            model = build(cfg)
+            model.registry["head.bias"].data[0] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "build", poisoned)
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--epochs", 1) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"video 'video00\d', frames 0-5, epoch 1$", err.strip())
+        assert not list(out.glob("*.salr"))
 
 
 class TestEval:

@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from salrec.tensor import (ComputationTape, Tensor, add, backward, conv2d,
-                           maxpool2d, mul, relu, scale, sigmoid, sub, tanh,
-                           tsum, upsample_nearest)
+import salrec.layers
+import salrec.recurrence
+import salrec.tensor
+from salrec.data import SynthConfig, generate
+from salrec.model import ModelConfig, build
+from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
+                           conv2d, maxpool2d, mul, relu, scale, sigmoid, sub,
+                           tanh, tsum, upsample_nearest)
 from salrec.gradcheck import max_rel_error
+from salrec.training import TrainConfig, train
 
 
 def t(arr, grad=False):
@@ -69,6 +75,132 @@ class TestConv2d:
                         win = xp[n, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
                         ref = (win * k[co]).sum() + b[co]
                         assert out[n, co, i, j] == pytest.approx(ref, abs=1e-12)
+
+
+def reference_conv2d(input, kernel, bias=None, stride=1, padding=0):
+    """conv2d by np.pad, sliding_window_view, an einsum kernel gradient and
+    an NCHW scatter: the oracle for conv2d's outputs and gradients."""
+    if input.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ValueError(
+            f"conv2d expects 4d input/kernel, got {input.shape} and {kernel.shape}")
+    if stride < 1:
+        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"conv2d padding must be >= 0, got {padding}")
+    n, cin, h, w = input.shape
+    cout, kcin, kh, kw = kernel.shape
+    if cin != kcin:
+        raise ValueError(
+            f"conv2d channel mismatch: input {input.shape} has Cin={cin}, "
+            f"kernel {kernel.shape} expects Cin={kcin}")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if kh > hp or kw > wp:
+        raise ValueError(
+            f"conv2d kernel {kernel.shape} larger than padded input "
+            f"({hp}x{wp} from {input.shape} with padding={padding})")
+    if bias is not None and bias.shape != (cout,):
+        raise ValueError(f"conv2d bias shape {bias.shape} != ({cout},)")
+
+    xp = np.pad(input.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (N, Cin, H', W', kH, kW)
+    ho, wo = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, cin * kh * kw)
+    kmat = kernel.data.reshape(cout, cin * kh * kw)
+    out = cols @ kmat.T  # (N, H'*W', Cout)
+    if bias is not None:
+        out = out + bias.data
+    out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
+
+    def bwd(g):
+        gmat = g.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # (N, H'W', Cout)
+        if kernel.requires_grad:
+            dk = np.einsum("npo,npk->ok", gmat, cols)
+            kernel.accumulate_grad(dk.reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        if input.requires_grad:
+            dcols = (gmat @ kmat).reshape(n, ho, wo, cin, kh, kw)
+            dcols = dcols.transpose(0, 3, 4, 5, 1, 2)  # (N, Cin, kH, kW, H', W')
+            dxp = np.zeros((n, cin, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + stride * ho:stride,
+                        j:j + stride * wo:stride] += dcols[:, :, i, j]
+            if padding:
+                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
+            input.accumulate_grad(dxp)
+
+    parents = (input, kernel) if bias is None else (input, kernel, bias)
+    return _node(out, parents, bwd)
+
+
+def _window_matrix(x, kh, kw, stride, padding):
+    """(N*H'*W', Cin*kH*kW) matrix of input windows, as the reference builds it."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    return win.reshape(-1, x.shape[1] * kh * kw)
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 2, 3]))
+    padding = draw(st.sampled_from([0, 1, 2]))
+    lo = max(1, k - 2 * padding)  # the kernel must fit the padded input
+    return dict(n=draw(st.sampled_from([1, 2])),
+                cin=draw(st.integers(1, 4)), cout=draw(st.integers(1, 4)),
+                k=k, stride=draw(st.sampled_from([1, 2, 3])), padding=padding,
+                h=draw(st.integers(lo, 7)), w=draw(st.integers(lo, 7)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConv2dReference:
+    @given(conv_cases())
+    def test_matches_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, cin, cout, k = case["n"], case["cin"], case["cout"], case["k"]
+        stride, padding = case["stride"], case["padding"]
+        x = rng.normal(size=(n, cin, case["h"], case["w"]))
+        kern = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        results = []
+        for op in (conv2d, reference_conv2d):
+            xt, kt, bt = t(x, grad=True), t(kern, grad=True), t(b, grad=True)
+            y = op(xt, kt, bt, stride=stride, padding=padding)
+            g = np.random.default_rng(case["seed"] + 1).normal(size=y.shape)
+            backward(tsum(mul(y, t(g))))  # upstream gradient of y is g
+            results.append((y.data, xt.grad, kt.grad, bt.grad, g))
+        (y, dx, dk, db, g), (y_ref, dx_ref, dk_ref, db_ref, _) = results
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(dx, dx_ref)
+        assert np.array_equal(db, db_ref)
+        # the kernel gradient sums N*H'*W' products in another order
+        positions = n * y.shape[2] * y.shape[3]
+        cols = _window_matrix(x, k, k, stride, padding)
+        g_abs = np.abs(g).transpose(1, 0, 2, 3).reshape(cout, positions)
+        bound = (positions * np.finfo(np.float64).eps
+                 * (g_abs @ np.abs(cols)).reshape(dk.shape))
+        assert np.all(np.abs(dk - dk_ref) <= bound)
+
+    def test_training_epoch_matches_reference(self, monkeypatch):
+        data = generate(SynthConfig(n_videos=2, frames_per_video=6, height=16,
+                                    width=16, seed=4))
+        cfg = TrainConfig(epochs=1, clip_length=3, seed=2)
+
+        def trained():
+            model = build(ModelConfig(input_size=(16, 16), stages=2,
+                                      base_channels=4, recurrence="convlstm",
+                                      seed=5))
+            train(model, data, cfg)
+            return {name: p.data for name, p in model.registry.items()}
+
+        lean = trained()
+        for module in (salrec.tensor, salrec.layers, salrec.recurrence):
+            monkeypatch.setattr(module, "conv2d", reference_conv2d)
+        ref = trained()
+        for name, value in ref.items():
+            assert np.abs(lean[name] - value).max() <= 1e-12 * np.abs(value).max(), name
 
 
 class TestMaxpool:

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import re
 import struct
 
 import numpy as np
@@ -10,8 +12,10 @@ from salrec.gradcheck import max_rel_error
 from salrec.layers import ParameterRegistry
 from salrec.model import ModelConfig, build
 from salrec.tensor import Tensor, no_grad
-from salrec.training import (Adam, TrainConfig, bce_loss, load_checkpoint,
-                             save_checkpoint, train, train_clip, train_epoch)
+import salrec.training as training_mod
+from salrec.training import (Adam, TrainConfig, _read_blob, bce_loss,
+                             load_checkpoint, save_checkpoint, train,
+                             train_clip, train_epoch)
 
 LN2 = float(np.log(2.0))
 
@@ -247,6 +251,49 @@ class TestTrainEpoch:
 
         assert run() == run()
 
+    @pytest.mark.parametrize("where", ["parameter", "ground truth"])
+    def test_non_finite_loss_fails_before_update(self, where):
+        data = small_dataset(n_videos=1, frames=8)
+        model = small_model()
+        if where == "parameter":  # the map guard in forward_frame fires
+            model.registry["head.bias"].data[0] = np.nan
+        else:  # the map stays finite; the clip loss does not
+            data[0].gt_maps[2][3, 3] = np.nan
+        before = {n: p.data.copy() for n, p in model.registry.items()}
+        opt = Adam(model.registry)
+        cfg = TrainConfig(epochs=1, clip_length=4)
+        expected = f"video {data[0].video_id!r}, frames 0-3, epoch 1"
+        with pytest.raises(RuntimeError, match=re.escape(expected)):
+            train(model, data, cfg, optimizer=opt)
+        for name, p in model.registry.items():
+            assert np.array_equal(p.data, before[name], equal_nan=True), name
+            assert not opt.m[name].any() and not opt.v[name].any(), name
+        assert opt.t == 0
+
+
+def split_checkpoint(raw: bytes):
+    """Cut checkpoint bytes into the header, the parameter blobs, the Adam
+    moment blobs and the tail (RNG state and epoch counter)."""
+    f = io.BytesIO(raw)
+    (clen,) = struct.unpack("<I", raw[8:12])
+    f.seek(12 + clen)
+    sections = []
+    for _ in range(2):
+        (count,) = struct.unpack("<I", f.read(4))
+        blobs = []
+        for _ in range(count):
+            start = f.tell()
+            name, _ = _read_blob(f)
+            blobs.append((name, raw[start:f.tell()]))
+        sections.append(blobs)
+    return raw[:12 + clen], sections[0], sections[1], raw[f.tell():]
+
+
+def join_checkpoint(head: bytes, params, moments, tail: bytes) -> bytes:
+    return (head + struct.pack("<I", len(params)) + b"".join(b for _, b in params)
+            + struct.pack("<I", len(moments)) + b"".join(b for _, b in moments)
+            + tail)
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, model, opt, rng, epoch):
@@ -343,3 +390,67 @@ class TestCheckpoint:
             return hashlib.sha256(p.read_bytes()).hexdigest()
 
         assert run("one.salr") == run("two.salr")
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        p = tmp_path / "ck.salr"
+        model = small_model(seed=1)
+        save_checkpoint(p, model, Adam(model.registry), np.random.default_rng(0), 1)
+        previous = p.read_bytes()
+        written = []
+        orig = training_mod._write_blob
+
+        def failing(f, name, arr):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(name)
+            orig(f, name, arr)
+
+        monkeypatch.setattr(training_mod, "_write_blob", failing)
+        other = small_model(seed=2)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(p, other, Adam(other.registry),
+                            np.random.default_rng(0), 2)
+        assert p.read_bytes() == previous
+        assert [q.name for q in tmp_path.iterdir()] == ["ck.salr"]
+
+    def saved(self, tmp_path):
+        model = small_model()
+        p = tmp_path / "ok.salr"
+        save_checkpoint(p, model, Adam(model.registry),
+                        np.random.default_rng(0), 3)
+        return p.read_bytes()
+
+    def assert_rejected(self, tmp_path, raw, message):
+        bad = tmp_path / "forged.salr"
+        bad.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
+            load_checkpoint(bad)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        self.assert_rejected(tmp_path, self.saved(tmp_path) + b"garbage",
+                             "trailing bytes")
+
+    def test_repeated_parameter_rejected(self, tmp_path):
+        head, params, _, tail = split_checkpoint(self.saved(tmp_path))
+        assert [n for n, _ in params[:2]] == ["enc1.kernel", "enc1.bias"]
+        params[1] = params[0]  # enc1.kernel twice, enc1.bias never
+        self.assert_rejected(tmp_path, join_checkpoint(head, params, [], tail),
+                             "'enc1.kernel' appears twice")
+
+    def test_moment_count_checked(self, tmp_path):
+        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
+        self.assert_rejected(
+            tmp_path, join_checkpoint(head, params, moments[:-1], tail),
+            f"{len(moments) - 1} Adam moments in file, expected {len(moments)}")
+
+    @pytest.mark.parametrize("forged", ["adam.m.head.bias", "adam.x.head.bias",
+                                        "head.bias"])
+    def test_moment_names_checked(self, tmp_path, forged):
+        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
+        assert moments[-1][0] == "adam.v.head.bias"
+        blob = moments[-1][1]
+        (nlen,) = struct.unpack("<I", blob[:4])
+        name = forged.encode()
+        moments[-1] = (forged, struct.pack("<I", len(name)) + name + blob[4 + nlen:])
+        self.assert_rejected(tmp_path, join_checkpoint(head, params, moments, tail),
+                             f"moment '{forged}' is unknown, repeated")
