@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import sys
 from dataclasses import asdict, fields
@@ -254,25 +253,21 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
+    try:
+        alphas = [float(a) for a in args.alphas.split(",")]
+        valid = all(0.0 < a <= 1.0 for a in alphas)  # False for NaN too
+    except ValueError:
+        valid = False
+    if not valid:
+        raise UsageError(f"--alphas must be numbers in (0, 1], got {args.alphas!r}")
     samples = data_mod.read_dataset(args.data_dir)
-    model, optimizer, rng, epoch, train_cfg = load_checkpoint(args.checkpoint)
+    model, *_ = load_checkpoint(args.checkpoint)
     if model.cfg.recurrence not in ("ema", "ema-trainable", "ema-residual"):
         raise UsageError("sweep-alpha requires a checkpoint trained with an "
                          "EMA recurrence")
-    alphas = [float(a) for a in args.alphas.split(",")]
     rows = []
     for alpha in alphas:
-        if args.retrain:
-            m, *_ = load_checkpoint(args.checkpoint)
-            m.cfg.alpha = alpha
-            if m.ema_cfg is not None:
-                m.ema_cfg.alpha = alpha
-            tc = train_cfg or TrainConfig()
-            tc = TrainConfig(**{**asdict(tc), "epochs": args.retrain_epochs})
-            train(m, samples, tc)
-            preds = _predict_all(m, samples)
-        else:
-            preds = _predict_all(model, samples, alpha_override=alpha)
+        preds = _predict_all(model, samples, alpha_override=alpha)
         report = metrics_mod.evaluate_predictions(samples, preds,
                                                   n_splits=args.n_splits,
                                                   seed=args.seed)
@@ -373,10 +368,8 @@ def build_parser() -> _Parser:
                        "several inference-time alphas")
     p.add_argument("data_dir")
     p.add_argument("checkpoint")
-    p.add_argument("--alphas", default="0.05,0.1,0.2,0.3")
-    p.add_argument("--retrain", action="store_true",
-                   help="fine-tune per alpha instead of overriding at inference")
-    p.add_argument("--retrain-epochs", type=int, default=1)
+    p.add_argument("--alphas", default="0.05,0.1,0.2,0.3",
+                   help="comma list of alphas in (0, 1]")
     p.add_argument("--n-splits", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the table to this file")

@@ -14,8 +14,9 @@ import numpy as np
 from . import recurrence as rec
 from .layers import ParameterRegistry
 from .model import ModelConfig, build
-from .tensor import (Tensor, activation, add, backward, conv2d, maxpool2d,
-                     mul, scale, tsum, upsample_nearest)
+from .tensor import (Tensor, add, backward, concat_channels, conv2d,
+                     maxpool2d, mul, relu, scale, sigmoid, split_channels, tanh,
+                     tsum, upsample_nearest)
 from .training import bce_loss
 
 DEFAULT_H = 1e-5
@@ -90,12 +91,12 @@ def check_tensor_ops(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
         "upsample_nearest",
         max_rel_error(lambda: tsum(mul(upsample_nearest(x3), upsample_nearest(x3))),
                       [x3]), tol))
-    for kind in ("sigmoid", "tanh", "relu"):
+    for op in (sigmoid, tanh, relu):
         xa = _rand(rng, 5, 5)
-        if kind == "relu":  # keep the checker away from the kink at 0
+        if op is relu:  # keep the checker away from the kink at 0
             xa.data[np.abs(xa.data) < 1e-3] = 0.5
         results.append(GradCheckResult(
-            kind, max_rel_error(lambda: tsum(activation(xa, kind)), [xa]), tol))
+            op.__name__, max_rel_error(lambda: tsum(op(xa)), [xa]), tol))
     a, bb = _rand(rng, 4, 4), _rand(rng, 4, 4)
     results.append(GradCheckResult(
         "elementwise", max_rel_error(
@@ -114,6 +115,18 @@ def check_tensor_ops(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
 
         results.append(GradCheckResult(
             name, max_rel_error(conv_sq, [xc, kc, bc]), tol))
+    xa, xb = _rand(rng, 1, 2, 3, 3), _rand(rng, 1, 3, 3, 3)
+    results.append(GradCheckResult("concat_channels", max_rel_error(
+        lambda: tsum(mul(concat_channels(xa, xb), concat_channels(xa, xb))),
+        [xa, xb]), tol))
+    xs = _rand(rng, 2, 4, 3, 3)
+
+    def split_mix():  # the last channel group goes unused: zero gradient
+        p = split_channels(xs, 4)
+        return tsum(add(mul(p[0], p[1]), mul(p[2], p[2])))
+
+    results.append(GradCheckResult(
+        "split_channels", max_rel_error(split_mix, [xs]), tol))
     return results
 
 

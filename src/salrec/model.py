@@ -9,7 +9,7 @@ activations at the configured insertion points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,6 @@ class ModelConfig:
     alpha: float = 0.1
     dropout: bool = False
     dropout_p: float = 0.5
-    output_ema_after_sigmoid: bool = True
     convlstm_emit_hidden: bool = False
     per_channel_peephole: bool = False
     seed: int = 0
@@ -214,13 +213,13 @@ class Model:
             x = self._recur(x, InsertionPoint("decoder", k), states,
                             training, rng, alpha_override)
         x = self.head(x)
-        # residual EMA at the output stays pre-sigmoid so the map keeps to [0,1]
-        output_after = (self.cfg.output_ema_after_sigmoid
-                        and not (self.ema_cfg and self.ema_cfg.residual))
-        if not output_after:
+        # the output EMA averages maps after the sigmoid; the residual one
+        # stays before it so the map keeps to [0, 1]
+        residual = self.ema_cfg is not None and self.ema_cfg.residual
+        if residual:
             x = self._recur(x, OUTPUT, states, training, rng, alpha_override)
         x = sigmoid(x)
-        if output_after:
+        if not residual:
             x = self._recur(x, OUTPUT, states, training, rng, alpha_override)
         vals = x.data
         if not np.all(np.isfinite(vals)) or vals.min() < 0.0 or vals.max() > 1.0:

@@ -8,14 +8,14 @@ scalar parameter p through a sigmoid to keep the combination convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .layers import ParameterRegistry, xavier_init
-from .tensor import (Tensor, add, add_const, broadcast_mul, conv2d, mul,
-                     scale, sigmoid, tanh)
+from .tensor import (Tensor, add, add_const, broadcast_mul, concat_channels,
+                     conv2d, mul, scale, sigmoid, split_channels, tanh)
 
 
 @dataclass
@@ -91,75 +91,46 @@ class ConvLstmState:
 class ConvLstmWeights:
     """Parameters of the peephole ConvLSTM cell (Glorot-initialized).
 
-    Gates u/f/o each own an input kernel, a hidden kernel, a bias, and an
-    elementwise peephole on the previous cell state; the candidate gate has
-    no peephole. Peepholes are per-position (channels, H, W) by default, or
+    One 3x3 kernel of shape (4C, Cin + C, 3, 3) and one bias of shape (4C,)
+    compute the pre-activations of gates u/f/o and the candidate c, in that
+    order of output-channel blocks, from [s_t, H_{t-1}]. Gates u/f/o also
+    own an elementwise peephole on the previous cell state; the candidate
+    has none. Peepholes are per-position (channels, H, W) by default, or
     per-channel (channels, 1, 1) when `per_channel_peephole` is set.
     """
 
-    GATES = ("u", "f", "o", "c")
-
     def __init__(self, registry: ParameterRegistry, name: str,
                  in_ch: int, channels: int, spatial: tuple[int, int],
-                 rng: np.random.Generator, ksize: int = 3,
-                 per_channel_peephole: bool = False):
-        self.channels = channels
-        self.ksize = ksize
-        self.padding = ksize // 2
+                 rng: np.random.Generator, per_channel_peephole: bool = False):
+        self.kernel = registry.register(
+            f"{name}.kernel",
+            xavier_init((4 * channels, in_ch + channels, 3, 3),
+                        (in_ch + channels) * 9, channels * 9, rng))
+        self.bias = registry.register(f"{name}.bias",
+                                      Tensor(np.zeros(4 * channels)))
         peep_shape = ((channels, 1, 1) if per_channel_peephole
                       else (channels,) + tuple(spatial))
-        self.input_kernels = {}
-        self.hidden_kernels = {}
-        self.biases = {}
-        self.peepholes = {}
-        fan_in_s = in_ch * ksize * ksize
-        fan_in_h = channels * ksize * ksize
-        fan_out = channels * ksize * ksize
-        for g in self.GATES:
-            self.input_kernels[g] = registry.register(
-                f"{name}.{g}.input_kernel",
-                xavier_init((channels, in_ch, ksize, ksize), fan_in_s, fan_out, rng))
-            self.hidden_kernels[g] = registry.register(
-                f"{name}.{g}.hidden_kernel",
-                xavier_init((channels, channels, ksize, ksize), fan_in_h, fan_out, rng))
-            self.biases[g] = registry.register(
-                f"{name}.{g}.bias", Tensor(np.zeros(channels)))
-            if g != "c":
-                self.peepholes[g] = registry.register(
-                    f"{name}.{g}.peephole",
-                    xavier_init(peep_shape, int(np.prod(peep_shape)),
-                                int(np.prod(peep_shape)), rng))
+        fan = int(np.prod(peep_shape))
+        self.peepholes = tuple(
+            registry.register(f"{name}.{g}.peephole",
+                              xavier_init(peep_shape, fan, fan, rng))
+            for g in "ufo")
 
 
 def convlstm_step(s_t: Tensor, state: ConvLstmState, w: ConvLstmWeights,
                   emit_hidden: bool = False) -> tuple[Tensor, ConvLstmState]:
-    """One ConvLSTM step; emits the new cell state C_t by default (the
-    routing used downstream), or H_t when `emit_hidden` is set."""
+    """One ConvLSTM step (Shi et al. 2015, eq. 3); emits the new cell state
+    C_t by default (the routing used downstream), or H_t when `emit_hidden`
+    is set."""
     if s_t.shape[2:] != state.cell.shape[2:]:
         raise ValueError(
             f"convlstm_step: input spatial dims {s_t.shape} do not match "
             f"state {state.cell.shape}")
-
-    def gate(g: str) -> Tensor:
-        pre = add(conv2d(s_t, w.input_kernels[g], w.biases[g], padding=w.padding),
-                  conv2d(state.hidden, w.hidden_kernels[g], padding=w.padding))
-        if g != "c":
-            pre = add(pre, broadcast_mul(w.peepholes[g], state.cell))
-        return sigmoid(pre) if g != "c" else tanh(pre)
-
-    u_t, f_t, o_t, cand = gate("u"), gate("f"), gate("o"), gate("c")
-    c_t = add(mul(f_t, state.cell), mul(u_t, cand))
+    pre = conv2d(concat_channels(s_t, state.hidden), w.kernel, w.bias, padding=1)
+    *gates, pre_c = split_channels(pre, 4)
+    u_t, f_t, o_t = (sigmoid(add(g, broadcast_mul(p, state.cell)))
+                     for g, p in zip(gates, w.peepholes))
+    c_t = add(mul(f_t, state.cell), mul(u_t, tanh(pre_c)))
     h_t = mul(o_t, tanh(c_t))
     new_state = ConvLstmState(cell=c_t, hidden=h_t)
     return (h_t if emit_hidden else c_t), new_state
-
-
-def reset_state(state):
-    """Fresh state of the same kind: cleared EMA accumulator or zeroed
-    ConvLSTM pair. Idempotent."""
-    if isinstance(state, EmaState):
-        return EmaState()
-    if isinstance(state, ConvLstmState):
-        n, c, h, w = state.cell.shape
-        return ConvLstmState.zeros(n, c, h, w)
-    raise TypeError(f"unknown recurrence state {type(state).__name__}")

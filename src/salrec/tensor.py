@@ -2,7 +2,8 @@
 
 Only the operations the saliency network needs are implemented:
 2d convolution, 2x2 max pooling, nearest-neighbour upsampling,
-sigmoid/tanh/relu, elementwise arithmetic, log/clamp and reductions.
+sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions and
+channel concatenation/splitting.
 No broadcasting except the conv bias over the channel axis and the
 internal broadcast-multiply used by peepholes and the trainable alpha.
 """
@@ -20,6 +21,8 @@ __all__ = [
     "no_grad",
     "backward",
     "conv2d",
+    "concat_channels",
+    "split_channels",
     "maxpool2d",
     "upsample_nearest",
     "sigmoid",
@@ -93,15 +96,8 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],
@@ -278,13 +274,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), bwd)
 
 
-def activation(a: Tensor, kind: str) -> Tensor:
-    try:
-        return {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}[kind](a)
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
-
-
 def log(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
@@ -404,6 +393,39 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
 
     parents = (input, kernel) if bias is None else (input, kernel, bias)
     return _node(out, parents, bwd)
+
+
+def concat_channels(*xs: Tensor) -> Tensor:
+    """Concatenate NCHW tensors of equal N, H and W along the channel axis."""
+    shapes = [x.shape for x in xs]
+    if len({s[:1] + s[2:] for s in shapes}) != 1 or any(len(s) != 4 for s in shapes):
+        raise ValueError(f"concat_channels: incompatible shapes {shapes}")
+    bounds = np.cumsum([0] + [s[1] for s in shapes])
+
+    def bwd(g):
+        for x, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
+            if x.requires_grad:
+                x.accumulate_grad(g[:, lo:hi])
+
+    return _node(np.concatenate([x.data for x in xs], axis=1), xs, bwd)
+
+
+def split_channels(input: Tensor, k: int) -> list[Tensor]:
+    """Split an NCHW tensor into k equal groups of consecutive channels."""
+    if input.data.ndim != 4 or k < 1 or input.shape[1] % k:
+        raise ValueError(
+            f"split_channels: cannot split {input.shape} into {k} channel groups")
+    c = input.shape[1] // k
+    parts = []
+    for lo in range(0, k * c, c):
+        def bwd(g, lo=lo):
+            if input.requires_grad:
+                full = np.zeros_like(input.data)
+                full[:, lo:lo + c] = g
+                input.accumulate_grad(full)
+
+        parts.append(_node(input.data[:, lo:lo + c], (input,), bwd))
+    return parts
 
 
 def maxpool2d(input: Tensor) -> Tensor:

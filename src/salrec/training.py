@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -22,8 +22,9 @@ from .tensor import (Tensor, add, add_const, backward, clamp, log, mul,
                      scale, tmean)
 
 CHECKPOINT_MAGIC = b"SALR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 BCE_CLAMP = 1e-7
+ALPHA_PARAM = "ema.p"  # the trainable EMA alpha, stepped with its own lr
 
 
 @dataclass
@@ -59,18 +60,17 @@ def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:
 
 class Adam:
     """Adam with bias correction over a parameter registry. The trainable
-    alpha parameter (name `ema.p`) is stepped with its own learning rate."""
+    alpha parameter (`ALPHA_PARAM`) is stepped with its own learning rate."""
 
     def __init__(self, registry, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8,
-                 alpha_lr: float = 0.1, alpha_param: str = "ema.p"):
+                 alpha_lr: float = 0.1):
         self.registry = registry
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.alpha_lr = alpha_lr
-        self.alpha_param = alpha_param
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in registry.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in registry.items()}
@@ -84,7 +84,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            lr = self.alpha_lr if name == self.alpha_param else self.lr
+            lr = self.alpha_lr if name == ALPHA_PARAM else self.lr
             p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

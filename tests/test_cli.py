@@ -242,6 +242,21 @@ class TestSweepAlpha:
                                                 "CC", "SIM"]
         assert len(lines) == 3
 
+    def test_rejects_alpha_outside_unit_interval(self, small_ds, tmp_path,
+                                                 capsys):
+        out = tmp_path / "run"
+        run("train", small_ds, out, "--recurrence", "ema", "--epochs", 1)
+        ckpt = out / "checkpoint_final.salr"
+        capsys.readouterr()
+        # NaN passes the map guard (relu maps it to 0), so it is caught here
+        for alphas in ("0,2.5,-1", "0", "2.5", "0.1,-1", "nan", "inf", "0.1,x"):
+            assert run("sweep-alpha", small_ds, ckpt, "--alphas", alphas) == 1
+            captured = capsys.readouterr()
+            assert "--alphas" in captured.err and not captured.out, alphas
+        # checked before the dataset is read
+        assert run("sweep-alpha", tmp_path / "missing", ckpt,
+                   "--alphas", "nan") == 1
+
     def test_rejects_stateless_checkpoint(self, small_ds, tmp_path):
         out = tmp_path / "run"
         run("train", small_ds, out, "--recurrence", "none", "--epochs", 1)

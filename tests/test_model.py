@@ -46,6 +46,18 @@ class TestBuild:
         expected += 1 * prev * 1 + 1  # 1x1 head
         assert model.registry.total_count() == expected
 
+    def test_convlstm_registry(self):
+        model = build(ModelConfig(recurrence="convlstm"))
+        assert len(model.registry) == 19
+        lstm = [(n, model.registry[n].shape) for n in model.registry.names()
+                if n.startswith("convlstm.")]
+        assert lstm == [("convlstm.kernel", (128, 64, 3, 3)),
+                        ("convlstm.bias", (128,)),
+                        ("convlstm.u.peephole", (32, 4, 4)),
+                        ("convlstm.f.peephole", (32, 4, 4)),
+                        ("convlstm.o.peephole", (32, 4, 4))]
+        assert model.registry.total_count() == 87_657
+
     def test_indivisible_input_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(input_size=(33, 33), stages=3)

@@ -6,8 +6,9 @@ from salrec.gradcheck import max_rel_error
 from salrec.layers import ParameterRegistry
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, effective_alpha,
-                               ema_step, reset_state)
-from salrec.tensor import Tensor, add, backward, mul, tsum
+                               ema_step)
+from salrec.tensor import (Tensor, add, backward, broadcast_mul, conv2d, mul,
+                           sigmoid, tanh, tsum)
 
 
 def run_ema(inputs, cfg, alpha_override=None):
@@ -199,31 +200,53 @@ class TestConvLstm:
         assert "clstm.c.peephole" not in reg
 
 
-class TestResetState:
-    def test_ema_reset_then_step_is_identity(self):
-        cfg = EmaConfig(alpha=0.3)
-        _, state = ema_step(Tensor(np.ones((2,))), EmaState(), cfg)
-        state = reset_state(state)
-        x = np.random.default_rng(12).normal(size=(2,))
-        out, _ = ema_step(Tensor(x), state, cfg)
-        assert np.array_equal(out.data, x)
+def per_gate_step(s_t, state, w):
+    """Oracle: the cell written gate by gate, as two convolutions (input and
+    hidden kernels) plus a bias per gate, with kernels sliced from the
+    fused (4C, Cin + C, 3, 3) kernel in u/f/o/c block order."""
+    c, cin = state.cell.shape[1], s_t.shape[1]
+    peep = dict(zip("ufo", w.peepholes))
 
-    def test_convlstm_reset_zeroes(self):
-        _, w = zero_weights()
-        state = ConvLstmState(cell=Tensor(np.ones((1, 2, 3, 3))),
-                              hidden=Tensor(np.ones((1, 2, 3, 3))))
-        state = reset_state(state)
-        out, _ = convlstm_step(Tensor(np.zeros((1, 2, 3, 3))), state, w)
-        assert np.all(out.data == 0.0)
+    def gate(k, g):
+        rows = slice(k * c, (k + 1) * c)
+        pre = add(conv2d(s_t, Tensor(w.kernel.data[rows, :cin]),
+                         Tensor(w.bias.data[rows]), padding=1),
+                  conv2d(state.hidden, Tensor(w.kernel.data[rows, cin:]),
+                         padding=1))
+        if g == "c":
+            return tanh(pre)
+        return sigmoid(add(pre, broadcast_mul(peep[g], state.cell)))
 
-    def test_idempotent(self):
-        state = reset_state(reset_state(EmaState(Tensor(np.ones(2)))))
-        assert state.accumulator is None
-        cl = ConvLstmState(Tensor(np.ones((1, 1, 2, 2))),
-                           Tensor(np.ones((1, 1, 2, 2))))
-        r1 = reset_state(cl)
-        r2 = reset_state(r1)
-        assert np.array_equal(r1.cell.data, r2.cell.data)
+    u_t, f_t, o_t, cand = (gate(k, g) for k, g in enumerate("ufoc"))
+    c_t = add(mul(f_t, state.cell), mul(u_t, cand))
+    return ConvLstmState(cell=c_t, hidden=mul(o_t, tanh(c_t)))
+
+
+class TestFusedCell:
+    def test_registers_one_kernel_one_bias_three_peepholes(self):
+        reg, w = make_weights(in_ch=3, ch=2)
+        assert [(n, reg[n].shape) for n in reg.names()] == [
+            ("clstm.kernel", (8, 5, 3, 3)), ("clstm.bias", (8,)),
+            ("clstm.u.peephole", (2, 3, 3)), ("clstm.f.peephole", (2, 3, 3)),
+            ("clstm.o.peephole", (2, 3, 3))]
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_matches_per_gate_oracle(self, per_channel):
+        # one GEMM over Cin + C input channels against two GEMMs and an add:
+        # the same terms summed in another order, so agreement to 1e-12
+        _, w = make_weights(seed=13, in_ch=3, ch=2,
+                            per_channel_peephole=per_channel)
+        w.bias.data[...] = np.random.default_rng(14).uniform(-1, 1, 8)
+        rng = np.random.default_rng(15)
+        state = ref = ConvLstmState.zeros(1, 2, 3, 3)
+        for _ in range(6):
+            x = Tensor(rng.uniform(-2, 2, size=(1, 3, 3, 3)))
+            _, state = convlstm_step(x, state, w)
+            ref = per_gate_step(x, ref, w)
+            np.testing.assert_allclose(state.cell.data, ref.cell.data,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.hidden.data, ref.hidden.data,
+                                       rtol=0, atol=1e-12)
 
 
 class TestBpttGradients:

@@ -9,8 +9,9 @@ import salrec.tensor
 from salrec.data import SynthConfig, generate
 from salrec.model import ModelConfig, build
 from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
-                           conv2d, maxpool2d, mul, relu, scale, sigmoid, sub,
-                           tanh, tsum, upsample_nearest)
+                           concat_channels, conv2d, maxpool2d, mul, relu,
+                           scale, sigmoid, split_channels, sub, tanh, tsum,
+                           upsample_nearest)
 from salrec.gradcheck import max_rel_error
 from salrec.training import TrainConfig, train
 
@@ -292,6 +293,31 @@ class TestElementwise:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             add(t(np.zeros((2, 2))), t(np.zeros((2, 3))))
+
+
+class TestChannels:
+    def test_split_inverts_concat_bit_exact(self):
+        rng = np.random.default_rng(5)
+        a, b = t(rng.normal(size=(2, 3, 4, 5))), t(rng.normal(size=(2, 3, 4, 5)))
+        cat = concat_channels(a, b)
+        assert cat.shape == (2, 6, 4, 5)
+        back = split_channels(cat, 2)
+        assert np.array_equal(back[0].data, a.data)
+        assert np.array_equal(back[1].data, b.data)
+
+    def test_gradients_route_to_their_channels(self):
+        a = t(np.zeros((1, 1, 2, 2)), grad=True)
+        b = t(np.zeros((1, 2, 2, 2)), grad=True)
+        parts = split_channels(concat_channels(a, b), 3)
+        backward(tsum(add(scale(parts[0], 2.0), scale(parts[2], 3.0))))
+        assert np.all(a.grad == 2.0)
+        assert np.all(b.grad[:, 0] == 0.0) and np.all(b.grad[:, 1] == 3.0)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="concat_channels"):
+            concat_channels(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 2))))
+        with pytest.raises(ValueError, match="split_channels"):
+            split_channels(t(np.zeros((1, 3, 2, 2))), 2)
 
 
 class TestBackward:

@@ -329,6 +329,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(bad)
 
+    def test_version_1_rejected(self, tmp_path):
+        # v1 files hold the per-gate ConvLSTM parameters; v2 has no reader
+        # for them
+        model = small_model()
+        p = tmp_path / "v1.salr"
+        save_checkpoint(p, model, Adam(model.registry),
+                        np.random.default_rng(0), 0)
+        raw = bytearray(p.read_bytes())
+        assert struct.unpack("<I", raw[4:8]) == (2,)
+        raw[4:8] = struct.pack("<I", 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="version 1, expected 2"):
+            load_checkpoint(p)
+
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model()
         p = tmp_path / "t.salr"
