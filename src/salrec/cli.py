@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics as metrics_mod
-from .model import ModelConfig, build
+from .model import RECURRENCE_KINDS, ModelConfig, build
 from .training import (TrainConfig, load_checkpoint, save_checkpoint, train,
                        _config_to_dict)
 from .gradcheck import MODULE_CHECKS, run_checks
@@ -80,6 +80,13 @@ def _load_config_file(path: str) -> dict[str, dict[str, object]]:
             vals[key] = _coerce(raw, ftypes[key])
         out[section] = vals
     return out
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _write_resolved_config(out_dir: Path, payload: dict) -> None:
@@ -327,8 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("out_dir")
     p.add_argument("--config", help="INI config file ([model]/[train] sections)")
     p.add_argument("--recurrence", help="temporal memory (default none)",
-                   choices=["none", "ema", "ema-trainable", "ema-residual",
-                            "convlstm"])
+                   choices=RECURRENCE_KINDS)
     p.add_argument("--ema-at", help="comma list of insertion points: "
                    "encoderK | bottleneck | decoderK | output")
     p.add_argument("--alpha", type=float, help="EMA alpha (default 0.1; 0.3 "
@@ -352,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred-dir", help="directory of predicted PGM maps")
     p.add_argument("--dump-maps", action="store_true",
                    help="write predicted maps as PGMs")
-    p.add_argument("--n-splits", type=int, default=100,
+    p.add_argument("--n-splits", type=_positive_int, default=100,
                    help="s-AUC negative resamplings")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
@@ -370,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint")
     p.add_argument("--alphas", default="0.05,0.1,0.2,0.3",
                    help="comma list of alphas in (0, 1]")
-    p.add_argument("--n-splits", type=int, default=100)
+    p.add_argument("--n-splits", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the table to this file")
     p.set_defaults(func=cmd_sweep_alpha)

@@ -89,6 +89,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_videos < 1 or self.frames_per_video < 1:
+            raise ValueError("n_videos and frames_per_video must be >= 1")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.max_speed < 0:
@@ -200,6 +202,8 @@ def _load_manifest(root: Path) -> dict:
 def read_dataset(root: Path) -> list[VideoSample]:
     root = Path(root)
     manifest = _load_manifest(root)
+    if not manifest["videos"]:
+        raise ValueError(f"{root / MANIFEST_NAME}: the manifest lists no videos")
     samples = []
     for entry in manifest["videos"]:
         vdir = root / entry["path"]

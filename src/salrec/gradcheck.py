@@ -13,7 +13,7 @@ import numpy as np
 
 from . import recurrence as rec
 from .layers import ParameterRegistry
-from .model import ModelConfig, build
+from .model import ALPHA_PARAM, ModelConfig, build
 from .tensor import (Tensor, add, backward, concat_channels, conv2d,
                      maxpool2d, mul, relu, scale, sigmoid, split_channels, tanh,
                      tsum, upsample_nearest)
@@ -151,7 +151,7 @@ def check_recurrence(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
 
     reg = ParameterRegistry()
     tcfg = rec.EmaConfig(alpha=0.3, trainable=True)
-    tcfg.init_trainable(reg, "ema.p")
+    tcfg.init_trainable(reg, ALPHA_PARAM)
 
     def trainable_run():
         state = rec.EmaState()

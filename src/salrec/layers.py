@@ -62,19 +62,17 @@ class ConvLayer:
 
     def __init__(self, registry: ParameterRegistry, name: str,
                  in_ch: int, out_ch: int, ksize: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0):
+                 rng: np.random.Generator, padding: int = 0):
         fan_in = in_ch * ksize * ksize
         fan_out = out_ch * ksize * ksize
         self.kernel = registry.register(
             f"{name}.kernel", xavier_init((out_ch, in_ch, ksize, ksize),
                                           fan_in, fan_out, rng))
         self.bias = registry.register(f"{name}.bias", Tensor(np.zeros(out_ch)))
-        self.stride = stride
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.kernel, self.bias,
-                      stride=self.stride, padding=self.padding)
+        return conv2d(x, self.kernel, self.bias, padding=self.padding)
 
 
 def dropout_forward(x: Tensor, p: float, training: bool,

@@ -20,6 +20,8 @@ from .recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig, EmaState,
 from .tensor import Tensor, maxpool2d, no_grad, relu, sigmoid, upsample_nearest
 
 RECURRENCE_KINDS = ("none", "ema", "ema-trainable", "ema-residual", "convlstm")
+DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
+ALPHA_PARAM = "ema.p"  # registry name of the trainable EMA alpha's logit
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,12 @@ OUTPUT = InsertionPoint("output")
 @dataclass
 class ModelConfig:
     input_size: tuple[int, int] = (32, 32)
-    in_channels: int = 1
     stages: int = 3
     base_channels: int = 8
     recurrence: str = "none"
     ema_points: tuple[InsertionPoint, ...] = (BOTTLENECK,)
     alpha: float = 0.1
     dropout: bool = False
-    dropout_p: float = 0.5
-    convlstm_emit_hidden: bool = False
-    per_channel_peephole: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -144,7 +142,7 @@ class Model:
         rng = np.random.default_rng(cfg.seed)
         chans = cfg.encoder_channels()
         self.enc_convs = []
-        prev = cfg.in_channels
+        prev = 1  # frames are single-channel luminance
         for k, c in enumerate(chans, start=1):
             self.enc_convs.append(
                 ConvLayer(self.registry, f"enc{k}", prev, c, 3, rng, padding=1))
@@ -162,15 +160,14 @@ class Model:
         if cfg.recurrence == "convlstm":
             self.convlstm = ConvLstmWeights(
                 self.registry, "convlstm", cfg.bottleneck_channels,
-                cfg.bottleneck_channels, cfg.bottleneck_size, rng,
-                per_channel_peephole=cfg.per_channel_peephole)
+                cfg.bottleneck_channels, cfg.bottleneck_size, rng)
         elif cfg.recurrence != "none":
             self.ema_cfg = EmaConfig(
                 alpha=cfg.alpha,
                 trainable=cfg.recurrence == "ema-trainable",
                 residual=cfg.recurrence == "ema-residual")
             if self.ema_cfg.trainable:
-                self.ema_cfg.init_trainable(self.registry, "ema.p")
+                self.ema_cfg.init_trainable(self.registry, ALPHA_PARAM)
 
     def fresh_states(self, video_id: Optional[str] = None) -> RecurrenceStates:
         return RecurrenceStates(self, video_id)
@@ -180,14 +177,13 @@ class Model:
         if point not in states.states:
             return x
         if self.cfg.dropout:
-            x = dropout_forward(x, self.cfg.dropout_p, training, rng)
+            x = dropout_forward(x, DROPOUT_P, training, rng)
         st = states.states[point]
         if isinstance(st, EmaState):
             out, states.states[point] = ema_step(
                 x, st, self.ema_cfg, alpha_override=alpha_override)
         else:
-            out, states.states[point] = convlstm_step(
-                x, st, self.convlstm, emit_hidden=self.cfg.convlstm_emit_hidden)
+            out, states.states[point] = convlstm_step(x, st, self.convlstm)
         return out
 
     def forward_frame(self, frame: Tensor, states: RecurrenceStates,
@@ -198,10 +194,10 @@ class Model:
         if states.model is not self:
             raise ValueError("recurrence states belong to a different model")
         h, w = self.cfg.input_size
-        if frame.shape != (1, self.cfg.in_channels, h, w):
+        if frame.shape != (1, 1, h, w):
             raise ValueError(
                 f"frame shape {frame.shape} does not match configured "
-                f"(1, {self.cfg.in_channels}, {h}, {w})")
+                f"(1, 1, {h}, {w})")
         x = frame
         for k, conv in enumerate(self.enc_convs, start=1):
             x = maxpool2d(relu(conv(x)))
@@ -226,24 +222,21 @@ class Model:
             raise RuntimeError("saliency map left [0, 1] or went non-finite")
         return x
 
-    def forward_sequence(self, frames: list[Tensor], training: bool = False,
-                         rng=None, alpha_override: Optional[float] = None,
-                         video_id: Optional[str] = None) -> list[Tensor]:
+    def forward_sequence(self, frames: list[Tensor],
+                         alpha_override: Optional[float] = None) -> list[Tensor]:
         """Fold `forward_frame` over the frames from a fresh state."""
         if not frames:
             raise ValueError("forward_sequence needs at least one frame")
-        states = self.fresh_states(video_id)
-        return [self.forward_frame(f, states, training, rng, alpha_override)
+        states = self.fresh_states()
+        return [self.forward_frame(f, states, alpha_override=alpha_override)
                 for f in frames]
 
     def predict_sequence(self, frames: list[np.ndarray],
                          alpha_override: Optional[float] = None) -> list[np.ndarray]:
         """Evaluation-mode maps as plain (H, W) float arrays."""
         with no_grad():
-            tensors = [Tensor(f[None, None] if f.ndim == 2 else f[None])
-                       for f in frames]
-            maps = self.forward_sequence(tensors, training=False,
-                                         alpha_override=alpha_override)
+            maps = self.forward_sequence([Tensor(f[None, None]) for f in frames],
+                                         alpha_override)
         return [m.data[0, 0] for m in maps]
 
 

@@ -95,21 +95,19 @@ class ConvLstmWeights:
     compute the pre-activations of gates u/f/o and the candidate c, in that
     order of output-channel blocks, from [s_t, H_{t-1}]. Gates u/f/o also
     own an elementwise peephole on the previous cell state; the candidate
-    has none. Peepholes are per-position (channels, H, W) by default, or
-    per-channel (channels, 1, 1) when `per_channel_peephole` is set.
+    has none. Peepholes are per-position, of shape (channels, H, W).
     """
 
     def __init__(self, registry: ParameterRegistry, name: str,
                  in_ch: int, channels: int, spatial: tuple[int, int],
-                 rng: np.random.Generator, per_channel_peephole: bool = False):
+                 rng: np.random.Generator):
         self.kernel = registry.register(
             f"{name}.kernel",
             xavier_init((4 * channels, in_ch + channels, 3, 3),
                         (in_ch + channels) * 9, channels * 9, rng))
         self.bias = registry.register(f"{name}.bias",
                                       Tensor(np.zeros(4 * channels)))
-        peep_shape = ((channels, 1, 1) if per_channel_peephole
-                      else (channels,) + tuple(spatial))
+        peep_shape = (channels,) + tuple(spatial)
         fan = int(np.prod(peep_shape))
         self.peepholes = tuple(
             registry.register(f"{name}.{g}.peephole",

@@ -17,14 +17,18 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Model, ModelConfig, RecurrenceStates, build
+from .model import ALPHA_PARAM, Model, ModelConfig, RecurrenceStates, build
 from .tensor import (Tensor, add, add_const, backward, clamp, log, mul,
                      scale, tmean)
 
 CHECKPOINT_MAGIC = b"SALR"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 BCE_CLAMP = 1e-7
-ALPHA_PARAM = "ema.p"  # the trainable EMA alpha, stepped with its own lr
+# Adam hyper-parameters: the defaults of Kingma & Ba 2014 (arXiv 1412.6980)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+ALPHA_LR = 0.1  # learning rate of the trainable EMA alpha (`ALPHA_PARAM`)
 
 
 @dataclass
@@ -32,15 +36,16 @@ class TrainConfig:
     clip_length: int = 10
     epochs: int = 7
     lr: float = 1e-3  # paper value 1e-7 presumes a pretrained encoder
-    alpha_lr: float = 0.1  # only the trainable alpha parameter uses this
     augment: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.clip_length < 1:
             raise ValueError("clip_length must be >= 1")
-        if self.lr <= 0 or self.alpha_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
 
 
 def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:
@@ -48,7 +53,7 @@ def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:
     prediction clamped to [1e-7, 1 - 1e-7] before the logs."""
     if pred.shape != gt.shape:
         raise ValueError(f"bce_loss: shape mismatch {pred.shape} vs {gt.shape}")
-    if gt.data.min() < 0.0 or gt.data.max() > 1.0:
+    if not (gt.data.min() >= 0.0 and gt.data.max() <= 1.0):  # NaN fails too
         raise ValueError("bce_loss: ground truth must lie in [0, 1]")
     p = clamp(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
     q = gt
@@ -60,32 +65,26 @@ def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:
 
 class Adam:
     """Adam with bias correction over a parameter registry. The trainable
-    alpha parameter (`ALPHA_PARAM`) is stepped with its own learning rate."""
+    alpha parameter (`ALPHA_PARAM`) is stepped with `ALPHA_LR`, not `lr`."""
 
-    def __init__(self, registry, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 alpha_lr: float = 0.1):
+    def __init__(self, registry, lr: float = 1e-3):
         self.registry = registry
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.alpha_lr = alpha_lr
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in registry.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in registry.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for name, p in self.registry.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            lr = self.alpha_lr if name == ALPHA_PARAM else self.lr
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            lr = ALPHA_LR if name == ALPHA_PARAM else self.lr
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
@@ -228,9 +227,7 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
     header = {
         "model": _config_to_dict(model.cfg),
         "train": asdict(train_cfg) if train_cfg else None,
-        "adam": {"lr": optimizer.lr, "beta1": optimizer.beta1,
-                 "beta2": optimizer.beta2, "eps": optimizer.eps,
-                 "alpha_lr": optimizer.alpha_lr, "t": optimizer.t},
+        "adam": {"lr": optimizer.lr, "t": optimizer.t},
     }
     # write a sibling file and rename it over the target, so a crash
     # mid-write leaves the previous checkpoint at `path` intact
@@ -276,7 +273,15 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                  f"expected {CHECKPOINT_VERSION}")
             (clen,) = struct.unpack("<I", _read_exact(f, 4))
             header = json.loads(_read_exact(f, clen).decode("utf-8"))
-            model = build(config_from_dict(header["model"]))
+            try:
+                model = build(config_from_dict(header["model"]))
+                optimizer = Adam(model.registry, lr=header["adam"]["lr"])
+                optimizer.t = header["adam"]["t"]
+                train_cfg = (TrainConfig(**header["train"]) if header["train"]
+                             else None)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed checkpoint header "
+                                 f"({type(exc).__name__}: {exc})") from exc
             (n_params,) = struct.unpack("<I", _read_exact(f, 4))
             if n_params != len(model.registry):
                 raise ValueError(f"{path}: {n_params} parameters in file, "
@@ -295,11 +300,6 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                         f"{path}: parameter {name!r} has shape {data.shape}, "
                         f"model expects {param.shape}")
                 param.data[...] = data
-            adam_hdr = header["adam"]
-            optimizer = Adam(model.registry, lr=adam_hdr["lr"],
-                             beta1=adam_hdr["beta1"], beta2=adam_hdr["beta2"],
-                             eps=adam_hdr["eps"], alpha_lr=adam_hdr["alpha_lr"])
-            optimizer.t = adam_hdr["t"]
             (n_moments,) = struct.unpack("<I", _read_exact(f, 4))
             if n_moments != 2 * n_params:
                 raise ValueError(f"{path}: {n_moments} Adam moments in file, "
@@ -325,7 +325,6 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                 raise ValueError(f"{path}: trailing bytes after the epoch counter")
     except struct.error as exc:
         raise ValueError(f"{path}: truncated checkpoint") from exc
-    train_cfg = TrainConfig(**header["train"]) if header["train"] else None
     return model, optimizer, rng, epoch, train_cfg
 
 
@@ -337,7 +336,7 @@ def train(model: Model, samples, cfg: TrainConfig,
     """Run the remaining epochs of the schedule; returns the optimizer, the
     rng (for checkpointing) and the per-epoch reports."""
     if optimizer is None:
-        optimizer = Adam(model.registry, lr=cfg.lr, alpha_lr=cfg.alpha_lr)
+        optimizer = Adam(model.registry, lr=cfg.lr)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     reports = []

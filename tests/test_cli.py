@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from salrec import cli
 from salrec.data import read_dataset, write_predictions
 from salrec.gradcheck import GradCheckResult
-from salrec.model import Model, build
+from salrec.model import Model, ModelConfig, build
+from salrec.training import Adam, save_checkpoint
 
 
 def run(*argv):
@@ -52,6 +54,12 @@ class TestSynth:
         assert run("synth", tmp_path / "odd", "--videos", 1, "--frames", 2,
                    "--size", 33) == 0
 
+    @pytest.mark.parametrize("flag", ["--videos", "--frames"])
+    def test_empty_dataset_rejected(self, tmp_path, flag):
+        out = tmp_path / "ds"
+        assert run("synth", out, flag, 0, "--size", 16) == 1
+        assert not out.exists()
+
 
 class TestTrain:
     def test_odd_size_rejected_as_config_error(self, tmp_path):
@@ -66,10 +74,27 @@ class TestTrain:
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run("train", tmp_path / "nope", tmp_path / "run") == 2
 
-    def test_unknown_config_key_exits_1(self, small_ds, tmp_path):
+    def test_unknown_config_key_exits_1(self, small_ds, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[train]\nlearning_rate = 0.1\n")
-        assert run("train", small_ds, tmp_path / "run", "--config", cfg) == 1
+        # the last two were settings once; they are constants now
+        for text in ("[train]\nlearning_rate = 0.1\n",
+                     "[model]\nper_channel_peephole = true\n",
+                     "[train]\nalpha_lr = 0.2\n"):
+            cfg.write_text(text)
+            assert run("train", small_ds, tmp_path / "run", "--config", cfg) == 1
+            assert "unknown key" in capsys.readouterr().err, text
+
+    def test_zero_epochs_exits_1(self, small_ds, tmp_path):
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--epochs", 0) == 1
+        assert not out.exists()
+
+    def test_empty_manifest_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "empty"
+        root.mkdir()
+        (root / "manifest.json").write_text('{"version": 1, "videos": []}\n')
+        assert run("train", root, tmp_path / "run") == 2
+        assert "no videos" in capsys.readouterr().err
 
     def test_alpha_one_matches_stateless_loss_log(self, small_ds, tmp_path):
         # with alpha=1 the EMA insert is an exact identity, so both runs see
@@ -121,6 +146,29 @@ class TestEval:
 
     def test_requires_exactly_one_source(self, small_ds, tmp_path):
         assert run("eval", small_ds, tmp_path / "o") == 1
+
+    def test_n_splits_below_one_exits_1(self, tmp_path, capsys):
+        # checked before the (here missing) dataset is read
+        for n in (0, -3):
+            assert run("eval", tmp_path / "missing", tmp_path / "o",
+                       "--pred-dir", tmp_path, "--n-splits", n) == 1
+            assert "--n-splits" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_header_exits_2(self, small_ds, tmp_path,
+                                                 capsys):
+        ckpt = tmp_path / "bad.salr"
+        model = build(ModelConfig(input_size=(16, 16)))
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0)
+        raw = ckpt.read_bytes()
+        (clen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + clen])
+        header["model"]["frame_rate"] = 25
+        new = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
+                         + raw[12 + clen:])
+        assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
+        assert f"error: {ckpt}: malformed checkpoint header" in capsys.readouterr().err
 
     def test_checkpoint_dataset_size_mismatch(self, small_ds, tmp_path):
         out = tmp_path / "run"
@@ -256,6 +304,12 @@ class TestSweepAlpha:
         # checked before the dataset is read
         assert run("sweep-alpha", tmp_path / "missing", ckpt,
                    "--alphas", "nan") == 1
+
+    def test_rejects_n_splits_below_one(self, tmp_path, capsys):
+        # checked before the (here missing) dataset and checkpoint are read
+        assert run("sweep-alpha", tmp_path / "missing", tmp_path / "ck.salr",
+                   "--n-splits", 0) == 1
+        assert "--n-splits" in capsys.readouterr().err
 
     def test_rejects_stateless_checkpoint(self, small_ds, tmp_path):
         out = tmp_path / "run"

@@ -114,6 +114,12 @@ class TestDatasetIO:
             assert len(list((root / entry["path"] / "gt").glob("*.pgm"))) == n
             assert len(list((root / entry["path"] / "fix").glob("*.txt"))) == n
 
+    def test_manifest_without_videos_rejected(self, tmp_path):
+        root = tmp_path / "empty"
+        write_dataset([], root)
+        with pytest.raises(ValueError, match="no videos"):
+            read_dataset(root)
+
     def test_missing_file_names_path(self, tmp_path):
         samples, root = self.make(tmp_path)
         victim = root / samples[0].video_id / "gt" / "0001.pgm"

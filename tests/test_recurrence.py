@@ -125,15 +125,15 @@ class TestEffectiveAlpha:
             EmaConfig(alpha=1.5)
 
 
-def make_weights(seed=0, in_ch=2, ch=2, spatial=(3, 3), **kw):
+def make_weights(seed=0, in_ch=2, ch=2, spatial=(3, 3)):
     reg = ParameterRegistry()
     w = ConvLstmWeights(reg, "clstm", in_ch, ch, spatial,
-                        np.random.default_rng(seed), **kw)
+                        np.random.default_rng(seed))
     return reg, w
 
 
-def zero_weights(**kw):
-    reg, w = make_weights(**kw)
+def zero_weights():
+    reg, w = make_weights()
     for _, p in reg.items():
         p.data[...] = 0.0
     return reg, w
@@ -182,13 +182,6 @@ class TestConvLstm:
         assert np.array_equal(out_c.data, st_c.cell.data)
         assert np.array_equal(out_h.data, st_h.hidden.data)
 
-    def test_per_channel_peephole_variant(self):
-        reg, w = make_weights(seed=10, per_channel_peephole=True)
-        assert reg["clstm.u.peephole"].shape == (2, 1, 1)
-        x = Tensor(np.random.default_rng(11).normal(size=(1, 2, 3, 3)))
-        out, _ = convlstm_step(x, ConvLstmState.zeros(1, 2, 3, 3), w)
-        assert out.shape == (1, 2, 3, 3)
-
     def test_shape_mismatch_rejected(self):
         _, w = make_weights()
         with pytest.raises(ValueError, match="spatial"):
@@ -230,12 +223,10 @@ class TestFusedCell:
             ("clstm.u.peephole", (2, 3, 3)), ("clstm.f.peephole", (2, 3, 3)),
             ("clstm.o.peephole", (2, 3, 3))]
 
-    @pytest.mark.parametrize("per_channel", [False, True])
-    def test_matches_per_gate_oracle(self, per_channel):
+    def test_matches_per_gate_oracle(self):
         # one GEMM over Cin + C input channels against two GEMMs and an add:
         # the same terms summed in another order, so agreement to 1e-12
-        _, w = make_weights(seed=13, in_ch=3, ch=2,
-                            per_channel_peephole=per_channel)
+        _, w = make_weights(seed=13, in_ch=3, ch=2)
         w.bias.data[...] = np.random.default_rng(14).uniform(-1, 1, 8)
         rng = np.random.default_rng(15)
         state = ref = ConvLstmState.zeros(1, 2, 3, 3)

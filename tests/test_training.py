@@ -59,8 +59,11 @@ class TestBceLoss:
             bce_loss(Tensor(np.full((2, 2), 0.5)), Tensor(np.full((2, 3), 0.5)))
 
     def test_gt_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="ground truth"):
-            bce_loss(Tensor(np.full((2, 2), 0.5)), Tensor(np.full((2, 2), 1.5)))
+        for bad in (1.5, -0.5, np.nan):
+            gt = np.full((2, 2), 0.5)
+            gt[1, 0] = bad
+            with pytest.raises(ValueError, match="ground truth"):
+                bce_loss(Tensor(np.full((2, 2), 0.5)), Tensor(gt))
 
     def test_nonnegative_always(self):
         rng = np.random.default_rng(1)
@@ -109,7 +112,7 @@ class TestAdam:
         reg = ParameterRegistry()
         p = reg.register("ema.p", Tensor(np.asarray(0.0)))
         w = reg.register("w", Tensor(np.asarray(0.0)))
-        opt = Adam(reg, lr=1e-3, alpha_lr=0.1)
+        opt = Adam(reg, lr=1e-3)
         p.grad = np.asarray(1.0)
         w.grad = np.asarray(1.0)
         opt.step()
@@ -257,13 +260,15 @@ class TestTrainEpoch:
         model = small_model()
         if where == "parameter":  # the map guard in forward_frame fires
             model.registry["head.bias"].data[0] = np.nan
-        else:  # the map stays finite; the clip loss does not
+            error = RuntimeError
+            expected = re.escape(f"video {data[0].video_id!r}, frames 0-3, epoch 1")
+        else:  # bce_loss rejects the NaN target before the loss is formed
             data[0].gt_maps[2][3, 3] = np.nan
+            error, expected = ValueError, "ground truth must lie in"
         before = {n: p.data.copy() for n, p in model.registry.items()}
         opt = Adam(model.registry)
         cfg = TrainConfig(epochs=1, clip_length=4)
-        expected = f"video {data[0].video_id!r}, frames 0-3, epoch 1"
-        with pytest.raises(RuntimeError, match=re.escape(expected)):
+        with pytest.raises(error, match=expected):
             train(model, data, cfg, optimizer=opt)
         for name, p in model.registry.items():
             assert np.array_equal(p.data, before[name], equal_nan=True), name
@@ -329,19 +334,28 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(bad)
 
-    def test_version_1_rejected(self, tmp_path):
-        # v1 files hold the per-gate ConvLSTM parameters; v2 has no reader
-        # for them
+    def relabel_version(self, tmp_path, version):
         model = small_model()
-        p = tmp_path / "v1.salr"
+        p = tmp_path / f"v{version}.salr"
         save_checkpoint(p, model, Adam(model.registry),
                         np.random.default_rng(0), 0)
         raw = bytearray(p.read_bytes())
-        assert struct.unpack("<I", raw[4:8]) == (2,)
-        raw[4:8] = struct.pack("<I", 1)
+        assert struct.unpack("<I", raw[4:8]) == (3,)
+        raw[4:8] = struct.pack("<I", version)
         p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="version 1, expected 2"):
-            load_checkpoint(p)
+        return p
+
+    def test_version_1_rejected(self, tmp_path):
+        # v1 files hold the per-gate ConvLSTM parameters; v3 has no reader
+        # for them
+        with pytest.raises(ValueError, match="version 1, expected 3"):
+            load_checkpoint(self.relabel_version(tmp_path, 1))
+
+    def test_version_2_rejected(self, tmp_path):
+        # v2 headers carry Adam's betas, eps and alpha_lr, and may carry the
+        # model settings v3 dropped
+        with pytest.raises(ValueError, match="version 2, expected 3"):
+            load_checkpoint(self.relabel_version(tmp_path, 2))
 
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model()
@@ -378,7 +392,7 @@ class TestCheckpoint:
         train(model_a, data, cfg)
 
         model_b = small_model(seed=6)
-        opt_b = Adam(model_b.registry, lr=cfg.lr, alpha_lr=cfg.alpha_lr)
+        opt_b = Adam(model_b.registry, lr=cfg.lr)
         rng_b = np.random.default_rng(cfg.seed)
         one = TrainConfig(**{**cfg.__dict__, "epochs": 1})
         train(model_b, data, one, optimizer=opt_b, rng=rng_b)
@@ -439,6 +453,21 @@ class TestCheckpoint:
         bad.write_bytes(raw)
         with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit", ["unknown model key", "no adam"])
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        raw = self.saved(tmp_path)
+        (clen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + clen])
+        if edit == "unknown model key":
+            header["model"]["frame_rate"] = 25
+        else:
+            del header["adam"]
+        new = json.dumps(header, sort_keys=True).encode()
+        self.assert_rejected(
+            tmp_path,
+            raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
+            "malformed checkpoint header")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         self.assert_rejected(tmp_path, self.saved(tmp_path) + b"garbage",
