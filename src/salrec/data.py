@@ -206,6 +206,9 @@ def read_dataset(root: Path) -> list[VideoSample]:
         raise ValueError(f"{root / MANIFEST_NAME}: the manifest lists no videos")
     samples = []
     for entry in manifest["videos"]:
+        if entry["frames"] < 1:
+            raise ValueError(f"{root / MANIFEST_NAME}: video {entry['video_id']} "
+                             f"lists {entry['frames']} frames, expected >= 1")
         vdir = root / entry["path"]
         h, w = entry["height"], entry["width"]
         frames, gts, fixes = [], [], []

@@ -76,25 +76,21 @@ def sim(pred: np.ndarray, gt: np.ndarray) -> Optional[float]:
     return float(np.minimum(pred / ps, gt / gs).sum())
 
 
+def _auc_rows(pos: np.ndarray, negs: np.ndarray) -> np.ndarray:
+    """Exact ROC area of `pos` against each row of `negs`: the pairwise
+    statistic (2·#(pos > neg) + #(pos == neg)) / (2·P·N). Each negative is
+    found in the sorted positives by sorted search: O(rows·N) memory."""
+    pos = np.sort(pos)
+    # per negative n: 2·#(pos > n) + #(pos == n) = 2P - left - right
+    ranks = (pos.searchsorted(negs, side="left")
+             + pos.searchsorted(negs, side="right")).sum(axis=-1)
+    pairs = 2 * pos.size * negs.shape[-1]
+    return (pairs - ranks) / pairs
+
+
 def _auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
-    """ROC area by threshold sweep over all distinct scores (>= counts as a
-    detection), trapezoidal rule. Equals the pairwise ordering statistic
-    with ties credited 0.5."""
-    scores = np.concatenate((pos, neg))
-    scores.sort()
-    distinct = np.empty(scores.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(scores[1:], scores[:-1], out=distinct[1:])
-    thresholds = scores[distinct][::-1]
-    # ROC points from (0, 0): share of each class scoring >= each threshold
-    tpr = np.zeros(thresholds.size + 1)
-    fpr = np.zeros(thresholds.size + 1)
-    tpr[1:] = len(pos) - np.sort(pos).searchsorted(thresholds)
-    fpr[1:] = len(neg) - np.sort(neg).searchsorted(thresholds)
-    tpr /= len(pos)
-    fpr /= len(neg)
-    # the element operations of np.trapezoid(tpr, fpr): the same area bits
-    return float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0).sum())
+    """Exact pairwise ROC area of 1-D scores, ties credited 0.5."""
+    return float(_auc_rows(pos, neg[np.newaxis])[0])
 
 
 def auc_judd(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
@@ -114,7 +110,10 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
                  other_fix: Sequence[FixationMap], n_splits: int = 100,
                  rng_seed: int = 0) -> Optional[float]:
     """AUC whose negatives are fixation locations borrowed from other
-    videos/frames, sampled per split; mean over `n_splits`."""
+    videos/frames; mean over `n_splits` splits. The splits are drawn one
+    `rng.choice` call at a time, in a fixed order, then scored together:
+    one exact pairwise count (`_auc_rows`) over the stacked
+    (n_splits, N) negatives, in O(n_splits·N) memory."""
     if not fix.points:
         return None
     if not other_fix:
@@ -138,11 +137,9 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
         warnings.warn("s-AUC negative pool smaller than fixation count; "
                       "sampling with replacement")
     rng = np.random.default_rng(rng_seed)
-    scores = []
-    for _ in range(n_splits):
-        neg_idx = rng.choice(pool_arr, size=n_neg, replace=replace)
-        scores.append(_auc_from_scores(pos, flat[neg_idx]))
-    return float(np.mean(scores))
+    neg_idx = np.stack([rng.choice(pool_arr, size=n_neg, replace=replace)
+                        for _ in range(n_splits)])
+    return float(np.mean(_auc_rows(pos, flat[neg_idx])))
 
 
 # ---------------------------------------------------------------------------

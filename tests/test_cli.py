@@ -96,6 +96,16 @@ class TestTrain:
         assert run("train", root, tmp_path / "run") == 2
         assert "no videos" in capsys.readouterr().err
 
+    def test_zero_frame_video_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        assert run("synth", root, "--videos", 2, "--frames", 2, "--size", 16) == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["videos"][0]["frames"] = 0
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        assert run("train", root, tmp_path / "run", "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert "video000" in err and "manifest.json" in err
+
     def test_alpha_one_matches_stateless_loss_log(self, small_ds, tmp_path):
         # with alpha=1 the EMA insert is an exact identity, so both runs see
         # the same losses step for step

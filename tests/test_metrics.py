@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ def pairwise_auc(pos, neg):
 
 def loop_auc_from_scores(pos, neg):
     """Reference sweep: one pair of searchsorted calls per threshold, area by
-    np.trapezoid. `_auc_from_scores` must reproduce it bit for bit."""
+    np.trapezoid. Its rounding differs from the exact count by a few ulp."""
     thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
     pos_sorted = np.sort(pos)
     neg_sorted = np.sort(neg)
@@ -184,12 +186,21 @@ TIED_SCORES = st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
                        min_size=1, max_size=60)
 
 
+# the trapezoid sum rounds each term; the exact count divides once
+SWEEP_GAP = 4 * np.finfo(float).eps
+
+
 class TestAucSweep:
+    """`_auc_from_scores` is the exact pairwise count, so it is bit-equal to
+    the exhaustive `pairwise_auc` and within SWEEP_GAP of the ROC sweep."""
+
     @settings(max_examples=200)
     @given(st.one_of(SCORES, TIED_SCORES), st.one_of(SCORES, TIED_SCORES))
     def test_bit_identical_to_loop(self, pos, neg):
         pos, neg = np.array(pos), np.array(neg)
-        assert _auc_from_scores(pos, neg) == loop_auc_from_scores(pos, neg)
+        got = _auc_from_scores(pos, neg)
+        assert got == pairwise_auc(pos, neg)
+        assert abs(got - loop_auc_from_scores(pos, neg)) <= SWEEP_GAP
 
     @pytest.mark.parametrize("pos, neg", [
         ([0.3], [0.7]), ([0.7], [0.3]), ([0.5], [0.5]),  # single elements
@@ -198,13 +209,17 @@ class TestAucSweep:
     ])
     def test_edge_cases_bit_identical(self, pos, neg):
         pos, neg = np.array(pos), np.array(neg)
-        assert _auc_from_scores(pos, neg) == loop_auc_from_scores(pos, neg)
+        got = _auc_from_scores(pos, neg)
+        assert got == pairwise_auc(pos, neg)
+        assert abs(got - loop_auc_from_scores(pos, neg)) <= SWEEP_GAP
 
     def test_auc_judd_sized_input(self):
         rng = np.random.default_rng(13)
         scores = np.round(rng.uniform(size=32 * 32) * 64) / 64
         pos, neg = scores[:9], scores[9:]
-        assert _auc_from_scores(pos, neg) == loop_auc_from_scores(pos, neg)
+        got = _auc_from_scores(pos, neg)
+        assert got == pairwise_auc(pos, neg)
+        assert abs(got - loop_auc_from_scores(pos, neg)) <= SWEEP_GAP
 
 
 class TestAucShuffled:
@@ -240,6 +255,30 @@ class TestAucShuffled:
                                                  replace=False)
         ref = pairwise_auc(pred.reshape(-1)[pos_idx], pred.reshape(-1)[draw])
         assert got == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("pool_pts, replace", [
+        ([(r, 5) for r in range(6)] + [(5, c) for c in range(5)], False),
+        ([(5, 5), (0, 5)], True),  # pool smaller than the 4 fixations
+    ])
+    def test_hundred_splits_match_pairwise_oracle(self, pool_pts, replace):
+        rng = np.random.default_rng(14)
+        pred = np.round(rng.uniform(size=(6, 6)) * 4) / 4  # force ties
+        fix = FixationMap([(0, 0), (1, 2), (3, 1), (4, 4)], (6, 6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = auc_shuffled(pred, fix, self.pool((6, 6), pool_pts),
+                               n_splits=100, rng_seed=5)
+        assert bool(caught) == replace
+        # reproduce the 100 seeded draws, in order, and score each one
+        flat = pred.reshape(-1)
+        pos_idx = fix.unique_indices(pred.shape)
+        pool_idx = np.array(sorted({r * 6 + c for r, c in pool_pts}
+                                   - set(pos_idx.tolist())))
+        draws = np.random.default_rng(5)
+        ref = np.mean([pairwise_auc(flat[pos_idx], flat[draws.choice(
+            pool_idx, size=len(pos_idx), replace=replace)])
+            for _ in range(100)])
+        assert got == ref
 
     def test_small_pool_warns_and_samples_with_replacement(self):
         pred = np.random.default_rng(10).uniform(size=(4, 4))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from salrec.gradcheck import max_rel_error
+from salrec.gradcheck import check_recurrence, max_rel_error
 from salrec.layers import ParameterRegistry
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, effective_alpha,
@@ -243,6 +243,12 @@ class TestFusedCell:
 class TestBpttGradients:
     def test_five_step_unrolls_match_finite_differences(self):
         # mirrors the gradcheck suite at test granularity
-        from salrec.gradcheck import check_recurrence
         for result in check_recurrence(seed=1):
             assert result.passed, f"{result.name}: {result.max_rel_err}"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_probes_clear_of_rounding_noise(self, seed):
+        # correct gradients read an order of magnitude inside the tolerance
+        for result in check_recurrence(seed=seed):
+            assert result.max_rel_err <= 1e-5, (
+                f"{result.name}: {result.max_rel_err}")
