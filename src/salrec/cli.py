@@ -40,46 +40,56 @@ _SECTION_TYPES = {"synth": data_mod.SynthConfig, "model": ModelConfig,
                   "train": TrainConfig}
 
 
-def _coerce(value: str, typ) -> object:
-    origin = str(typ)
-    if typ is bool or origin == "bool":
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"cannot parse boolean from {value!r}")
-    if typ is int or origin == "int":
-        return int(value)
-    if typ is float or origin == "float":
-        return float(value)
-    if typ is str or origin == "str":
-        return value
-    # tuples (input_size, ema_points): comma-separated
-    parts = [p.strip() for p in value.split(",") if p.strip()]
+def _split(value: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in value.split(",") if p.strip())
+
+
+# INI value parsers, keyed by the exact (string) annotation of the field
+_PARSERS = {"bool": lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
+            "int": int, "float": float, "str": str,
+            "tuple[int, int]": lambda v: tuple(int(p) for p in _split(v)),
+            "tuple[InsertionPoint, ...]": _split}
+
+
+def _coerce(value: str, annotation: str) -> object:
+    parse = _PARSERS[annotation]
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        return tuple(parts)
+        return parse(value)
+    except (KeyError, ValueError):
+        kind = "boolean" if annotation == "bool" else annotation
+        raise UsageError(f"cannot parse {kind} from {value!r}") from None
 
 
 def _load_config_file(path: str) -> dict[str, dict[str, object]]:
+    """The typed values of an INI file, by section (the `type` of `--config`,
+    so the file is read once, while the flags are parsed)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file {path} not found")
     out: dict[str, dict[str, object]] = {}
-    for section in parser.sections():
-        if section not in _SECTION_TYPES:
-            raise UsageError(f"unknown config section [{section}]")
-        ftypes = {f.name: f.type for f in fields(_SECTION_TYPES[section])}
-        vals: dict[str, object] = {}
-        for key, raw in parser[section].items():
-            if key not in ftypes:
-                raise UsageError(f"unknown key {key!r} in section [{section}]")
-            vals[key] = _coerce(raw, ftypes[key])
-        out[section] = vals
+    try:
+        if not parser.read(path):
+            raise UsageError(f"config file {path} not found")
+        for section in parser.sections():
+            if section not in _SECTION_TYPES:
+                raise UsageError(f"unknown config section [{section}]")
+            ftypes = {f.name: f.type for f in fields(_SECTION_TYPES[section])}
+            out[section] = {}
+            for key, raw in parser[section].items():
+                if key not in ftypes:
+                    raise UsageError(f"unknown key {key!r} in section [{section}]")
+                out[section][key] = _coerce(raw, ftypes[key])
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
     return out
+
+
+def _resolve(cls, ini: dict, **flags):
+    """`cls` from INI values over its defaults and the flags that are not
+    None over both; a value the dataclass rejects is a config error."""
+    values = {**ini, **{k: v for k, v in flags.items() if v is not None}}
+    try:
+        return cls(**values)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _positive_int(text: str) -> int:
@@ -95,29 +105,14 @@ def _write_resolved_config(out_dir: Path, payload: dict) -> None:
                                                     sort_keys=True) + "\n")
 
 
-def _dataset_size(samples) -> tuple[int, int]:
-    return samples[0].frames[0].shape
-
-
-def _build_config(cls, merged: dict):
-    # dataclass validation failures are configuration mistakes, exit code 1
-    try:
-        return cls(**merged)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    file_cfg = (_load_config_file(args.config).get("synth", {})
-                if args.config else {})
-    overrides = {"n_videos": args.videos, "frames_per_video": args.frames,
-                 "height": args.size, "width": args.size, "seed": args.seed,
-                 "noise": args.noise, "max_speed": args.speed}
-    merged = {**file_cfg, **{k: v for k, v in overrides.items() if v is not None}}
-    cfg = _build_config(data_mod.SynthConfig, merged)
+    cfg = _resolve(data_mod.SynthConfig, args.config.get("synth", {}),
+                   n_videos=args.videos, frames_per_video=args.frames,
+                   height=args.size, width=args.size, seed=args.seed,
+                   noise=args.noise, max_speed=args.speed)
     samples = data_mod.generate(cfg)
     out = Path(args.out_dir)
     data_mod.write_dataset(samples, out)
@@ -126,54 +121,37 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_model_flags(args, input_size) -> ModelConfig:
-    merged = dict(_load_config_file(args.config).get("model", {})
-                  if args.config else {})
-    if args.recurrence is not None:
-        merged["recurrence"] = args.recurrence
-    kind = merged.get("recurrence", "none")
-    if kind == "convlstm" and args.ema_at is not None:
-        raise UsageError("--ema-at does not apply to --recurrence convlstm")
-    if kind in ("none", "convlstm") and args.alpha is not None:
-        raise UsageError(f"--alpha does not apply to --recurrence {kind}")
-    merged["input_size"] = tuple(input_size)
-    if args.seed is not None:
-        merged["seed"] = args.seed
+def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
+    """Resolve [model] and the model flags. `--ema-at` and `--alpha` must
+    suit the recurrence; alpha defaults to 0.1, or 0.3 for two EMA points,
+    and 0.1 is recorded where no EMA reads it."""
+    kind = args.recurrence or ini.get("recurrence", "none")
+    ema_at, alpha = args.ema_at, args.alpha
     if kind in ("none", "convlstm"):
-        merged["alpha"] = 0.1
+        if kind == "convlstm" and ema_at is not None:
+            raise UsageError("--ema-at does not apply to --recurrence convlstm")
+        if alpha is not None:
+            raise UsageError(f"--alpha does not apply to --recurrence {kind}")
+        ema_at, alpha = None, 0.1
     else:
-        if args.ema_at is not None:
-            merged["ema_points"] = tuple(p for p in args.ema_at.split(",") if p)
-        if args.alpha is not None:
-            merged["alpha"] = args.alpha
-        elif "alpha" not in merged:  # dual placement default
-            merged["alpha"] = 0.3 if len(merged.get("ema_points", ())) == 2 else 0.1
-    if args.stages is not None:
-        merged["stages"] = args.stages
-    if args.base_channels is not None:
-        merged["base_channels"] = args.base_channels
-    if args.dropout:
-        merged["dropout"] = True
-    return _build_config(ModelConfig, merged)
+        ema_at = None if ema_at is None else _split(ema_at)
+        if alpha is None and "alpha" not in ini:
+            points = ini.get("ema_points", ()) if ema_at is None else ema_at
+            alpha = 0.3 if len(points) == 2 else 0.1
+    return _resolve(ModelConfig, ini, input_size=input_size,
+                    recurrence=args.recurrence, ema_points=ema_at, alpha=alpha,
+                    stages=args.stages, base_channels=args.base_channels,
+                    dropout=args.dropout, seed=args.seed)
 
 
 def cmd_train(args) -> int:
     samples = data_mod.read_dataset(args.data_dir)
-    model_cfg = _parse_model_flags(args, _dataset_size(samples))
-    file_cfg = {}
-    if args.config:
-        file_cfg = _load_config_file(args.config).get("train", {})
-    merged = dict(file_cfg)
-    for key, val in (("lr", args.lr), ("epochs", args.epochs),
-                     ("clip_length", args.clip_length), ("seed", args.seed)):
-        if val is not None:
-            merged[key] = val
-    if args.augment:
-        merged["augment"] = True
-    train_cfg = _build_config(TrainConfig, merged)
-
+    model_cfg = _parse_model_flags(args, args.config.get("model", {}),
+                                   samples[0].frames[0].shape)
+    train_cfg = _resolve(TrainConfig, args.config.get("train", {}), lr=args.lr,
+                         epochs=args.epochs, clip_length=args.clip_length,
+                         augment=args.augment, seed=args.seed)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_resolved_config(out, {"model": _config_to_dict(model_cfg),
                                  "train": asdict(train_cfg)})
     model = build(model_cfg)
@@ -206,10 +184,10 @@ def cmd_eval(args) -> int:
         raise UsageError("exactly one of --checkpoint or --pred-dir is required")
     if args.checkpoint:
         model, *_ = load_checkpoint(args.checkpoint)
-        h, w = _dataset_size(samples)
-        if model.cfg.input_size != (h, w):
+        size = samples[0].frames[0].shape
+        if model.cfg.input_size != size:
             raise ValueError(f"checkpoint expects {model.cfg.input_size}, "
-                             f"dataset frames are ({h}, {w})")
+                             f"dataset frames are {size}")
         preds = _predict_all(model, samples)
     else:
         preds = data_mod.load_predictions(args.pred_dir, samples)
@@ -217,7 +195,6 @@ def cmd_eval(args) -> int:
                                               n_splits=args.n_splits,
                                               seed=args.seed)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_resolved_config(out, {"eval": {"data_dir": str(args.data_dir),
                                           "checkpoint": args.checkpoint,
                                           "pred_dir": args.pred_dir,
@@ -272,39 +249,30 @@ def cmd_sweep_alpha(args) -> int:
     if model.cfg.recurrence not in ("ema", "ema-trainable", "ema-residual"):
         raise UsageError("sweep-alpha requires a checkpoint trained with an "
                          "EMA recurrence")
-    rows = []
+    lines = ["  ".join(f"{h:>8}" for h in ("alpha",) + metrics_mod.METRIC_NAMES)]
     for alpha in alphas:
         preds = _predict_all(model, samples, alpha_override=alpha)
-        report = metrics_mod.evaluate_predictions(samples, preds,
-                                                  n_splits=args.n_splits,
-                                                  seed=args.seed)
-        rows.append((alpha, report.dataset_means))
-    header = ["alpha"] + list(metrics_mod.METRIC_NAMES)
-    print("  ".join(f"{h:>8}" for h in header))
-    lines = []
-    for alpha, means in rows:
-        cells = [f"{alpha:>8.3f}"] + [
+        means = metrics_mod.evaluate_predictions(samples, preds,
+                                                 n_splits=args.n_splits,
+                                                 seed=args.seed).dataset_means
+        lines.append("  ".join([f"{alpha:>8.3f}"] + [
             f"{means[m]:>8.4f}" if means[m] is not None else f"{'n/a':>8}"
-            for m in metrics_mod.METRIC_NAMES]
-        line = "  ".join(cells)
-        print(line)
-        lines.append(line)
+            for m in metrics_mod.METRIC_NAMES]))
+    table = "\n".join(lines) + "\n"
+    print(table, end="")
     if args.out:
-        Path(args.out).write_text(
-            "  ".join(f"{h:>8}" for h in header) + "\n" + "\n".join(lines) + "\n")
+        Path(args.out).write_text(table)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     modules = list(MODULE_CHECKS) if args.module == "all" else [args.module]
     results = run_checks(modules, seed=args.seed)
-    failed = False
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{status}  {r.name:<32} max rel err {r.max_rel_err:.3e} "
               f"(tol {r.tol:.0e})")
-        failed = failed or not r.passed
-    if failed:
+    if not all(r.passed for r in results):
         print("gradient check FAILED", file=sys.stderr)
         return 3
     return 0
@@ -320,7 +288,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic dataset")
     p.add_argument("out_dir")
-    p.add_argument("--config", help="INI config file ([synth] section)")
+    p.add_argument("--config", type=_load_config_file, default={},
+                   help="INI config file ([synth] section)")
     p.add_argument("--videos", type=int, help="number of videos (default 20)")
     p.add_argument("--frames", type=int, help="frames per video (default 40)")
     p.add_argument("--size", type=int, help="square frame size (default 32)")
@@ -332,21 +301,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("data_dir")
     p.add_argument("out_dir")
-    p.add_argument("--config", help="INI config file ([model]/[train] sections)")
+    p.add_argument("--config", type=_load_config_file, default={},
+                   help="INI config file ([model]/[train] sections)")
     p.add_argument("--recurrence", help="temporal memory (default none)",
                    choices=RECURRENCE_KINDS)
     p.add_argument("--ema-at", help="comma list of insertion points: "
                    "encoderK | bottleneck | decoderK | output")
     p.add_argument("--alpha", type=float, help="EMA alpha (default 0.1; 0.3 "
                    "when two insertion points are given)")
-    p.add_argument("--dropout", action="store_true",
+    p.add_argument("--dropout", action="store_true", default=None,
                    help="dropout (p=0.5) before each recurrence")
     p.add_argument("--stages", type=int, help="encoder/decoder stages (default 3)")
     p.add_argument("--base-channels", type=int, help="channels of stage 1 (default 8)")
     p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
     p.add_argument("--epochs", type=int, help="epochs (default 7)")
     p.add_argument("--clip-length", type=int, help="BPTT window (default 10)")
-    p.add_argument("--augment", action="store_true",
+    p.add_argument("--augment", action="store_true", default=None,
                    help="mirror/right-angle-rotation augmentation")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.set_defaults(func=cmd_train)

@@ -11,6 +11,7 @@ Layout under a dataset root:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,12 +92,19 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_videos < 1 or self.frames_per_video < 1:
             raise ValueError("n_videos and frames_per_video must be >= 1")
-        if self.sigma <= 0:
+        # blob centres start in [2, size - 3]; the float checks fail for NaN
+        if not (self.height >= 5 and self.width >= 5):
+            raise ValueError("height and width must be >= 5")
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.max_speed < 0:
-            raise ValueError("max_speed must be >= 0")
+        if not 0 <= self.max_speed < math.inf:
+            raise ValueError("max_speed must be finite and >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
         if not 1 <= self.n_blobs <= 3:
             raise ValueError("n_blobs must be in 1..3")
+        if self.fixations_per_frame < 0:
+            raise ValueError("fixations_per_frame must be >= 0")
 
 
 @dataclass

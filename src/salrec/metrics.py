@@ -211,30 +211,24 @@ def evaluate_predictions(samples, predictions: dict[str, list[np.ndarray]],
     other video, built once per video from one pass over the dataset's
     fixations. It holds the same pixels as all other videos' frame
     fixations together, so every draw and s-AUC value equals scoring
-    against those frames directly. The pool has one FixationMap per
-    fixation extent; a second extent makes `auc_shuffled` raise.
+    against those frames directly. Every fixation map must share one
+    extent.
     """
     per_frame: dict[str, dict[str, list[Optional[float]]]] = {
         m: {} for m in METRIC_NAMES}
-    # distinct fixated pixels of each video, by extent; a frame without
-    # fixations still records its extent
-    fixated: dict[str, dict[tuple[int, int], set]] = {}
-    for s in samples:
-        by_extent = fixated[s.video_id] = {}
-        for f in s.fixations:
-            by_extent.setdefault(f.extent, set()).update(f.points)
+    extents = {f.extent for s in samples for f in s.fixations}
+    if len(extents) > 1:
+        raise ValueError("fixation extents differ across the pool")
+    fixated = {s.video_id: {p for f in s.fixations for p in f.points}
+               for s in samples}
     for s in samples:
         preds = predictions[s.video_id]
         if len(preds) != len(s.gt_maps):
             raise ValueError(f"video {s.video_id}: {len(preds)} predictions "
                              f"for {len(s.gt_maps)} frames")
-        merged: dict[tuple[int, int], set] = {}
-        for vid, by_extent in fixated.items():
-            if vid != s.video_id:
-                for extent, points in by_extent.items():
-                    merged.setdefault(extent, set()).update(points)
-        pool = [FixationMap(sorted(points), extent)
-                for extent, points in merged.items()]
+        others = set().union(*(points for vid, points in fixated.items()
+                               if vid != s.video_id))
+        pool = [FixationMap(sorted(others), *extents)] if others else []
         rows = {m: [] for m in METRIC_NAMES}
         for t, pred in enumerate(preds):
             fix = s.fixations[t]

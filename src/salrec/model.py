@@ -71,6 +71,8 @@ class ModelConfig:
         h, w = self.input_size
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
+        if self.base_channels < 1:
+            raise ValueError("base_channels must be >= 1")
         if h % (1 << self.stages) or w % (1 << self.stages):
             raise ValueError(
                 f"input size {self.input_size} not divisible by 2^{self.stages}")
@@ -88,6 +90,14 @@ class ModelConfig:
                 raise ValueError("ema supports 1 or 2 insertion points")
             if len(set(pts)) != len(pts):
                 raise ValueError("duplicate insertion points")
+            # the trainable alpha is sigmoid(p); EmaConfig checks a fixed one
+            EmaConfig(self.alpha, trainable=self.recurrence == "ema-trainable")
+            if (self.dropout and OUTPUT in pts
+                    and self.recurrence != "ema-residual"):
+                raise ValueError(
+                    "dropout before the output EMA, which averages maps after "
+                    "the sigmoid, can push them past 1; use ema-residual or "
+                    "another insertion point")
         for p in pts:
             if p.kind in ("encoder", "decoder") and not 1 <= p.index <= self.stages:
                 raise ValueError(f"insertion point {p} outside 1..{self.stages}")

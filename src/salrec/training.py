@@ -9,6 +9,7 @@ forward while gradients do not.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -44,8 +45,9 @@ class TrainConfig:
             raise ValueError("clip_length must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.lr < math.inf:  # NaN fails too
+            raise ValueError(f"learning rate must be positive and finite, "
+                             f"got {self.lr}")
 
 
 def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:

@@ -60,6 +60,24 @@ class TestSynth:
         assert run("synth", out, flag, 0, "--size", 16) == 1
         assert not out.exists()
 
+    def test_size_five_is_smallest(self, tmp_path):
+        assert run("synth", tmp_path / "ds", "--videos", 1, "--frames", 2,
+                   "--size", 5) == 0
+
+    @pytest.mark.parametrize("flags, ini", [
+        (["--size", 4], ""), ([], "noise = -1"), ([], "noise = nan"),
+        ([], "sigma = nan"), ([], "fixations_per_frame = -1"),
+        (["--speed", "inf"], "")], ids=["size-4", "noise-negative",
+                                         "noise-nan", "sigma-nan",
+                                         "fixations-negative", "speed-inf"])
+    def test_settings_numpy_rejects_exit_1(self, tmp_path, flags, ini):
+        cfg = tmp_path / "synth.ini"
+        cfg.write_text(f"[synth]\n{ini}\n")
+        out = tmp_path / "ds"
+        assert run("synth", out, "--videos", 1, "--frames", 2, "--config", cfg,
+                   *flags) == 1
+        assert not out.exists()
+
 
 class TestTrain:
     def test_odd_size_rejected_as_config_error(self, tmp_path):
@@ -88,6 +106,31 @@ class TestTrain:
         out = tmp_path / "run"
         assert run("train", small_ds, out, "--epochs", 0) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--recurrence", "ema", "--alpha", 0],
+        ["--recurrence", "ema", "--alpha", 1.5],
+        ["--recurrence", "ema", "--alpha", "nan"],
+        ["--recurrence", "ema-residual", "--alpha", 0],
+        ["--recurrence", "ema-residual", "--alpha", "nan"],
+        ["--base-channels", 0], ["--lr", "nan"], ["--lr", "inf"]],
+        ids=["alpha-0", "alpha-1.5", "alpha-nan", "residual-alpha-0",
+             "residual-alpha-nan", "base-channels-0", "lr-nan", "lr-inf"])
+    def test_settings_build_or_training_rejects_exit_1(self, small_ds, tmp_path,
+                                                        flags):
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--epochs", 1, *flags) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, code", [
+        ("ema", 1), ("ema-trainable", 1), ("ema-residual", 0)])
+    def test_dropout_before_output_ema(self, small_ds, tmp_path, kind, code):
+        # dropout doubles kept values, so it may push a post-sigmoid map
+        # past 1; the residual output EMA sits before the sigmoid
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--recurrence", kind, "--ema-at",
+                   "output", "--dropout", "--epochs", 1) == code
+        assert out.exists() == (code == 0)
 
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
         root = tmp_path / "empty"
@@ -239,6 +282,27 @@ class TestConfigPrecedence:
         ini.write_text("[model]\nrecurrence = convlstm\n")
         assert run("train", small_ds, tmp_path / "run", "--config", ini,
                    "--alpha", 0.2, "--epochs", 1) == 1
+
+    @pytest.mark.parametrize("text", [
+        b"[model]\nstages = x\n", b"[model]\nema_points = 1\n",
+        b"[train]\nlr = fast\n", b"[model]\ndropout = maybe\n",
+        b"alpha = 0.2\n", b"[train]\nseed = \xff\n"],
+        ids=["stages", "ema_points", "lr", "dropout", "no-section", "not-utf8"])
+    def test_malformed_ini_exits_1(self, small_ds, tmp_path, text):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--config", ini, "--epochs", 1) == 1
+        assert not out.exists()
+
+    def test_ini_booleans_recorded_without_flags(self, small_ds, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\ndropout = yes\n\n[train]\naugment = on\n")
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--config", ini, "--epochs", 1) == 0
+        cfg = self.resolved(out)
+        assert cfg["model"]["dropout"] is True
+        assert cfg["train"]["augment"] is True
 
     def test_synth_seed_from_ini(self, tmp_path):
         ini = tmp_path / "synth.ini"
