@@ -128,10 +128,9 @@ def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
     kind = args.recurrence or ini.get("recurrence", "none")
     ema_at, alpha = args.ema_at, args.alpha
     if kind in ("none", "convlstm"):
-        if kind == "convlstm" and ema_at is not None:
-            raise UsageError("--ema-at does not apply to --recurrence convlstm")
-        if alpha is not None:
-            raise UsageError(f"--alpha does not apply to --recurrence {kind}")
+        for flag, value in (("--ema-at", ema_at), ("--alpha", alpha)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to --recurrence {kind}")
         ema_at, alpha = None, 0.1
     else:
         ema_at = None if ema_at is None else _split(ema_at)

@@ -9,7 +9,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tensor import Tensor, broadcast_mul, conv2d
+from .tensor import Tensor, conv2d, mul
 
 
 class ParameterRegistry:
@@ -89,4 +89,4 @@ def dropout_forward(x: Tensor, p: float, training: bool,
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return broadcast_mul(x, Tensor(mask))
+    return mul(x, Tensor(mask))

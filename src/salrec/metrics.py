@@ -41,13 +41,13 @@ class FixationMap:
 
 def nss(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
     """Mean z-scored (population std) saliency at fixated pixels."""
+    if pred.shape != fix.extent:
+        raise ValueError(f"map shape {pred.shape} != fixation extent {fix.extent}")
     if not fix.points:
         return None
     sd = pred.std()  # population std
     if sd == 0.0:
         return None
-    if pred.shape != fix.extent:
-        raise ValueError(f"map shape {pred.shape} != fixation extent {fix.extent}")
     z = (pred - pred.mean()) / sd
     # every observation counts, duplicates included
     vals = z.reshape(-1)[[r * pred.shape[1] + c for r, c in fix.points]]
@@ -184,16 +184,16 @@ def aggregate(per_frame: dict[str, dict[str, list[Optional[float]]]]) -> MetricR
 
 def compare_per_video(report_a: MetricReport, report_b: MetricReport,
                       metric: str):
-    """Per-video signed differences A - B, plus their mean and variance."""
-    ma = report_a.video_means[metric]
-    mb = report_b.video_means[metric]
+    """Per-video signed differences A - B over the videos valid in both
+    reports, plus their mean and variance; ValueError if there are none."""
+    ma = report_a.video_means.get(metric, {})
+    mb = report_b.video_means.get(metric, {})
     if set(ma) != set(mb):
         raise ValueError("reports cover different video sets")
-    diffs = []
-    for vid in ma:
-        if ma[vid] is None or mb[vid] is None:
-            continue
-        diffs.append((vid, ma[vid] - mb[vid]))
+    diffs = [(vid, ma[vid] - mb[vid]) for vid in ma
+             if ma[vid] is not None and mb[vid] is not None]
+    if not diffs:
+        raise ValueError(f"{metric}: no video has a valid mean in both reports")
     values = np.array([d for _, d in diffs])
     return diffs, float(values.mean()), float(values.var())
 

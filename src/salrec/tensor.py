@@ -6,12 +6,17 @@ sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions and
 channel concatenation/splitting.
 No broadcasting except the conv bias over the channel axis and the
 internal broadcast-multiply used by peepholes and the trainable alpha.
+
+Each op computes its value and gives `_node` one (parent, vjp) edge per
+input; a vjp maps the upstream gradient to that parent's gradient. `_node`
+keeps only the edges whose parent requires grad, and records the op only
+if grad is on and an edge is left, so no op tests `requires_grad` itself.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,14 +105,26 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Create a result tensor, recording the op if any parent needs grad."""
-    needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs)
-    if needs:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+def _node(data: np.ndarray,
+          *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Create a result tensor from its value and one (parent, vjp) edge per
+    input, where vjp maps the upstream gradient to that parent's gradient.
+
+    While grad is on, only the edges whose parent requires grad are kept,
+    and the op is recorded only if any are left. Its backward adds vjp(g)
+    into each kept parent, in edge order; no other vjp is ever called.
+    """
+    out = Tensor(data)
+    if _GRAD_ENABLED:
+        kept = [edge for edge in edges if edge[0].requires_grad]
+        if kept:
+            def backward_fn(g):
+                for parent, vjp in kept:
+                    parent.accumulate_grad(vjp(g))
+
+            out.requires_grad = True
+            out._parents = tuple([edge[0] for edge in kept])
+            out._backward_fn = backward_fn
     return out
 
 
@@ -161,38 +178,18 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
-
-    return _node(a.data + b.data, (a, b), bwd)
+    return _node(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
-
-    return _node(a.data - b.data, (a, b), bwd)
+    return _node(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return _node(a.data * b.data, (a, b), bwd)
+    return _node(a.data * b.data, (a, lambda g: g * b.data),
+                 (b, lambda g: g * a.data))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -211,33 +208,18 @@ def broadcast_mul(a: Tensor, b: Tensor) -> Tensor:
     Used where broadcasting is intentional: scalar trainable alpha against a
     feature map, and per-channel peephole weights against the cell state.
     """
-    data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), bwd)
+    return _node(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _node(a.data * c, (a,), bwd)
+    return _node(a.data * c, (a, lambda g: g * c))
 
 
 def add_const(a: Tensor, c: float) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-
-    return _node(a.data + float(c), (a,), bwd)
+    return _node(a.data + float(c), (a, lambda g: g))
 
 
 # ---------------------------------------------------------------------------
@@ -246,51 +228,27 @@ def add_const(a: Tensor, c: float) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s * (1.0 - s))
-
-    return _node(s, (a,), bwd)
+    return _node(s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - t * t))
-
-    return _node(t, (a,), bwd)
+    return _node(t, (a, lambda g: g * (1.0 - t * t)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient at 0 is 0
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _node(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _node(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
 
 
 def log(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return _node(np.log(a.data), (a,), bwd)
+    return _node(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values to [lo, hi]; gradient is zero outside the interval."""
     inside = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * inside)
-
-    return _node(np.clip(a.data, lo, hi), (a,), bwd)
+    return _node(np.clip(a.data, lo, hi), (a, lambda g: g * inside))
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +256,14 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g.reshape(-1)[0]))
-
-    return _node(np.asarray(a.data.sum()), (a,), bwd)
+    return _node(np.asarray(a.data.sum()),
+                 (a, lambda g: np.full_like(a.data, g.reshape(-1)[0])))
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g.reshape(-1)[0] / n))
-
-    return _node(np.asarray(a.data.mean()), (a,), bwd)
+    return _node(np.asarray(a.data.mean()),
+                 (a, lambda g: np.full_like(a.data, g.reshape(-1)[0] / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +324,25 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         out = out + bias.data
     out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
 
-    def bwd(g):
-        g3 = g.reshape(n, cout, ho * wo)
-        if kernel.requires_grad:
-            gk = g3.transpose(1, 0, 2).reshape(cout, n * ho * wo)
-            dk = gk @ cols.reshape(n * ho * wo, cin * kh * kw)
-            kernel.accumulate_grad(dk.reshape(kernel.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if input.requires_grad:
-            dcols = (g3.transpose(0, 2, 1) @ kmat).reshape(n, ho, wo, cin, kh, kw)
-            dxp = np.zeros((n, hp, wp, cin))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += dcols[..., i, j]
-            dx = dxp[:, padding:padding + h, padding:padding + w]
-            input.accumulate_grad(dx.transpose(0, 3, 1, 2))
+    def dinput(g):
+        dcols = (g.reshape(n, cout, ho * wo).transpose(0, 2, 1) @ kmat
+                 ).reshape(n, ho, wo, cin, kh, kw)
+        dxp = np.zeros((n, hp, wp, cin))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + stride * ho:stride,
+                    j:j + stride * wo:stride] += dcols[..., i, j]
+        return dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
-    parents = (input, kernel) if bias is None else (input, kernel, bias)
-    return _node(out, parents, bwd)
+    def dkernel(g):
+        gk = g.reshape(n, cout, ho * wo).transpose(1, 0, 2).reshape(cout, n * ho * wo)
+        dk = gk @ cols.reshape(n * ho * wo, cin * kh * kw)
+        return dk.reshape(kernel.shape)
+
+    edges = [(input, dinput), (kernel, dkernel)]
+    if bias is not None:
+        edges.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return _node(out, *edges)
 
 
 def concat_channels(*xs: Tensor) -> Tensor:
@@ -401,13 +351,9 @@ def concat_channels(*xs: Tensor) -> Tensor:
     if len({s[:1] + s[2:] for s in shapes}) != 1 or any(len(s) != 4 for s in shapes):
         raise ValueError(f"concat_channels: incompatible shapes {shapes}")
     bounds = np.cumsum([0] + [s[1] for s in shapes])
-
-    def bwd(g):
-        for x, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
-            if x.requires_grad:
-                x.accumulate_grad(g[:, lo:hi])
-
-    return _node(np.concatenate([x.data for x in xs], axis=1), xs, bwd)
+    return _node(np.concatenate([x.data for x in xs], axis=1),
+                 *((x, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                   for x, lo, hi in zip(xs, bounds[:-1], bounds[1:])))
 
 
 def split_channels(input: Tensor, k: int) -> list[Tensor]:
@@ -416,16 +362,16 @@ def split_channels(input: Tensor, k: int) -> list[Tensor]:
         raise ValueError(
             f"split_channels: cannot split {input.shape} into {k} channel groups")
     c = input.shape[1] // k
-    parts = []
-    for lo in range(0, k * c, c):
-        def bwd(g, lo=lo):
-            if input.requires_grad:
-                full = np.zeros_like(input.data)
-                full[:, lo:lo + c] = g
-                input.accumulate_grad(full)
 
-        parts.append(_node(input.data[:, lo:lo + c], (input,), bwd))
-    return parts
+    def part(lo):
+        def dinput(g):
+            full = np.zeros_like(input.data)
+            full[:, lo:lo + c] = g
+            return full
+
+        return _node(input.data[:, lo:lo + c], (input, dinput))
+
+    return [part(lo) for lo in range(0, k * c, c)]
 
 
 def maxpool2d(input: Tensor) -> Tensor:
@@ -442,28 +388,20 @@ def maxpool2d(input: Tensor) -> Tensor:
     idx = win.argmax(axis=-1)  # first max in row-major order
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
-    def bwd(g):
-        if input.requires_grad:
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dx = (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-                  .transpose(0, 1, 2, 4, 3, 5)
-                  .reshape(n, c, h, w))
-            input.accumulate_grad(dx)
+    def dinput(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
+                .transpose(0, 1, 2, 4, 3, 5)
+                .reshape(n, c, h, w))
 
-    return _node(out, (input,), bwd)
+    return _node(out, (input, dinput))
 
 
 def upsample_nearest(input: Tensor) -> Tensor:
     """Nearest-neighbour upsampling by a factor of 2 in both spatial dims."""
     if input.data.ndim != 4:
         raise ValueError(f"upsample_nearest expects 4d input, got {input.shape}")
-    out = input.data.repeat(2, axis=2).repeat(2, axis=3)
-
-    def bwd(g):
-        if input.requires_grad:
-            n, c, h2, w2 = g.shape
-            dx = g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
-            input.accumulate_grad(dx)
-
-    return _node(out, (input,), bwd)
+    n, c, h, w = input.shape
+    return _node(input.data.repeat(2, axis=2).repeat(2, axis=3),
+                 (input, lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))))

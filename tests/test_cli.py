@@ -85,9 +85,12 @@ class TestTrain:
         run("synth", odd, "--videos", 1, "--frames", 2, "--size", 33)
         assert run("train", odd, tmp_path / "run", "--epochs", 1) == 1
 
-    def test_convlstm_refuses_ema_at(self, small_ds, tmp_path):
-        assert run("train", small_ds, tmp_path / "run", "--recurrence",
-                   "convlstm", "--ema-at", "output", "--epochs", 1) == 1
+    @pytest.mark.parametrize("kind", ["convlstm", "none"])
+    def test_convlstm_refuses_ema_at(self, small_ds, tmp_path, kind):
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--recurrence", kind,
+                   "--ema-at", "output", "--epochs", 1) == 1
+        assert not out.exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run("train", tmp_path / "nope", tmp_path / "run") == 2
@@ -350,6 +353,19 @@ class TestCompare:
 
         assert mean_of(ab) == pytest.approx(-mean_of(ba), abs=1e-12)
         assert mean_of(ab) > 0
+
+    def test_no_valid_video_exits_2(self, small_ds, tmp_path, capsys):
+        samples = read_dataset(small_ds)
+        flat = tmp_path / "flat"
+        write_predictions({s.video_id: [np.full((16, 16), 0.5)] * 6
+                           for s in samples}, flat)
+        out = tmp_path / "eval"
+        run("eval", small_ds, out, "--pred-dir", flat, "--n-splits", 3)
+        capsys.readouterr()
+        assert run("compare", out / "report.csv", out / "report.csv",
+                   "--metric", "CC") == 2
+        captured = capsys.readouterr()
+        assert "CC: no video" in captured.err and captured.out == ""
 
 
 class TestSweepAlpha:

@@ -74,6 +74,10 @@ class TestNss:
     def test_empty_fixations_invalid(self):
         assert nss(np.eye(4), FixationMap([], (4, 4))) is None
 
+    def test_shape_checked_before_constant_map(self):
+        with pytest.raises(ValueError, match="extent"):
+            nss(np.zeros((4, 4)), FixationMap([(0, 0)], (5, 5)))
+
 
 class TestCc:
     def test_identical_maps(self):
@@ -359,6 +363,15 @@ class TestComparePerVideo:
         assert dict(diffs) == {"v0": 0.5, "v1": -1.0}
         assert mean == pytest.approx(-0.25)
         assert var == pytest.approx(((0.5 + 0.25) ** 2 + (-1 + 0.25) ** 2) / 2)
+
+    def test_no_video_valid_in_both_names_metric(self):
+        a = self.make({"v0": 1.0, "v1": None})
+        b = self.make({"v0": None, "v1": 2.0})
+        with pytest.raises(ValueError, match="NSS: no video"):
+            compare_per_video(a, b, "NSS")
+        empty = MetricReport(per_frame={})  # a report.csv without NSS rows
+        with pytest.raises(ValueError, match="NSS: no video"):
+            compare_per_video(empty, empty, "NSS")
 
     def test_video_set_mismatch_rejected(self):
         a = self.make({"v0": 1.0})

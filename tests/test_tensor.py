@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,14 +9,16 @@ from hypothesis.extra import numpy as hnp
 import salrec.layers
 import salrec.recurrence
 import salrec.tensor
+import salrec.training
 from salrec.data import SynthConfig, generate
 from salrec.model import ModelConfig, build
-from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
-                           concat_channels, conv2d, maxpool2d, mul, relu,
-                           scale, sigmoid, split_channels, sub, tanh, tsum,
+from salrec.tensor import (ComputationTape, Tensor, _node, add, add_const,
+                           backward, broadcast_mul, clamp, concat_channels,
+                           conv2d, log, maxpool2d, mul, relu, scale, sigmoid,
+                           split_channels, sub, tanh, tmean, tsum,
                            upsample_nearest)
 from salrec.gradcheck import max_rel_error
-from salrec.training import TrainConfig, train
+from salrec.training import Adam, TrainConfig, train
 
 
 def t(arr, grad=False):
@@ -113,27 +118,29 @@ def reference_conv2d(input, kernel, bias=None, stride=1, padding=0):
         out = out + bias.data
     out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
 
-    def bwd(g):
-        gmat = g.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # (N, H'W', Cout)
-        if kernel.requires_grad:
-            dk = np.einsum("npo,npk->ok", gmat, cols)
-            kernel.accumulate_grad(dk.reshape(kernel.shape))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if input.requires_grad:
-            dcols = (gmat @ kmat).reshape(n, ho, wo, cin, kh, kw)
-            dcols = dcols.transpose(0, 3, 4, 5, 1, 2)  # (N, Cin, kH, kW, H', W')
-            dxp = np.zeros((n, cin, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += dcols[:, :, i, j]
-            if padding:
-                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
-            input.accumulate_grad(dxp)
+    def gmat(g):
+        return g.reshape(n, cout, ho * wo).transpose(0, 2, 1)  # (N, H'W', Cout)
 
-    parents = (input, kernel) if bias is None else (input, kernel, bias)
-    return _node(out, parents, bwd)
+    def dkernel(g):
+        dk = np.einsum("npo,npk->ok", gmat(g), cols)
+        return dk.reshape(kernel.shape)
+
+    def dinput(g):
+        dcols = (gmat(g) @ kmat).reshape(n, ho, wo, cin, kh, kw)
+        dcols = dcols.transpose(0, 3, 4, 5, 1, 2)  # (N, Cin, kH, kW, H', W')
+        dxp = np.zeros((n, cin, hp, wp))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i:i + stride * ho:stride,
+                    j:j + stride * wo:stride] += dcols[:, :, i, j]
+        if padding:
+            dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
+        return dxp
+
+    edges = [(input, dinput), (kernel, dkernel)]
+    if bias is not None:
+        edges.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return _node(out, *edges)
 
 
 def _window_matrix(x, kh, kw, stride, padding):
@@ -384,3 +391,134 @@ class TestTape:
         x = t(np.ones((2, 4)), grad=True)
         backward(tsum(x))
         assert x.grad.shape == x.data.shape
+
+
+def _uniform(rng, shape, lo=-2.0, hi=2.0):
+    return Tensor(rng.uniform(lo, hi, size=shape))
+
+
+def _away_from(rng, shape, points, gap=0.2):
+    """Values in [-2, 2] at least `gap` from every point in `points`."""
+    x = rng.uniform(-2.0, 2.0, size=shape)
+    for p in points:
+        near = np.abs(x - p) < gap
+        x[near] = p + np.where(x[near] < p, -gap, gap)
+    return Tensor(x)
+
+
+# name -> (op over the inputs, function making the inputs); each op runs
+# alone between its inputs and a fixed random projection to a scalar
+OP_CASES = {
+    "conv2d": (lambda x, k, b: conv2d(x, k, b, stride=2, padding=1),
+               lambda r: [_uniform(r, (2, 2, 5, 5)), _uniform(r, (3, 2, 3, 3)),
+                          _uniform(r, (3,))]),
+    "concat_channels": (concat_channels,
+                        lambda r: [_uniform(r, (1, 2, 3, 3)), _uniform(r, (1, 1, 3, 3))]),
+    "split_channels": (lambda x: split_channels(x, 3),
+                       lambda r: [_uniform(r, (1, 6, 2, 2))]),
+    "maxpool2d": (maxpool2d, lambda r: [_uniform(r, (1, 2, 4, 4))]),
+    "upsample_nearest": (upsample_nearest, lambda r: [_uniform(r, (1, 2, 2, 3))]),
+    "sigmoid": (sigmoid, lambda r: [_uniform(r, (3, 4))]),
+    "tanh": (tanh, lambda r: [_uniform(r, (3, 4))]),
+    "relu": (relu, lambda r: [_away_from(r, (3, 4), [0.0])]),
+    "add": (add, lambda r: [_uniform(r, (3, 4)), _uniform(r, (3, 4))]),
+    "sub": (sub, lambda r: [_uniform(r, (3, 4)), _uniform(r, (3, 4))]),
+    "mul": (mul, lambda r: [_uniform(r, (3, 4)), _uniform(r, (3, 4))]),
+    "broadcast_mul-0d": (broadcast_mul,
+                         lambda r: [_uniform(r, (1, 2, 3, 3)), _uniform(r, ())]),
+    "broadcast_mul-chw": (broadcast_mul,
+                          lambda r: [_uniform(r, (2, 3, 2, 2)), _uniform(r, (3, 2, 2))]),
+    "scale": (lambda x: scale(x, -1.5), lambda r: [_uniform(r, (3, 4))]),
+    "add_const": (lambda x: add_const(x, 0.7), lambda r: [_uniform(r, (3, 4))]),
+    "log": (log, lambda r: [_uniform(r, (3, 4), 0.5, 2.0)]),
+    "clamp": (lambda x: clamp(x, -1.0, 1.0),
+              lambda r: [_away_from(r, (3, 4), [-1.0, 1.0])]),
+    "tsum": (tsum, lambda r: [_uniform(r, (3, 4))]),
+    "tmean": (tmean, lambda r: [_uniform(r, (3, 4))]),
+}
+
+
+class TestOpGradients:
+    def test_cases_cover_every_differentiable_op(self):
+        graph = {"Tensor", "ComputationTape", "no_grad", "backward"}
+        ops = {name.split("-")[0] for name in OP_CASES}
+        assert ops == set(salrec.tensor.__all__) - graph
+
+    @pytest.mark.parametrize("name", sorted(OP_CASES))
+    def test_matches_finite_differences(self, name):
+        op, make_inputs = OP_CASES[name]
+        rng = np.random.default_rng(sorted(OP_CASES).index(name))
+        inputs = make_inputs(rng)
+        outs = op(*inputs)
+        outs = outs if isinstance(outs, list) else [outs]
+        weights = [t(rng.normal(size=o.shape)) for o in outs]
+
+        def loss():
+            ys = op(*inputs)
+            ys = ys if isinstance(ys, list) else [ys]
+            terms = [tsum(mul(y, w)) for y, w in zip(ys, weights)]
+            total = terms[0]
+            for term in terms[1:]:
+                total = add(total, term)
+            return total
+
+        assert max_rel_error(loss, inputs) < 1e-6
+
+    def test_vjp_of_parent_without_grad_never_runs(self):
+        def boom(g):
+            raise AssertionError("vjp called for a parent without grad")
+
+        a, b = t(np.ones(3), grad=True), t(np.ones(3))
+        y = _node(a.data * 2.0, (b, boom), (a, lambda g: 2.0 * g))
+        assert y.requires_grad and y._parents == (a,)
+        backward(tsum(y))
+        assert b.grad is None
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        leaf = _node(b.data, (b, boom))
+        assert not leaf.requires_grad and leaf._backward_fn is None
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerContract:
+    """perfbench's tracer rebinds the tensor ops by name and wraps each
+    result's `_backward_fn`; a traced clip must train as an untraced one."""
+
+    def trained_clip(self, tracer=None):
+        net = build(ModelConfig(input_size=(8, 8), stages=2, base_channels=4,
+                                recurrence="convlstm", seed=3))
+        rng = np.random.default_rng(0)
+        frames = [t(rng.uniform(size=(1, 1, 8, 8))) for _ in range(2)]
+        gts = [t(rng.uniform(size=(1, 1, 8, 8))) for _ in range(2)]
+        optimizer = Adam(net.registry)
+        if tracer is not None:
+            tracer.install()
+        try:
+            salrec.training.train_clip(net, frames, gts, net.fresh_states("v"),
+                                       optimizer, "v")
+        finally:
+            if tracer is not None:
+                tracer.uninstall()
+        return {name: p.data for name, p in net.registry.items()}
+
+    def test_traced_clip_matches_untraced(self):
+        tracer_mod = _load_tracer()
+        tracer = tracer_mod.Tracer()
+        ops = tracer_mod.ELEMENTWISE + ("conv2d", "maxpool2d", "upsample_nearest")
+        originals = {op: getattr(salrec.tensor, op) for op in ops}
+        traced = self.trained_clip(tracer)
+        assert tracer.calls["tensor.backward"] == 1
+        assert tracer.counts["tensor.tape_nodes"] > 0
+        assert tracer.calls["tensor.conv2d.bwd"] > 0
+        assert tracer.calls["tensor.elementwise.bwd"] > 0
+        assert all(getattr(salrec.tensor, op) is fn for op, fn in originals.items())
+        untraced = self.trained_clip()
+        assert traced.keys() == untraced.keys()
+        for name, value in untraced.items():
+            assert np.array_equal(traced[name], value), name
