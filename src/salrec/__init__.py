@@ -1,6 +1,6 @@
 """Video saliency prediction with EMA and ConvLSTM temporal recurrences."""
 
-from .model import InsertionPoint, Model, ModelConfig, build
+from .model import Model, ModelConfig, build
 from .recurrence import EmaConfig, EmaState, ema_step
 from .tensor import Tensor, backward, no_grad
 from .training import Adam, TrainConfig, bce_loss, train
@@ -9,7 +9,6 @@ __all__ = [
     "Adam",
     "EmaConfig",
     "EmaState",
-    "InsertionPoint",
     "Model",
     "ModelConfig",
     "Tensor",

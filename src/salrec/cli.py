@@ -22,8 +22,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics as metrics_mod
 from .model import RECURRENCE_KINDS, ModelConfig, build
-from .training import (TrainConfig, load_checkpoint, save_checkpoint, train,
-                       _config_to_dict)
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .gradcheck import MODULE_CHECKS, run_checks
 
 
@@ -48,7 +47,7 @@ def _split(value: str) -> tuple[str, ...]:
 _PARSERS = {"bool": lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
             "int": int, "float": float, "str": str,
             "tuple[int, int]": lambda v: tuple(int(p) for p in _split(v)),
-            "tuple[InsertionPoint, ...]": _split}
+            "tuple[str, ...]": _split}
 
 
 def _coerce(value: str, annotation: str) -> object:
@@ -151,7 +150,7 @@ def cmd_train(args) -> int:
                          epochs=args.epochs, clip_length=args.clip_length,
                          augment=args.augment, seed=args.seed)
     out = Path(args.out_dir)
-    _write_resolved_config(out, {"model": _config_to_dict(model_cfg),
+    _write_resolved_config(out, {"model": asdict(model_cfg),
                                  "train": asdict(train_cfg)})
     model = build(model_cfg)
     log_path = out / "loss_log.txt"
@@ -211,12 +210,20 @@ def cmd_eval(args) -> int:
 def read_report_csv(path: Path) -> metrics_mod.MetricReport:
     report = metrics_mod.MetricReport(per_frame={})
     with open(path) as f:
-        for row in csv.DictReader(f):
-            m = row["metric"]
-            report.video_means.setdefault(m, {})[row["video_id"]] = (
-                float(row["mean"]) if row["mean"] else None)
-            report.valid_counts.setdefault(m, {})[row["video_id"]] = int(
-                row["valid_frames"])
+        reader = csv.DictReader(f)
+        for column in ("video_id", "metric", "mean", "valid_frames"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: report has no {column!r} column")
+        for row in reader:
+            m, vid = row["metric"], row["video_id"]
+            try:  # a short row reads None for its missing fields
+                mean = float(row["mean"]) if row["mean"] else None
+                report.valid_counts.setdefault(m, {})[vid] = int(
+                    row["valid_frames"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num} is not a "
+                                 f"report row") from None
+            report.video_means.setdefault(m, {})[vid] = mean
     for m, vm in report.video_means.items():
         vals = [v for v in vm.values() if v is not None]
         report.dataset_means[m] = float(np.mean(vals)) if vals else None

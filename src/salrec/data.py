@@ -196,27 +196,51 @@ def write_dataset(samples: list[VideoSample], root: Path) -> None:
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_manifest(root: Path) -> dict:
+# the fields of a manifest's video entry and their JSON types
+_ENTRY_FIELDS = {"video_id": str, "path": str, "frames": int, "height": int,
+                 "width": int}
+
+
+def _load_manifest(root: Path) -> list[dict]:
+    """The manifest's video entries, checked before any frame is read: each
+    has every field at its type, at least one frame, and the frame size of
+    the first video."""
     path = Path(root) / MANIFEST_NAME
     if not path.exists():
         raise FileNotFoundError(f"{path}: dataset manifest missing")
     manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: the manifest is not a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValueError(f"{path}: unsupported manifest version "
                          f"{manifest.get('version')}")
-    return manifest
+    videos = manifest.get("videos")
+    if not isinstance(videos, list) or not videos:
+        raise ValueError(f"{path}: the manifest lists no videos")
+    for i, entry in enumerate(videos):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: video entry {i} is not a JSON object")
+        for key, kind in _ENTRY_FIELDS.items():
+            if key not in entry:
+                raise ValueError(f"{path}: video entry {i} lacks {key!r}")
+            if type(entry[key]) is not kind:  # rejects true/false as ints
+                raise ValueError(f"{path}: video entry {i} has {key} "
+                                 f"{entry[key]!r}, expected {kind.__name__}")
+        if entry["frames"] < 1:
+            raise ValueError(f"{path}: video {entry['video_id']} lists "
+                             f"{entry['frames']} frames, expected >= 1")
+        size = (entry["height"], entry["width"])
+        first = (videos[0]["height"], videos[0]["width"])
+        if size != first:
+            raise ValueError(f"{path}: video {entry['video_id']} has frames "
+                             f"of {size}, the first video of {first}")
+    return videos
 
 
 def read_dataset(root: Path) -> list[VideoSample]:
     root = Path(root)
-    manifest = _load_manifest(root)
-    if not manifest["videos"]:
-        raise ValueError(f"{root / MANIFEST_NAME}: the manifest lists no videos")
     samples = []
-    for entry in manifest["videos"]:
-        if entry["frames"] < 1:
-            raise ValueError(f"{root / MANIFEST_NAME}: video {entry['video_id']} "
-                             f"lists {entry['frames']} frames, expected >= 1")
+    for entry in _load_manifest(root):
         vdir = root / entry["path"]
         h, w = entry["height"], entry["width"]
         frames, gts, fixes = [], [], []

@@ -135,9 +135,8 @@ def check_recurrence(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
     results = []
 
     frames = [_rand(rng, 1, 1, 2, 2) for _ in range(5)]
-    cfg = rec.EmaConfig(alpha=0.3)
 
-    def ema_run():
+    def ema_unroll(cfg):  # the summed squares of a 5-frame EMA's outputs
         state = rec.EmaState()
         total = None
         for f in frames:
@@ -146,24 +145,16 @@ def check_recurrence(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
             total = s if total is None else add(total, s)
         return total
 
+    cfg = rec.EmaConfig(alpha=0.3)
     results.append(GradCheckResult(
-        "ema_step (5-frame unroll)", max_rel_error(ema_run, frames), tol))
+        "ema_step (5-frame unroll)",
+        max_rel_error(lambda: ema_unroll(cfg), frames), tol))
 
-    reg = ParameterRegistry()
     tcfg = rec.EmaConfig(alpha=0.3, trainable=True)
-    tcfg.init_trainable(reg, ALPHA_PARAM)
-
-    def trainable_run():
-        state = rec.EmaState()
-        total = None
-        for f in frames:
-            out, state = rec.ema_step(f, state, tcfg)
-            s = tsum(mul(out, out))
-            total = s if total is None else add(total, s)
-        return total
-
+    tcfg.init_trainable(ParameterRegistry(), ALPHA_PARAM)
     results.append(GradCheckResult(
-        "trainable alpha", max_rel_error(trainable_run, [tcfg.p]), tol))
+        "trainable alpha", max_rel_error(lambda: ema_unroll(tcfg), [tcfg.p]),
+        tol))
 
     reg2 = ParameterRegistry()
     w = rec.ConvLstmWeights(reg2, "clstm", 2, 2, (3, 3),

@@ -95,9 +95,9 @@ def _auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
 
 def auc_judd(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
     """AUC with fixated pixels as positives and all others as negatives."""
+    idx = fix.unique_indices(pred.shape)  # checks the shape, fixations or not
     if not fix.points:
         return None
-    idx = fix.unique_indices(pred.shape)
     flat = pred.reshape(-1)
     if len(idx) == flat.size:
         return None  # no negatives
@@ -114,11 +114,11 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
     `rng.choice` call at a time, in a fixed order, then scored together:
     one exact pairwise count (`_auc_rows`) over the stacked
     (n_splits, N) negatives, in O(n_splits·N) memory."""
+    pos_idx = fix.unique_indices(pred.shape)  # checks the shape, fixations or not
     if not fix.points:
         return None
     if not other_fix:
         raise ValueError("auc_shuffled needs a non-empty pool of other fixations")
-    pos_idx = fix.unique_indices(pred.shape)
     pool: set[int] = set()
     w = pred.shape[1]
     for om in other_fix:

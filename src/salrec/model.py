@@ -24,50 +24,43 @@ DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
 ALPHA_PARAM = "ema.p"  # registry name of the trainable EMA alpha's logit
 
 
-@dataclass(frozen=True)
-class InsertionPoint:
-    """Where a recurrence wraps the activations: encoder stage k, the
-    bottleneck, decoder stage k, or the output map."""
-    kind: str  # encoder | bottleneck | decoder | output
-    index: int = 0
-
-    @classmethod
-    def parse(cls, text: str) -> "InsertionPoint":
-        text = text.strip().lower()
-        if text == "bottleneck":
-            return cls("bottleneck")
-        if text == "output":
-            return cls("output")
-        for prefix in ("encoder", "decoder"):
-            if text.startswith(prefix):
-                try:
-                    return cls(prefix, int(text[len(prefix):]))
-                except ValueError:
-                    break
-        raise ValueError(f"cannot parse insertion point {text!r}")
-
-    def __str__(self) -> str:
-        if self.kind in ("bottleneck", "output"):
-            return self.kind
-        return f"{self.kind}{self.index}"
-
-
-BOTTLENECK = InsertionPoint("bottleneck")
-OUTPUT = InsertionPoint("output")
+def parse_point(text: str, stages: int) -> str:
+    """The canonical name of an insertion point, where a recurrence wraps
+    the activations: `bottleneck`, `output`, or `encoderK`/`decoderK` for
+    stage K in 1..stages. Case, outer blanks and leading zeros are ignored
+    (`" Encoder01"` is `encoder1`)."""
+    text = text.strip().lower()
+    if text in ("bottleneck", "output"):
+        return text
+    for prefix in ("encoder", "decoder"):
+        if text.startswith(prefix):
+            try:
+                k = int(text[len(prefix):])
+            except ValueError:
+                break
+            if not 1 <= k <= stages:
+                raise ValueError(
+                    f"insertion point {prefix}{k} outside 1..{stages}")
+            return f"{prefix}{k}"
+    raise ValueError(f"cannot parse insertion point {text!r}")
 
 
 @dataclass
 class ModelConfig:
+    """Model settings in JSON-native form: `asdict` serialises them and
+    `ModelConfig(**d)` reads them back. `input_size` becomes a tuple and
+    `ema_points` canonical names (`parse_point`)."""
     input_size: tuple[int, int] = (32, 32)
     stages: int = 3
     base_channels: int = 8
     recurrence: str = "none"
-    ema_points: tuple[InsertionPoint, ...] = (BOTTLENECK,)
+    ema_points: tuple[str, ...] = ("bottleneck",)
     alpha: float = 0.1
     dropout: bool = False
     seed: int = 0
 
     def __post_init__(self):
+        self.input_size = tuple(self.input_size)
         h, w = self.input_size
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
@@ -78,11 +71,10 @@ class ModelConfig:
                 f"input size {self.input_size} not divisible by 2^{self.stages}")
         if self.recurrence not in RECURRENCE_KINDS:
             raise ValueError(f"unknown recurrence {self.recurrence!r}")
-        pts = tuple(InsertionPoint.parse(p) if isinstance(p, str) else p
-                    for p in self.ema_points)
-        self.ema_points = pts
+        pts = self.ema_points = tuple(parse_point(p, self.stages)
+                                      for p in self.ema_points)
         if self.recurrence == "convlstm":
-            if pts != (BOTTLENECK,):
+            if pts != ("bottleneck",):
                 raise ValueError("convlstm recurrence is placed only at the "
                                  "bottleneck; --ema-at does not apply")
         elif self.recurrence != "none":
@@ -92,15 +84,12 @@ class ModelConfig:
                 raise ValueError("duplicate insertion points")
             # the trainable alpha is sigmoid(p); EmaConfig checks a fixed one
             EmaConfig(self.alpha, trainable=self.recurrence == "ema-trainable")
-            if (self.dropout and OUTPUT in pts
+            if (self.dropout and "output" in pts
                     and self.recurrence != "ema-residual"):
                 raise ValueError(
                     "dropout before the output EMA, which averages maps after "
                     "the sigmoid, can push them past 1; use ema-residual or "
                     "another insertion point")
-        for p in pts:
-            if p.kind in ("encoder", "decoder") and not 1 <= p.index <= self.stages:
-                raise ValueError(f"insertion point {p} outside 1..{self.stages}")
 
     def encoder_channels(self) -> list[int]:
         return [self.base_channels << k for k in range(self.stages)]
@@ -122,11 +111,11 @@ class RecurrenceStates:
     def __init__(self, model: "Model", video_id: Optional[str] = None):
         self.model = model
         self.video_id = video_id
-        self.states: dict[InsertionPoint, object] = {}
+        self.states: dict[str, object] = {}
         cfg = model.cfg
         if cfg.recurrence == "convlstm":
             h, w = cfg.bottleneck_size
-            self.states[BOTTLENECK] = ConvLstmState.zeros(
+            self.states["bottleneck"] = ConvLstmState.zeros(
                 1, cfg.bottleneck_channels, h, w)
         elif cfg.recurrence != "none":
             for p in cfg.ema_points:
@@ -182,7 +171,7 @@ class Model:
     def fresh_states(self, video_id: Optional[str] = None) -> RecurrenceStates:
         return RecurrenceStates(self, video_id)
 
-    def _recur(self, x: Tensor, point: InsertionPoint, states: RecurrenceStates,
+    def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
                training: bool, rng, alpha_override):
         if point not in states.states:
             return x
@@ -211,22 +200,22 @@ class Model:
         x = frame
         for k, conv in enumerate(self.enc_convs, start=1):
             x = maxpool2d(relu(conv(x)))
-            x = self._recur(x, InsertionPoint("encoder", k), states,
-                            training, rng, alpha_override)
-        x = self._recur(x, BOTTLENECK, states, training, rng, alpha_override)
+            x = self._recur(x, f"encoder{k}", states, training, rng,
+                            alpha_override)
+        x = self._recur(x, "bottleneck", states, training, rng, alpha_override)
         for k, conv in enumerate(self.dec_convs, start=1):
             x = upsample_nearest(relu(conv(x)))
-            x = self._recur(x, InsertionPoint("decoder", k), states,
-                            training, rng, alpha_override)
+            x = self._recur(x, f"decoder{k}", states, training, rng,
+                            alpha_override)
         x = self.head(x)
         # the output EMA averages maps after the sigmoid; the residual one
         # stays before it so the map keeps to [0, 1]
         residual = self.ema_cfg is not None and self.ema_cfg.residual
         if residual:
-            x = self._recur(x, OUTPUT, states, training, rng, alpha_override)
+            x = self._recur(x, "output", states, training, rng, alpha_override)
         x = sigmoid(x)
         if not residual:
-            x = self._recur(x, OUTPUT, states, training, rng, alpha_override)
+            x = self._recur(x, "output", states, training, rng, alpha_override)
         vals = x.data
         if not np.all(np.isfinite(vals)) or vals.min() < 0.0 or vals.max() > 1.0:
             raise RuntimeError("saliency map left [0, 1] or went non-finite")

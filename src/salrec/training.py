@@ -208,26 +208,12 @@ def _read_blob(f) -> tuple[str, np.ndarray]:
     return name, data.astype(np.float64)
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    d["ema_points"] = [str(p) for p in cfg.ema_points]
-    d["input_size"] = list(cfg.input_size)
-    return d
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["input_size"] = tuple(d["input_size"])
-    d["ema_points"] = tuple(d["ema_points"])
-    return ModelConfig(**d)
-
-
 def save_checkpoint(path: Path, model: Model, optimizer: Adam,
                     rng: np.random.Generator, epoch: int,
                     train_cfg: Optional[TrainConfig] = None) -> None:
     path = Path(path)
     header = {
-        "model": _config_to_dict(model.cfg),
+        "model": asdict(model.cfg),
         "train": asdict(train_cfg) if train_cfg else None,
         "adam": {"lr": optimizer.lr, "t": optimizer.t},
     }
@@ -276,7 +262,7 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
             (clen,) = struct.unpack("<I", _read_exact(f, 4))
             header = json.loads(_read_exact(f, clen).decode("utf-8"))
             try:
-                model = build(config_from_dict(header["model"]))
+                model = build(ModelConfig(**header["model"]))
                 optimizer = Adam(model.registry, lr=header["adam"]["lr"])
                 optimizer.t = header["adam"]["t"]
                 train_cfg = (TrainConfig(**header["train"]) if header["train"]

@@ -2,13 +2,15 @@ import hashlib
 import json
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from salrec import cli
-from salrec.data import read_dataset, write_predictions
+from salrec.data import (SynthConfig, generate, read_dataset, write_dataset,
+                         write_predictions)
 from salrec.gradcheck import GradCheckResult
 from salrec.model import Model, ModelConfig, build
 from salrec.training import Adam, save_checkpoint
@@ -151,6 +153,16 @@ class TestTrain:
         assert run("train", root, tmp_path / "run", "--epochs", 1) == 2
         err = capsys.readouterr().err
         assert "video000" in err and "manifest.json" in err
+
+    def test_mixed_frame_sizes_exit_2_before_writing(self, tmp_path, capsys):
+        root, out = tmp_path / "ds", tmp_path / "run"
+        big, small = (generate(SynthConfig(n_videos=1, frames_per_video=2,
+                                           height=n, width=n))[0]
+                      for n in (16, 8))
+        write_dataset([big, replace(small, video_id="small")], root)
+        assert run("train", root, out, "--epochs", 1) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_one_matches_stateless_loss_log(self, small_ds, tmp_path):
         # with alpha=1 the EMA insert is an exact identity, so both runs see
@@ -366,6 +378,24 @@ class TestCompare:
                    "--metric", "CC") == 2
         captured = capsys.readouterr()
         assert "CC: no video" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no 'video_id' column"),
+        ("video_id,mean,valid_frames\n", "no 'metric' column"),
+        ("video_id,metric,mean\n", "no 'valid_frames' column"),
+        ("video_id,metric,mean,valid_frames\nvideo000,NSS\n",
+         "line 2 is not a report row"),
+        ("video_id,metric,mean,valid_frames\nvideo000,NSS,high,3\n",
+         "line 2 is not a report row")],
+        ids=["empty", "no-metric", "no-valid-frames", "short-row",
+             "bad-mean"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.csv"
+        report.write_text(text)
+        assert run("compare", report, report) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and message in err
+
 
 
 class TestSweepAlpha:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +108,6 @@ class TestDatasetIO:
 
     def test_manifest_counts_match_files(self, tmp_path):
         samples, root = self.make(tmp_path)
-        import json
         manifest = json.loads((root / MANIFEST_NAME).read_text())
         for entry in manifest["videos"]:
             n = entry["frames"]
@@ -119,6 +120,36 @@ class TestDatasetIO:
         write_dataset([], root)
         with pytest.raises(ValueError, match="no videos"):
             read_dataset(root)
+
+    @pytest.mark.parametrize("key, value, match", [
+        (None, None, "not a JSON object"),
+        ("height", ..., "lacks 'height'"),
+        ("video_id", ..., "lacks 'video_id'"),
+        ("frames", "3", "has frames '3'"),
+        ("frames", 2.5, "has frames 2.5"),
+        ("size", None, "the first video")],
+        ids=["not-object", "no-height", "no-video-id", "frames-str",
+             "frames-float", "size-differs"])
+    def test_malformed_manifest_names_it(self, tmp_path, key, value, match):
+        samples, root = self.make(tmp_path)
+        path = root / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        entry = manifest["videos"][1]  # the first video sets the frame size
+        if key == "size":  # a well-formed second video of 8x8 frames
+            small = generate(SynthConfig(n_videos=1, frames_per_video=3,
+                                         height=8, width=8))[0]
+            write_dataset([samples[0], replace(small, video_id="small")], root)
+        else:
+            if key is None:
+                manifest = [manifest]
+            elif value is ...:
+                del entry[key]
+            else:
+                entry[key] = value
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=match) as exc:
+            read_dataset(root)
+        assert MANIFEST_NAME in str(exc.value)
 
     def test_missing_file_names_path(self, tmp_path):
         samples, root = self.make(tmp_path)

@@ -146,6 +146,10 @@ class TestAucJudd:
         pred = np.full((4, 4), 0.7)
         assert auc_judd(pred, FixationMap([(1, 1)], (4, 4))) == pytest.approx(0.5)
 
+    def test_shape_checked_without_fixations(self):
+        with pytest.raises(ValueError, match="extent"):
+            auc_judd(np.zeros((4, 4)), FixationMap([], (5, 5)))
+
     def test_all_fixated_invalid(self):
         pred = np.arange(4.0).reshape(2, 2)
         fix = FixationMap([(r, c) for r in range(2) for c in range(2)], (2, 2))
@@ -229,6 +233,11 @@ class TestAucSweep:
 class TestAucShuffled:
     def pool(self, extent, points):
         return [FixationMap(points, extent)]
+
+    def test_shape_checked_without_fixations(self):
+        with pytest.raises(ValueError, match="extent"):
+            auc_shuffled(np.zeros((4, 4)), FixationMap([], (5, 5)),
+                         self.pool((5, 5), [(0, 0)]))
 
     def test_indicator_with_disjoint_pool_is_one(self):
         pred = np.zeros((4, 4))

@@ -1,8 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from salrec.model import (BOTTLENECK, OUTPUT, InsertionPoint, ModelConfig,
-                          build)
+from salrec.model import ModelConfig, build, parse_point
 from salrec.recurrence import EmaConfig, EmaState, ema_step
 from salrec.tensor import Tensor
 
@@ -13,19 +14,38 @@ def frames_from(rng, n, size=32, channels=1):
 
 
 class TestInsertionPoint:
-    @pytest.mark.parametrize("text,point", [
-        ("bottleneck", BOTTLENECK),
-        ("output", OUTPUT),
-        ("encoder1", InsertionPoint("encoder", 1)),
-        ("decoder3", InsertionPoint("decoder", 3)),
-    ])
-    def test_parse_roundtrip(self, text, point):
-        assert InsertionPoint.parse(text) == point
-        assert InsertionPoint.parse(str(point)) == point
+    @pytest.mark.parametrize("text", ["bottleneck", "output", "encoder1",
+                                      "decoder3"])
+    def test_parse_roundtrip(self, text):
+        assert parse_point(text, stages=3) == text
+
+    @pytest.mark.parametrize("text,canonical", [
+        (" Output", "output"), ("BOTTLENECK ", "bottleneck"),
+        ("Encoder01", "encoder1"), ("decoder003", "decoder3")])
+    def test_noncanonical_spellings(self, text, canonical):
+        assert parse_point(text, stages=3) == canonical
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
-            InsertionPoint.parse("middle")
+            parse_point("middle", stages=3)
+
+    @pytest.mark.parametrize("text,match", [
+        ("encoder", "cannot parse"), ("decoderx", "cannot parse"),
+        ("encoder0", "outside 1..3"), ("decoder4", "outside 1..3")])
+    def test_rejects_malformed_and_out_of_range(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_point(text, stages=3)
+
+    def test_config_holds_canonical_names(self):
+        cfg = ModelConfig(input_size=[16, 16], recurrence="ema",
+                          ema_points=["Encoder01", " OUTPUT"])
+        assert cfg.input_size == (16, 16)
+        assert cfg.ema_points == ("encoder1", "output")
+        assert ModelConfig(**asdict(cfg)) == cfg
+
+    def test_duplicate_spellings_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            ModelConfig(recurrence="ema", ema_points=("encoder1", "Encoder01"))
 
 
 class TestBuild:
