@@ -80,7 +80,7 @@ def dropout_forward(x: Tensor, p: float, training: bool,
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
     Identity (bit-exact) when not training or p == 0. A fresh mask is drawn
-    per call, i.e. per frame for recurrent sequences.
+    per call, over the whole input: in training, over a clip's frame stack.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")

@@ -17,7 +17,8 @@ import numpy as np
 from .layers import ConvLayer, ParameterRegistry, dropout_forward
 from .recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig, EmaState,
                          convlstm_step, ema_step)
-from .tensor import Tensor, maxpool2d, no_grad, relu, sigmoid, upsample_nearest
+from .tensor import (Tensor, concat, maxpool2d, no_grad, relu, sigmoid, split,
+                     upsample_nearest)
 
 RECURRENCE_KINDS = ("none", "ema", "ema-trainable", "ema-residual", "convlstm")
 DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
@@ -173,31 +174,44 @@ class Model:
 
     def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
                training: bool, rng, alpha_override):
+        """The recurrence at `point` folded over the frame stack x, in frame
+        order; x itself when no recurrence sits there."""
         if point not in states.states:
             return x
         if self.cfg.dropout:
             x = dropout_forward(x, DROPOUT_P, training, rng)
         st = states.states[point]
-        if isinstance(st, EmaState):
-            out, states.states[point] = ema_step(
-                x, st, self.ema_cfg, alpha_override=alpha_override)
-        else:
-            out, states.states[point] = convlstm_step(x, st, self.convlstm)
-        return out
+        outs = []
+        for s_t in split(x, x.shape[0], axis=0):
+            if isinstance(st, EmaState):
+                out, st = ema_step(s_t, st, self.ema_cfg,
+                                   alpha_override=alpha_override)
+            else:
+                out, st = convlstm_step(s_t, st, self.convlstm)
+            outs.append(out)
+        states.states[point] = st
+        return concat(*outs, axis=0)
 
-    def forward_frame(self, frame: Tensor, states: RecurrenceStates,
+    def forward_frame(self, frames: Tensor, states: RecurrenceStates,
                       training: bool = False, rng=None,
                       alpha_override: Optional[float] = None) -> Tensor:
-        """One frame in, one saliency map (shape [1, 1, H, W]) out; advances
-        the recurrence state at every configured insertion point."""
+        """A stack of T >= 1 consecutive frames of one video, shaped
+        [T, 1, H, W], in; their saliency maps, shaped [T, 1, H, W], out.
+
+        Every layer runs once over the whole stack. Only the recurrence at
+        each configured insertion point steps frame by frame, in order, and
+        leaves the state advanced past the last frame. So one call over T
+        frames gives the maps of T calls over one frame each; a dropout
+        mask is drawn once per insertion point for the whole stack.
+        """
         if states.model is not self:
             raise ValueError("recurrence states belong to a different model")
         h, w = self.cfg.input_size
-        if frame.shape != (1, 1, h, w):
+        if frames.shape[1:] != (1, h, w) or not frames.size:
             raise ValueError(
-                f"frame shape {frame.shape} does not match configured "
-                f"(1, 1, {h}, {w})")
-        x = frame
+                f"frame shape {frames.shape} does not match configured "
+                f"(T, 1, {h}, {w}) with T >= 1")
+        x = frames
         for k, conv in enumerate(self.enc_convs, start=1):
             x = maxpool2d(relu(conv(x)))
             x = self._recur(x, f"encoder{k}", states, training, rng,

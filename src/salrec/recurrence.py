@@ -14,8 +14,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .layers import ParameterRegistry, xavier_init
-from .tensor import (Tensor, add, add_const, broadcast_mul, concat_channels,
-                     conv2d, mul, scale, sigmoid, split_channels, tanh)
+from .tensor import (Tensor, add, add_const, broadcast_mul, concat, conv2d,
+                     mul, scale, sigmoid, split, tanh)
 
 
 @dataclass
@@ -124,8 +124,8 @@ def convlstm_step(s_t: Tensor, state: ConvLstmState, w: ConvLstmWeights,
         raise ValueError(
             f"convlstm_step: input spatial dims {s_t.shape} do not match "
             f"state {state.cell.shape}")
-    pre = conv2d(concat_channels(s_t, state.hidden), w.kernel, w.bias, padding=1)
-    *gates, pre_c = split_channels(pre, 4)
+    pre = conv2d(concat(s_t, state.hidden, axis=1), w.kernel, w.bias, padding=1)
+    *gates, pre_c = split(pre, 4, axis=1)
     u_t, f_t, o_t = (sigmoid(add(g, broadcast_mul(p, state.cell)))
                      for g, p in zip(gates, w.peepholes))
     c_t = add(mul(f_t, state.cell), mul(u_t, tanh(pre_c)))

@@ -2,8 +2,8 @@
 
 Only the operations the saliency network needs are implemented:
 2d convolution, 2x2 max pooling, nearest-neighbour upsampling,
-sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions and
-channel concatenation/splitting.
+sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions, and
+concatenation/splitting along the frame or channel axis.
 No broadcasting except the conv bias over the channel axis and the
 internal broadcast-multiply used by peepholes and the trainable alpha.
 
@@ -26,8 +26,8 @@ __all__ = [
     "no_grad",
     "backward",
     "conv2d",
-    "concat_channels",
-    "split_channels",
+    "concat",
+    "split",
     "maxpool2d",
     "upsample_nearest",
     "sigmoid",
@@ -345,31 +345,48 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     return _node(out, *edges)
 
 
-def concat_channels(*xs: Tensor) -> Tensor:
-    """Concatenate NCHW tensors of equal N, H and W along the channel axis."""
+def _along(axis: int, lo: int, hi: int) -> tuple:
+    """Index of the slice lo:hi along `axis`."""
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
+def concat(*xs: Tensor, axis: int) -> Tensor:
+    """Concatenate NCHW tensors along `axis` (0 frames, 1 channels); the
+    other dims must agree. A single tensor is returned as it is: no copy
+    and no tape node."""
     shapes = [x.shape for x in xs]
-    if len({s[:1] + s[2:] for s in shapes}) != 1 or any(len(s) != 4 for s in shapes):
-        raise ValueError(f"concat_channels: incompatible shapes {shapes}")
-    bounds = np.cumsum([0] + [s[1] for s in shapes])
-    return _node(np.concatenate([x.data for x in xs], axis=1),
-                 *((x, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+    if (not 0 <= axis < 4 or any(len(s) != 4 for s in shapes)
+            or len({s[:axis] + s[axis + 1:] for s in shapes}) != 1):
+        raise ValueError(f"concat: incompatible shapes {shapes} on axis {axis}")
+    if len(xs) == 1:
+        return xs[0]
+    bounds = np.cumsum([0] + [s[axis] for s in shapes])
+    return _node(np.concatenate([x.data for x in xs], axis=axis),
+                 *((x, lambda g, i=_along(axis, lo, hi): g[i])
                    for x, lo, hi in zip(xs, bounds[:-1], bounds[1:])))
 
 
-def split_channels(input: Tensor, k: int) -> list[Tensor]:
-    """Split an NCHW tensor into k equal groups of consecutive channels."""
-    if input.data.ndim != 4 or k < 1 or input.shape[1] % k:
+def split(input: Tensor, k: int, axis: int) -> list[Tensor]:
+    """Split an NCHW tensor into k equal consecutive groups along `axis`
+    (0 frames, 1 channels). With k = 1 the input is the one group: no copy
+    and no tape node."""
+    if (input.data.ndim != 4 or not 0 <= axis < 4 or k < 1
+            or input.shape[axis] % k):
         raise ValueError(
-            f"split_channels: cannot split {input.shape} into {k} channel groups")
-    c = input.shape[1] // k
+            f"split: cannot split {input.shape} into {k} groups on axis {axis}")
+    if k == 1:
+        return [input]
+    c = input.shape[axis] // k
 
     def part(lo):
+        i = _along(axis, lo, lo + c)
+
         def dinput(g):
             full = np.zeros_like(input.data)
-            full[:, lo:lo + c] = g
+            full[i] = g
             return full
 
-        return _node(input.data[:, lo:lo + c], (input, dinput))
+        return _node(input.data[i], (input, dinput))
 
     return [part(lo) for lo in range(0, k * c, c)]
 

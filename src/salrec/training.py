@@ -12,15 +12,15 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .model import ALPHA_PARAM, Model, ModelConfig, RecurrenceStates, build
-from .tensor import (Tensor, add, add_const, backward, clamp, log, mul,
-                     scale, tmean)
+from .tensor import (Tensor, add, add_const, backward, clamp, log, mul, scale,
+                     tmean)
 
 CHECKPOINT_MAGIC = b"SALR"
 CHECKPOINT_VERSION = 3
@@ -77,16 +77,24 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in registry.items()}
 
     def step(self) -> None:
+        """One update of every parameter and its moments, in place. A
+        parameter without a gradient counts as one with a zero gradient:
+        its moments decay, and it still moves by them."""
         self.t += 1
         b1, b2 = BETA1, BETA2
         for name, p in self.registry.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            lr = ALPHA_LR if name == ALPHA_PARAM else self.lr
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            v *= b2
+            if p.grad is not None:
+                m += (1 - b1) * p.grad
+                v += (1 - b2) * p.grad * p.grad
+            m_hat = m / (1 - b1 ** self.t)
+            denom = np.sqrt(v / (1 - b2 ** self.t))
+            denom += EPS
+            m_hat *= ALPHA_LR if name == ALPHA_PARAM else self.lr
+            m_hat /= denom
+            p.data -= m_hat
 
 
 def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
@@ -95,6 +103,11 @@ def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
                epoch: int = 0) -> tuple[float, RecurrenceStates]:
     """One optimizer step over an unrolled clip; returns (mean BCE, carried
     state). The state must come from the same video or be fresh.
+
+    The clip's frames, each shaped [1, 1, H, W], run as one [T, 1, H, W]
+    stack through a single `forward_frame` call, and the loss is one BCE
+    over the stack: the mean of the per-frame means, as every frame has
+    H*W pixels.
 
     A non-finite map or clip loss raises RuntimeError before any gradient
     or optimizer update, naming the video, the clip's frames (counted from
@@ -105,15 +118,11 @@ def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
     elif state.video_id != video_id:
         raise ValueError(f"state carries video {state.video_id!r} but clip is "
                          f"from {video_id!r}; reset at video boundaries")
+    stack = Tensor(np.concatenate([f.data for f in frames]))
+    gt = Tensor(np.concatenate([g.data for g in gts]))
     try:
-        losses = []
-        for frame, gt in zip(frames, gts):
-            pred = model.forward_frame(frame, state, training=True, rng=rng)
-            losses.append(bce_loss(pred, gt))
-        total = losses[0]
-        for l in losses[1:]:
-            total = add(total, l)
-        loss = scale(total, 1.0 / len(losses))
+        pred = model.forward_frame(stack, state, training=True, rng=rng)
+        loss = bce_loss(pred, gt)
         if not np.isfinite(loss.item()):
             raise RuntimeError(f"non-finite training loss {loss.item()}")
     except RuntimeError as exc:  # this check or the forward pass's map guard
@@ -248,6 +257,15 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
         raise
 
 
+def _config(cls, section: dict):
+    """A config dataclass from a header section that names every field;
+    a missing field is an error, not its default."""
+    missing = [f.name for f in fields(cls) if f.name not in section]
+    if missing:
+        raise ValueError(f"{cls.__name__} lacks {', '.join(missing)}")
+    return cls(**section)
+
+
 def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                          int, Optional[TrainConfig]]:
     path = Path(path)
@@ -262,11 +280,11 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
             (clen,) = struct.unpack("<I", _read_exact(f, 4))
             header = json.loads(_read_exact(f, clen).decode("utf-8"))
             try:
-                model = build(ModelConfig(**header["model"]))
+                model = build(_config(ModelConfig, header["model"]))
                 optimizer = Adam(model.registry, lr=header["adam"]["lr"])
                 optimizer.t = header["adam"]["t"]
-                train_cfg = (TrainConfig(**header["train"]) if header["train"]
-                             else None)
+                train_cfg = (_config(TrainConfig, header["train"])
+                             if header["train"] else None)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed checkpoint header "
                                  f"({type(exc).__name__}: {exc})") from exc

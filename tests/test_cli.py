@@ -238,6 +238,25 @@ class TestEval:
         assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
         assert f"error: {ckpt}: malformed checkpoint header" in capsys.readouterr().err
 
+    def test_checkpoint_header_missing_field_exits_2(self, small_ds, tmp_path,
+                                                     capsys):
+        ckpt = tmp_path / "no-alpha.salr"
+        model = build(ModelConfig(input_size=(16, 16), recurrence="ema",
+                                  alpha=0.4))
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0)
+        raw = ckpt.read_bytes()
+        (clen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + clen])
+        del header["model"]["alpha"]  # would load as the default 0.1
+        new = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
+                         + raw[12 + clen:])
+        assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: malformed checkpoint header" in err
+        assert "lacks alpha" in err
+
     def test_checkpoint_dataset_size_mismatch(self, small_ds, tmp_path):
         out = tmp_path / "run"
         run("train", small_ds, out, "--epochs", 1)
@@ -441,6 +460,13 @@ class TestGradcheck:
     def test_passes_with_exit_0(self, capsys):
         assert run("gradcheck", "--module", "loss") == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_seeds_0_to_12_pass(self, capsys):
+        # zero biases once left pre-activations on a ReLU kink, where the
+        # finite difference reads slope 1/2: most of these seeds exited 3
+        failed = [seed for seed in range(13)
+                  if run("gradcheck", "--seed", seed) != 0]
+        assert failed == [], capsys.readouterr().out
 
     def test_failure_exits_3(self, monkeypatch, capsys):
         fake = [GradCheckResult(name="loss.bce", max_rel_err=0.5, tol=1e-4)]

@@ -5,7 +5,8 @@ import pytest
 
 from salrec.model import ModelConfig, build, parse_point
 from salrec.recurrence import EmaConfig, EmaState, ema_step
-from salrec.tensor import Tensor
+from salrec.tensor import Tensor, add, backward, scale
+from salrec.training import bce_loss
 
 
 def frames_from(rng, n, size=32, channels=1):
@@ -141,9 +142,11 @@ class TestForwardFrame:
 
     def test_wrong_frame_shape_rejected(self):
         model = build(ModelConfig(seed=0))
-        with pytest.raises(ValueError, match="frame shape"):
-            model.forward_frame(Tensor(np.zeros((1, 1, 16, 16))),
-                                model.fresh_states())
+        for shape in ((1, 1, 16, 16), (0, 1, 32, 32), (2, 2, 32, 32),
+                      (1, 32, 32)):
+            with pytest.raises(ValueError, match="frame shape"):
+                model.forward_frame(Tensor(np.zeros(shape)),
+                                    model.fresh_states())
 
 
 class TestForwardSequence:
@@ -223,3 +226,124 @@ class TestForwardSequence:
         c = model.forward_frame(frame, model.fresh_states(), training=True,
                                 rng=rng)
         assert not np.array_equal(a.data, c.data)
+
+
+# --- a clip as one frame stack ----------------------------------------------
+
+STACK_CASES = {
+    "none": dict(recurrence="none"),
+    "ema-bottleneck": dict(recurrence="ema"),
+    "ema-encoder1-output": dict(recurrence="ema",
+                                ema_points=("encoder1", "output")),
+    "ema-trainable": dict(recurrence="ema-trainable"),
+    "ema-residual-output": dict(recurrence="ema-residual",
+                                ema_points=("output",)),
+    "convlstm": dict(recurrence="convlstm"),
+}
+# dropout in front of the output EMA is rejected; `none` has no dropout
+DROPOUT_CASES = ("ema-bottleneck", "ema-trainable", "ema-residual-output",
+                 "convlstm")
+
+
+def stack_model(dropout=False, **kw):
+    return build(ModelConfig(input_size=(16, 16), stages=2, base_channels=4,
+                             alpha=0.3, dropout=dropout, seed=13, **kw))
+
+
+def per_frame_fold(model, frames, gts, states, rng):
+    """The oracle: one `forward_frame` per [1, 1, H, W] frame, and the clip
+    loss as the mean of the per-frame BCEs."""
+    maps, total = [], None
+    for f, g in zip(frames, gts):
+        pred = model.forward_frame(Tensor(f[None]), states, training=True,
+                                   rng=rng)
+        maps.append(pred.data[0])
+        loss = bce_loss(pred, Tensor(g[None]))
+        total = loss if total is None else add(total, loss)
+    return np.stack(maps), scale(total, 1.0 / len(frames))
+
+
+def one_stack(model, frames, gts, states, rng):
+    pred = model.forward_frame(Tensor(frames), states, training=True, rng=rng)
+    return pred.data, bce_loss(pred, Tensor(gts))
+
+
+def state_values(states):
+    return [t.data for st in states.states.values()
+            for t in vars(st).values()]
+
+
+def run_clip(fold, dropout, **kw):
+    """Maps, loss, gradients and final state of a 5-frame clip that starts
+    from a state advanced by one frame, so every step folds in a carry."""
+    model = stack_model(dropout, **kw)
+    rng = np.random.default_rng(0)
+    frames = rng.uniform(0, 1, size=(6, 1, 16, 16))
+    gts = rng.uniform(0, 1, size=(6, 1, 16, 16))
+    drop = np.random.default_rng(1)
+    states = model.fresh_states()
+    model.forward_frame(Tensor(frames[:1]), states, training=True, rng=drop)
+    maps, loss = fold(model, frames[1:], gts[1:], states, drop)
+    backward(loss)
+    grads = {name: p.grad for name, p in model.registry.items()}
+    return maps, loss.item(), grads, state_values(states)
+
+
+class TestFrameStack:
+    """One `forward_frame` over a clip's [T, 1, H, W] stack against the
+    per-frame fold. Maps, states and dropout masks at one insertion point
+    are bit-equal. The loss and gradients sum the same terms in another
+    order (the BCE mean over all T*H*W pixels at once, each conv's kernel
+    and bias gradient over all T frames at once), so they agree to within
+    T*H*W float64 epsilons of their scale."""
+
+    TOL = 5 * 16 * 16 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("case,dropout", [
+        *((case, False) for case in sorted(STACK_CASES)),
+        *((case, True) for case in DROPOUT_CASES)])
+    def test_matches_per_frame_fold(self, case, dropout):
+        maps, loss, grads, state = run_clip(one_stack, dropout,
+                                            **STACK_CASES[case])
+        ref_maps, ref_loss, ref_grads, ref_state = run_clip(
+            per_frame_fold, dropout, **STACK_CASES[case])
+        assert np.array_equal(maps, ref_maps)
+        assert len(state) == len(ref_state)
+        assert all(np.array_equal(a, b) for a, b in zip(state, ref_state))
+        assert abs(loss - ref_loss) <= self.TOL * ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= self.TOL * np.abs(ref).max(), name
+
+    def test_dropout_draws_point_after_point(self):
+        """With dropout at two insertion points, a stack draws the first
+        point's masks for all T frames, then the second's. T per-frame
+        calls drew them frame after frame, so the masks differ from those
+        of the per-frame path with the same rng."""
+        kw = dict(recurrence="ema", ema_points=("encoder1", "decoder2"))
+        rng = np.random.default_rng(0)
+        frames = rng.uniform(0, 1, size=(4, 1, 16, 16))
+        gts = rng.uniform(0, 1, size=(4, 1, 16, 16))
+
+        class PointMajor:
+            """Hands per-frame calls the rows of the stack's draws."""
+
+            def __init__(self, seed):
+                draw = np.random.default_rng(seed).random
+                # encoder1 sees (4, 8, 8) activations, decoder2 (4, 16, 16)
+                masks = [draw((4, 4, 8, 8)), draw((4, 4, 16, 16))]
+                self.rows = [m[t:t + 1] for t in range(4) for m in masks]
+
+            def random(self, shape):
+                row = self.rows.pop(0)
+                assert row.shape == shape
+                return row
+
+        def maps(fold, rng):
+            model = stack_model(True, **kw)
+            return fold(model, frames, gts, model.fresh_states(), rng)[0]
+
+        stacked = maps(one_stack, np.random.default_rng(2))
+        assert np.array_equal(stacked, maps(per_frame_fold, PointMajor(2)))
+        assert not np.array_equal(
+            stacked, maps(per_frame_fold, np.random.default_rng(2)))

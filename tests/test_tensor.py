@@ -13,10 +13,9 @@ import salrec.training
 from salrec.data import SynthConfig, generate
 from salrec.model import ModelConfig, build
 from salrec.tensor import (ComputationTape, Tensor, _node, add, add_const,
-                           backward, broadcast_mul, clamp, concat_channels,
-                           conv2d, log, maxpool2d, mul, relu, scale, sigmoid,
-                           split_channels, sub, tanh, tmean, tsum,
-                           upsample_nearest)
+                           backward, broadcast_mul, clamp, concat, conv2d, log,
+                           maxpool2d, mul, relu, scale, sigmoid, split, sub,
+                           tanh, tmean, tsum, upsample_nearest)
 from salrec.gradcheck import max_rel_error
 from salrec.training import Adam, TrainConfig, train
 
@@ -306,25 +305,43 @@ class TestChannels:
     def test_split_inverts_concat_bit_exact(self):
         rng = np.random.default_rng(5)
         a, b = t(rng.normal(size=(2, 3, 4, 5))), t(rng.normal(size=(2, 3, 4, 5)))
-        cat = concat_channels(a, b)
-        assert cat.shape == (2, 6, 4, 5)
-        back = split_channels(cat, 2)
-        assert np.array_equal(back[0].data, a.data)
-        assert np.array_equal(back[1].data, b.data)
+        for axis, shape in ((0, (4, 3, 4, 5)), (1, (2, 6, 4, 5))):
+            cat = concat(a, b, axis=axis)
+            assert cat.shape == shape
+            back = split(cat, 2, axis=axis)
+            assert np.array_equal(back[0].data, a.data)
+            assert np.array_equal(back[1].data, b.data)
 
     def test_gradients_route_to_their_channels(self):
         a = t(np.zeros((1, 1, 2, 2)), grad=True)
         b = t(np.zeros((1, 2, 2, 2)), grad=True)
-        parts = split_channels(concat_channels(a, b), 3)
+        parts = split(concat(a, b, axis=1), 3, axis=1)
         backward(tsum(add(scale(parts[0], 2.0), scale(parts[2], 3.0))))
         assert np.all(a.grad == 2.0)
         assert np.all(b.grad[:, 0] == 0.0) and np.all(b.grad[:, 1] == 3.0)
 
+    def test_gradients_route_to_their_frames(self):
+        x = t(np.zeros((3, 2, 2, 2)), grad=True)
+        parts = split(x, 3, axis=0)
+        backward(tsum(concat(scale(parts[2], 3.0), parts[0], axis=0)))
+        np.testing.assert_array_equal(x.grad[:, 0, 0, 0], [1.0, 0.0, 3.0])
+
+    def test_one_part_is_the_input(self):
+        x = t(np.zeros((1, 2, 3, 3)), grad=True)
+        assert split(x, 1, axis=0) == [x]
+        assert concat(x, axis=0) is x
+
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError, match="concat_channels"):
-            concat_channels(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 2))))
-        with pytest.raises(ValueError, match="split_channels"):
-            split_channels(t(np.zeros((1, 3, 2, 2))), 2)
+        with pytest.raises(ValueError, match="concat"):
+            concat(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 2))), axis=1)
+        with pytest.raises(ValueError, match="concat"):
+            concat(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 2, 2, 2))), axis=0)
+        with pytest.raises(ValueError, match="split"):
+            split(t(np.zeros((1, 3, 2, 2))), 2, axis=1)
+        with pytest.raises(ValueError, match="split"):
+            split(t(np.zeros((3, 2, 2, 2))), 2, axis=0)
+        with pytest.raises(ValueError, match="split"):
+            split(t(np.zeros((2, 2, 2, 2))), 2, axis=-1)
 
 
 class TestBackward:
@@ -412,10 +429,15 @@ OP_CASES = {
     "conv2d": (lambda x, k, b: conv2d(x, k, b, stride=2, padding=1),
                lambda r: [_uniform(r, (2, 2, 5, 5)), _uniform(r, (3, 2, 3, 3)),
                           _uniform(r, (3,))]),
-    "concat_channels": (concat_channels,
+    "concat-channels": (lambda a, b: concat(a, b, axis=1),
                         lambda r: [_uniform(r, (1, 2, 3, 3)), _uniform(r, (1, 1, 3, 3))]),
-    "split_channels": (lambda x: split_channels(x, 3),
+    "concat-frames": (lambda a, b, c: concat(a, b, c, axis=0),
+                      lambda r: [_uniform(r, (1, 2, 2, 3)), _uniform(r, (2, 2, 2, 3)),
+                                 _uniform(r, (1, 2, 2, 3))]),
+    "split-channels": (lambda x: split(x, 3, axis=1),
                        lambda r: [_uniform(r, (1, 6, 2, 2))]),
+    "split-frames": (lambda x: split(x, 3, axis=0),
+                     lambda r: [_uniform(r, (3, 2, 2, 2))]),
     "maxpool2d": (maxpool2d, lambda r: [_uniform(r, (1, 2, 4, 4))]),
     "upsample_nearest": (upsample_nearest, lambda r: [_uniform(r, (1, 2, 2, 3))]),
     "sigmoid": (sigmoid, lambda r: [_uniform(r, (3, 4))]),
@@ -490,12 +512,15 @@ class TestTracerContract:
     """perfbench's tracer rebinds the tensor ops by name and wraps each
     result's `_backward_fn`; a traced clip must train as an untraced one."""
 
-    def trained_clip(self, tracer=None):
-        net = build(ModelConfig(input_size=(8, 8), stages=2, base_channels=4,
-                                recurrence="convlstm", seed=3))
+    def trained_clip(self, tracer=None, cfg=None, n_frames=2):
+        if cfg is None:
+            cfg = ModelConfig(input_size=(8, 8), stages=2, base_channels=4,
+                              recurrence="convlstm", seed=3)
+        net = build(cfg)
+        h, w = cfg.input_size
         rng = np.random.default_rng(0)
-        frames = [t(rng.uniform(size=(1, 1, 8, 8))) for _ in range(2)]
-        gts = [t(rng.uniform(size=(1, 1, 8, 8))) for _ in range(2)]
+        frames = [t(rng.uniform(size=(1, 1, h, w))) for _ in range(n_frames)]
+        gts = [t(rng.uniform(size=(1, 1, h, w))) for _ in range(n_frames)]
         optimizer = Adam(net.registry)
         if tracer is not None:
             tracer.install()
@@ -506,6 +531,11 @@ class TestTracerContract:
             if tracer is not None:
                 tracer.uninstall()
         return {name: p.data for name, p in net.registry.items()}
+
+    def assert_bit_equal(self, traced, untraced):
+        assert traced.keys() == untraced.keys()
+        for name, value in untraced.items():
+            assert np.array_equal(traced[name], value), name
 
     def test_traced_clip_matches_untraced(self):
         tracer_mod = _load_tracer()
@@ -518,7 +548,19 @@ class TestTracerContract:
         assert tracer.calls["tensor.conv2d.bwd"] > 0
         assert tracer.calls["tensor.elementwise.bwd"] > 0
         assert all(getattr(salrec.tensor, op) is fn for op, fn in originals.items())
-        untraced = self.trained_clip()
-        assert traced.keys() == untraced.keys()
-        for name, value in untraced.items():
-            assert np.array_equal(traced[name], value), name
+        self.assert_bit_equal(traced, self.trained_clip())
+
+    def test_traced_ema_clip_names_every_layer(self):
+        """At the default shape, a clip's one `forward_frame` call records
+        each layer span the tracer names once, and the EMA step per frame."""
+        tracer_mod = _load_tracer()
+        tracer = tracer_mod.Tracer()
+        cfg = ModelConfig(recurrence="ema", seed=3)
+        traced = self.trained_clip(tracer, cfg, n_frames=3)
+        assert tracer.calls["model.forward_frame"] == 1
+        assert tracer.calls["tensor.conv2d"] == len(tracer_mod.LAYER_NAMES)
+        for layer in tracer_mod.LAYER_NAMES:
+            assert tracer.calls[f"layers.{layer}"] == 1, layer
+            assert tracer.bwd[f"layers.{layer}"] > 0, layer
+        assert tracer.calls["recurrence.ema_step"] == 3
+        self.assert_bit_equal(traced, self.trained_clip(cfg=cfg, n_frames=3))

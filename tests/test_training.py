@@ -119,6 +119,49 @@ class TestAdam:
         assert p.data == pytest.approx(-0.1, rel=1e-6)
         assert w.data == pytest.approx(-1e-3, rel=1e-6)
 
+    def test_in_place_step_matches_out_of_place(self):
+        """Five steps of `Adam.step` leave the bytes of every parameter and
+        moment that the out-of-place step it replaced leaves, for a
+        parameter whose grad turns None (moments still decaying) too."""
+        def out_of_place_step(opt):
+            opt.t += 1
+            b1, b2 = training_mod.BETA1, training_mod.BETA2
+            for name, p in opt.registry.items():
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                opt.m[name] = b1 * opt.m[name] + (1 - b1) * g
+                opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
+                m_hat = opt.m[name] / (1 - b1 ** opt.t)
+                v_hat = opt.v[name] / (1 - b2 ** opt.t)
+                lr = (training_mod.ALPHA_LR if name == training_mod.ALPHA_PARAM
+                      else opt.lr)
+                p.data -= lr * m_hat / (np.sqrt(v_hat) + training_mod.EPS)
+
+        shapes = {"w": (2, 3), training_mod.ALPHA_PARAM: (), "idle": (4,)}
+        opts = []
+        for _ in range(2):
+            reg = ParameterRegistry()
+            for name, shape in shapes.items():
+                reg.register(name, Tensor(np.random.default_rng(1).normal(
+                    size=shape)))
+            opts.append(Adam(reg, lr=3e-3))
+        rng = np.random.default_rng(2)
+        for step in range(5):
+            grads = {name: rng.normal(size=shape)
+                     for name, shape in shapes.items()}
+            if step >= 2:
+                grads["idle"] = None
+            for opt in opts:
+                for name, p in opt.registry.items():
+                    p.grad = None if grads[name] is None else grads[name].copy()
+            opts[0].step()
+            out_of_place_step(opts[1])
+            for name in shapes:
+                for table in ("m", "v"):
+                    a, b = getattr(opts[0], table)[name], getattr(opts[1], table)[name]
+                    assert a.tobytes() == b.tobytes(), (step, table, name)
+                assert (opts[0].registry[name].data.tobytes()
+                        == opts[1].registry[name].data.tobytes()), (step, name)
+
 
 class TestTrainClip:
     def to_tensors(self, arrs):
@@ -453,6 +496,26 @@ class TestCheckpoint:
         bad.write_bytes(raw)
         with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("section,field", [
+        ("model", "alpha"), ("model", "dropout"), ("model", "ema_points"),
+        ("train", "lr"), ("train", "augment")])
+    def test_header_missing_field_rejected(self, tmp_path, section, field):
+        """A header section must name every config field: a missing one
+        would otherwise load as its default, a different model or run."""
+        model = small_model()
+        p = tmp_path / "ok.salr"
+        save_checkpoint(p, model, Adam(model.registry),
+                        np.random.default_rng(0), 3, TrainConfig())
+        raw = p.read_bytes()
+        (clen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + clen])
+        del header[section][field]
+        new = json.dumps(header, sort_keys=True).encode()
+        self.assert_rejected(
+            tmp_path,
+            raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
+            f"malformed checkpoint header .*lacks {field}")
 
     @pytest.mark.parametrize("edit", ["unknown model key", "no adam"])
     def test_malformed_header_rejected(self, tmp_path, edit):
