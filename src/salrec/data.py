@@ -62,13 +62,26 @@ def write_fixations(path: Path, fix: FixationMap) -> None:
 
 
 def read_fixations(path: Path, extent: tuple[int, int]) -> FixationMap:
+    """One "row col" fixation per line of a UTF-8 file. A malformed line or
+    a point outside the extent raises ValueError naming `<path>:<line>`."""
+    h, w = extent
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     points = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
             continue
-        r, c = line.split()
-        points.append((int(r), int(c)))
+        try:
+            r, c = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected 'row col' integers, "
+                             f"got {line.strip()!r}") from None
+        if not (0 <= r < h and 0 <= c < w):
+            raise ValueError(f"{path}:{number}: fixation ({r}, {c}) outside "
+                             f"extent {extent}")
+        points.append((r, c))
     return FixationMap(points=points, extent=extent)
 
 

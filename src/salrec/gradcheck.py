@@ -126,6 +126,12 @@ def check_tensor_ops(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
 
     results.append(GradCheckResult(
         "split", max_rel_error(split_mix, [xs]), tol))
+    # pooling over a frame stack, the shape training runs
+    xm, xu = _rand(rng, 3, 2, 4, 4), _rand(rng, 3, 2, 3, 3)
+    results.append(GradCheckResult("maxpool2d N=3", max_rel_error(
+        lambda: tsum(mul(maxpool2d(xm), maxpool2d(xm))), [xm]), tol))
+    results.append(GradCheckResult("upsample_nearest N=3", max_rel_error(
+        lambda: tsum(mul(upsample_nearest(xu), upsample_nearest(xu))), [xu]), tol))
     return results
 
 
@@ -190,11 +196,14 @@ def check_loss(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult]
 
 
 def check_model(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
-    """Gradient of a 3-frame clip loss w.r.t. every parameter of a tiny model
+    """Gradient of a 3-frame clip w.r.t. every parameter of a tiny model
     with EMA at the bottleneck (sampled coordinates), on the path training
-    runs: one `forward_frame` over the clip's stack and one BCE over it.
-    The biases get a nonzero draw, so that no pre-activation sits exactly
-    on a ReLU kink, where central differences read a slope of 1/2."""
+    runs: one `forward_frame` over the clip's stack. The loss is a fixed
+    random projection of the maps, not BCE (which `check_loss` covers):
+    BCE's mean over the clip left some gradients near 1e-7, where the
+    loss's roundoff limits the central difference. The biases get a
+    nonzero draw, so that no pre-activation sits exactly on a ReLU kink,
+    where central differences read a slope of 1/2."""
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(input_size=(8, 8), stages=2, base_channels=2,
                       recurrence="ema", alpha=0.3, seed=seed)
@@ -203,10 +212,10 @@ def check_model(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult
         if name.endswith(".bias"):
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
     frames = Tensor(rng.uniform(0, 1, size=(3, 1, 8, 8)))
-    gts = Tensor(rng.uniform(0.05, 0.95, size=(3, 1, 8, 8)))
+    weights = Tensor(rng.normal(size=(3, 1, 8, 8)))
 
     def run():
-        return bce_loss(model.forward_frame(frames, model.fresh_states()), gts)
+        return tsum(mul(model.forward_frame(frames, model.fresh_states()), weights))
 
     params = [model.registry[n] for n in model.registry.names()]
     return [GradCheckResult(

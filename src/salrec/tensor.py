@@ -392,33 +392,47 @@ def split(input: Tensor, k: int, axis: int) -> list[Tensor]:
 
 
 def maxpool2d(input: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties route to the first position in
-    row-major window order."""
+    """2x2 max pooling with stride 2, on the four strided views
+    x[:, :, i::2, j::2] (the window taps in row-major order).
+
+    Ties route the gradient to the first tap, in row-major window order,
+    that equals the output. Contract: the output values and, for a finite
+    upstream gradient, the input gradient are bit for bit those of the
+    transposed-window argmax formulation kept as the test oracle. Only the
+    sign of a zero output may differ when a window ties -0.0 with +0.0. A
+    NaN input gives a NaN output, and no gradient reaches its window.
+    """
     if input.data.ndim != 4:
         raise ValueError(f"maxpool2d expects 4d input, got {input.shape}")
-    n, c, h, w = input.shape
+    h, w = input.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2d requires even spatial dims, got {h}x{w}")
-    win = (input.data.reshape(n, c, h // 2, 2, w // 2, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(n, c, h // 2, w // 2, 4))
-    idx = win.argmax(axis=-1)  # first max in row-major order
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    x = input.data
+    taps = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    out = np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
 
     def dinput(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w))
+        dx = np.empty_like(x)
+        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        for k, tap in enumerate(taps):
+            hit = tap == out
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=dx[:, :, k // 2::2, k % 2::2])
+        return dx
 
     return _node(out, (input, dinput))
 
 
 def upsample_nearest(input: Tensor) -> Tensor:
-    """Nearest-neighbour upsampling by a factor of 2 in both spatial dims."""
+    """Nearest-neighbour upsampling by a factor of 2 in both spatial dims.
+
+    The gradient sums each 2x2 block of g from its four strided views as
+    (g00 + g01) + (g10 + g11): bit for bit the reshape-and-sum over the
+    two length-2 axes kept as the test oracle.
+    """
     if input.data.ndim != 4:
         raise ValueError(f"upsample_nearest expects 4d input, got {input.shape}")
-    n, c, h, w = input.shape
     return _node(input.data.repeat(2, axis=2).repeat(2, axis=3),
-                 (input, lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))))
+                 (input, lambda g: (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
+                  + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2])))

@@ -207,14 +207,18 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
-def _read_blob(f) -> tuple[str, np.ndarray]:
+def _read_blob_head(f) -> tuple[str, tuple]:
+    """The name and declared shape of the next array. Its data follows;
+    the caller checks the shape before `_read_blob_data` sizes a read by it."""
     (nlen,) = struct.unpack("<I", _read_exact(f, 4))
     name = _read_exact(f, nlen).decode("utf-8")
     (rank,) = struct.unpack("<I", _read_exact(f, 4))
-    shape = tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(f, 8 * count), dtype="<f8").reshape(shape)
-    return name, data.astype(np.float64)
+    return name, tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
+
+
+def _read_blob_data(f, shape: tuple) -> np.ndarray:
+    count = int(np.prod(shape))
+    return np.frombuffer(_read_exact(f, 8 * count), dtype="<f8").reshape(shape)
 
 
 def save_checkpoint(path: Path, model: Model, optimizer: Adam,
@@ -294,18 +298,18 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                  f"model has {len(model.registry)}")
             seen = set()
             for _ in range(n_params):
-                name, data = _read_blob(f)
+                name, shape = _read_blob_head(f)
                 if name not in model.registry:
                     raise ValueError(f"{path}: unknown parameter {name!r}")
                 if name in seen:
                     raise ValueError(f"{path}: parameter {name!r} appears twice")
                 seen.add(name)
                 param = model.registry[name]
-                if param.shape != data.shape:
+                if param.shape != shape:
                     raise ValueError(
-                        f"{path}: parameter {name!r} has shape {data.shape}, "
+                        f"{path}: parameter {name!r} has shape {shape}, "
                         f"model expects {param.shape}")
-                param.data[...] = data
+                param.data[...] = _read_blob_data(f, shape)
             (n_moments,) = struct.unpack("<I", _read_exact(f, 4))
             if n_moments != 2 * n_params:
                 raise ValueError(f"{path}: {n_moments} Adam moments in file, "
@@ -316,12 +320,12 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                       for kind, moments in (("m", optimizer.m), ("v", optimizer.v))
                       for p in model.registry.names()}
             for _ in range(n_moments):
-                name, data = _read_blob(f)
+                name, shape = _read_blob_head(f)
                 target = unread.pop(name, None)
-                if target is None or target.shape != data.shape:
+                if target is None or target.shape != shape:
                     raise ValueError(f"{path}: moment {name!r} is unknown, "
                                      f"repeated or of the wrong shape")
-                target[...] = data
+                target[...] = _read_blob_data(f, shape)
             (rlen,) = struct.unpack("<I", _read_exact(f, 4))
             rng_state = json.loads(_read_exact(f, rlen).decode("utf-8"))
             rng = np.random.default_rng(0)

@@ -154,6 +154,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "video000" in err and "manifest.json" in err
 
+    @pytest.mark.parametrize("line", ["1 2 3", "a b", "7", "99 1", "1 -1"])
+    def test_malformed_fixation_line_named(self, tmp_path, capsys, line):
+        root = tmp_path / "ds"
+        assert run("synth", root, "--videos", 1, "--frames", 2, "--size", 16) == 0
+        fix = root / "video000" / "fix" / "0001.txt"
+        fix.write_text(f"0 0\n\n{line}\n")
+        assert run("train", root, tmp_path / "run", "--epochs", 1) == 2
+        assert f"error: {fix}:3: " in capsys.readouterr().err
+
+    def test_binary_fixation_file_named(self, tmp_path, capsys):
+        root = tmp_path / "ds"
+        assert run("synth", root, "--videos", 1, "--frames", 2, "--size", 16) == 0
+        fix = root / "video000" / "fix" / "0001.txt"
+        fix.write_bytes(b"\xff\xfe 1 2\n")
+        assert run("train", root, tmp_path / "run", "--epochs", 1) == 2
+        assert f"error: {fix}: not UTF-8 text" in capsys.readouterr().err
+
     def test_mixed_frame_sizes_exit_2_before_writing(self, tmp_path, capsys):
         root, out = tmp_path / "ds", tmp_path / "run"
         big, small = (generate(SynthConfig(n_videos=1, frames_per_video=2,
@@ -265,6 +282,23 @@ class TestEval:
         assert run("eval", wrong, tmp_path / "e", "--checkpoint",
                    out / "checkpoint_final.salr") == 2
 
+
+    def test_corrupt_blob_dims_exit_2(self, small_ds, tmp_path, capsys):
+        """Four dims of 0x7FFF once made the reader ask for 9.2e18 bytes: an
+        uncaught MemoryError and a traceback."""
+        ckpt = tmp_path / "dims.salr"
+        model = build(ModelConfig(input_size=(16, 16)))
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0)
+        raw = ckpt.read_bytes()
+        (clen,) = struct.unpack("<I", raw[8:12])
+        at = raw.index(b"enc1.kernel", 12 + clen) + len(b"enc1.kernel")
+        assert struct.unpack("<I", raw[at:at + 4]) == (4,)
+        ckpt.write_bytes(raw[:at + 4] + struct.pack("<4I", *[0x7FFF] * 4)
+                         + raw[at + 20:])
+        assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
+        assert (f"error: {ckpt}: parameter 'enc1.kernel' has shape (32767, "
+                in capsys.readouterr().err)
 
     def test_map_guard_failure_exits_3(self, small_ds, tmp_path, monkeypatch,
                                        capsys):
@@ -466,6 +500,13 @@ class TestGradcheck:
         # finite difference reads slope 1/2: most of these seeds exited 3
         failed = [seed for seed in range(13)
                   if run("gradcheck", "--seed", seed) != 0]
+        assert failed == [], capsys.readouterr().out
+
+    def test_roundoff_floor_seeds_pass(self, capsys):
+        # a BCE probe loss read 1.0045e-4 at seed 26 and 6.3e-5 at seed 15:
+        # an enc1.kernel gradient of -6.4e-8 met the loss's roundoff floor
+        failed = [seed for seed in (15, 26)
+                  if run("gradcheck", "--module", "model", "--seed", seed) != 0]
         assert failed == [], capsys.readouterr().out
 
     def test_failure_exits_3(self, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import salrec.layers
+import salrec.model
 import salrec.recurrence
 import salrec.tensor
 import salrec.training
@@ -150,6 +151,16 @@ def _window_matrix(x, kh, kw, stride, padding):
     return win.reshape(-1, x.shape[1] * kh * kw)
 
 
+def one_epoch_params(recurrence):
+    """Parameters after one training epoch of a small model."""
+    data = generate(SynthConfig(n_videos=2, frames_per_video=6, height=16,
+                                width=16, seed=4))
+    model = build(ModelConfig(input_size=(16, 16), stages=2, base_channels=4,
+                              recurrence=recurrence, seed=5))
+    train(model, data, TrainConfig(epochs=1, clip_length=3, seed=2))
+    return {name: p.data for name, p in model.registry.items()}
+
+
 @st.composite
 def conv_cases(draw):
     k = draw(st.sampled_from([1, 2, 3]))
@@ -191,21 +202,10 @@ class TestConv2dReference:
         assert np.all(np.abs(dk - dk_ref) <= bound)
 
     def test_training_epoch_matches_reference(self, monkeypatch):
-        data = generate(SynthConfig(n_videos=2, frames_per_video=6, height=16,
-                                    width=16, seed=4))
-        cfg = TrainConfig(epochs=1, clip_length=3, seed=2)
-
-        def trained():
-            model = build(ModelConfig(input_size=(16, 16), stages=2,
-                                      base_channels=4, recurrence="convlstm",
-                                      seed=5))
-            train(model, data, cfg)
-            return {name: p.data for name, p in model.registry.items()}
-
-        lean = trained()
+        lean = one_epoch_params("convlstm")
         for module in (salrec.tensor, salrec.layers, salrec.recurrence):
             monkeypatch.setattr(module, "conv2d", reference_conv2d)
-        ref = trained()
+        ref = one_epoch_params("convlstm")
         for name, value in ref.items():
             assert np.abs(lean[name] - value).max() <= 1e-12 * np.abs(value).max(), name
 
@@ -252,6 +252,107 @@ class TestUpsample:
         x = t(np.zeros((1, 1, 2, 2)), grad=True)
         backward(tsum(upsample_nearest(x)))
         assert np.all(x.grad == 4.0)
+
+
+def reference_maxpool2d(input):
+    """maxpool2d by a transposed (..., 4) window copy, argmax and
+    take_along_axis: the oracle for maxpool2d's outputs and gradients."""
+    n, c, h, w = input.shape
+    win = (input.data.reshape(n, c, h // 2, 2, w // 2, 2)
+           .transpose(0, 1, 2, 4, 3, 5)
+           .reshape(n, c, h // 2, w // 2, 4))
+    idx = win.argmax(axis=-1)  # first max in row-major order
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def dinput(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        return (dwin.reshape(n, c, h // 2, w // 2, 2, 2)
+                .transpose(0, 1, 2, 4, 3, 5)
+                .reshape(n, c, h, w))
+
+    return _node(out, (input, dinput))
+
+
+def reference_upsample_nearest(input):
+    """upsample_nearest whose gradient sums the two length-2 axes of a
+    reshape: the oracle for upsample_nearest's gradient."""
+    n, c, h, w = input.shape
+    return _node(input.data.repeat(2, axis=2).repeat(2, axis=3),
+                 (input, lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))))
+
+
+# heavy ties: a small integer grid with signed zeros and infinities
+TIE_GRID = np.array([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+
+
+@st.composite
+def pool_cases(draw):
+    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 4)),
+             2 * draw(st.integers(1, 8)), 2 * draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "equal windows", "normal"]))
+    if kind == "grid":
+        x = rng.choice(TIE_GRID, size=shape)
+    elif kind == "equal windows":
+        n, c, h, w = shape
+        x = rng.choice(TIE_GRID, size=(n, c, h // 2, w // 2))
+        x = x.repeat(2, axis=2).repeat(2, axis=3)
+    else:
+        x = rng.normal(size=shape)
+    return x, rng
+
+
+class TestPoolReference:
+    """maxpool2d and upsample_nearest run on the four strided 2x2 views;
+    outputs and input gradients are bit for bit the window formulations."""
+
+    @staticmethod
+    def run(op, x, g):
+        xt = t(x, grad=True)
+        y = op(xt)
+        with np.errstate(invalid="ignore"):  # an infinite y makes the sum NaN
+            backward(tsum(mul(y, t(g))))  # upstream gradient of y is g
+        return y.data, xt.grad
+
+    @given(pool_cases())
+    def test_maxpool_matches_reference(self, case):
+        x, rng = case
+        n, c, h, w = x.shape
+        g = rng.normal(size=(n, c, h // 2, w // 2))
+        y, dx = self.run(maxpool2d, x, g)
+        y_ref, dx_ref = self.run(reference_maxpool2d, x, g)
+        assert np.array_equal(y, y_ref)  # a tied zero's sign may differ
+        assert np.array_equal(dx.view(np.int64), dx_ref.view(np.int64))
+
+    @given(pool_cases())
+    def test_upsample_matches_reference(self, case):
+        x, rng = case
+        n, c, h, w = x.shape
+        g = rng.normal(size=(n, c, 2 * h, 2 * w))
+        y, dx = self.run(upsample_nearest, x, g)
+        y_ref, dx_ref = self.run(reference_upsample_nearest, x, g)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(dx.view(np.int64), dx_ref.view(np.int64))
+
+    def test_tie_routes_to_first_equal_tap(self):
+        # window maxima at taps 1, 2 and 3 in turn, tied with later taps
+        x = t([[[[0.0, 5.0, 1.0, 1.0, 0.0, -1.0],
+                 [5.0, 5.0, 3.0, 3.0, -2.0, 4.0]]]], grad=True)
+        backward(tsum(mul(maxpool2d(x), t([[[[2.0, -1.0, 3.0]]]]))))
+        np.testing.assert_array_equal(
+            x.grad[0, 0], [[0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, -1.0, 0.0, 0.0, 3.0]])
+
+    def test_training_epoch_matches_reference(self, monkeypatch):
+        strided = one_epoch_params("ema")
+        for module in (salrec.tensor, salrec.model):
+            monkeypatch.setattr(module, "maxpool2d", reference_maxpool2d)
+            monkeypatch.setattr(module, "upsample_nearest",
+                                reference_upsample_nearest)
+        ref = one_epoch_params("ema")
+        assert {k: v.tobytes() for k, v in ref.items()} == \
+            {k: v.tobytes() for k, v in strided.items()}
 
 
 class TestActivations:

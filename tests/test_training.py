@@ -13,9 +13,9 @@ from salrec.layers import ParameterRegistry
 from salrec.model import ModelConfig, build
 from salrec.tensor import Tensor, no_grad
 import salrec.training as training_mod
-from salrec.training import (Adam, TrainConfig, _read_blob, bce_loss,
-                             load_checkpoint, save_checkpoint, train,
-                             train_clip, train_epoch)
+from salrec.training import (Adam, TrainConfig, _read_blob_data,
+                             _read_blob_head, bce_loss, load_checkpoint,
+                             save_checkpoint, train, train_clip, train_epoch)
 
 LN2 = float(np.log(2.0))
 
@@ -331,7 +331,8 @@ def split_checkpoint(raw: bytes):
         blobs = []
         for _ in range(count):
             start = f.tell()
-            name, _ = _read_blob(f)
+            name, shape = _read_blob_head(f)
+            _read_blob_data(f, shape)
             blobs.append((name, raw[start:f.tell()]))
         sections.append(blobs)
     return raw[:12 + clen], sections[0], sections[1], raw[f.tell():]
@@ -548,6 +549,24 @@ class TestCheckpoint:
         self.assert_rejected(
             tmp_path, join_checkpoint(head, params, moments[:-1], tail),
             f"{len(moments) - 1} Adam moments in file, expected {len(moments)}")
+
+    @pytest.mark.parametrize("dim", [0x7FFF, 0xFFFFFFFF])
+    @pytest.mark.parametrize("section", ["parameter", "moment"])
+    def test_corrupt_dims_rejected_before_reading(self, tmp_path, dim, section):
+        """Declared dims are checked against the model before they size a
+        read: 0x7FFF four times once asked for 9.2e18 bytes (MemoryError),
+        0xFFFFFFFF overflowed to a negative length (a ValueError that did
+        not name the file)."""
+        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
+        blobs = params if section == "parameter" else moments
+        name, blob = blobs[0]
+        (nlen,) = struct.unpack("<I", blob[:4])
+        assert struct.unpack("<I", blob[4 + nlen:8 + nlen]) == (4,)  # a kernel
+        dims = struct.pack("<5I", 4, dim, dim, dim, dim)
+        blobs[0] = (name, blob[:4 + nlen] + dims + blob[4 + nlen + 20:])
+        self.assert_rejected(
+            tmp_path, join_checkpoint(head, params, moments, tail),
+            f"{section} '{name}' (has shape|is unknown, repeated or of the wrong shape)")
 
     @pytest.mark.parametrize("forged", ["adam.m.head.bias", "adam.x.head.bias",
                                         "head.bias"])
