@@ -123,19 +123,22 @@ def cmd_synth(args) -> int:
 def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
     """Resolve [model] and the model flags. `--ema-at` and `--alpha` must
     suit the recurrence; alpha defaults to 0.1, or 0.3 for two EMA points,
-    and 0.1 is recorded where no EMA reads it."""
+    and 0.1 is recorded where no fixed alpha is read (`ema-trainable`
+    learns its own)."""
     kind = args.recurrence or ini.get("recurrence", "none")
     ema_at, alpha = args.ema_at, args.alpha
-    if kind in ("none", "convlstm"):
-        for flag, value in (("--ema-at", ema_at), ("--alpha", alpha)):
-            if value is not None:
-                raise UsageError(f"{flag} does not apply to --recurrence {kind}")
-        ema_at, alpha = None, 0.1
-    else:
-        ema_at = None if ema_at is None else _split(ema_at)
-        if alpha is None and "alpha" not in ini:
-            points = ini.get("ema_points", ()) if ema_at is None else ema_at
-            alpha = 0.3 if len(points) == 2 else 0.1
+    has_ema = kind not in ("none", "convlstm")
+    reads_alpha = has_ema and kind != "ema-trainable"
+    for flag, value, applies in (("--ema-at", ema_at, has_ema),
+                                 ("--alpha", alpha, reads_alpha)):
+        if value is not None and not applies:
+            raise UsageError(f"{flag} does not apply to --recurrence {kind}")
+    ema_at = None if ema_at is None else _split(ema_at)
+    if not reads_alpha:
+        alpha = 0.1
+    elif alpha is None and "alpha" not in ini:
+        points = ini.get("ema_points", ()) if ema_at is None else ema_at
+        alpha = 0.3 if len(points) == 2 else 0.1
     return _resolve(ModelConfig, ini, input_size=input_size,
                     recurrence=args.recurrence, ema_points=ema_at, alpha=alpha,
                     stages=args.stages, base_channels=args.base_channels,

@@ -102,14 +102,14 @@ def check_tensor_ops(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
             lambda: tsum(mul(add(a, bb), scale(mul(a, bb), 0.5))), [a, bb]), tol))
     # conv2d geometries beyond 3x3/padding 1, each under tsum(y*y) so the
     # upstream gradient 2y is non-uniform and exposes layout errors
-    for name, xs, ks, stride, padding in (
-            ("conv2d 1x1 padding 0", (1, 3, 4, 4), (2, 3, 1, 1), 1, 0),
-            ("conv2d stride 2 padding 2", (1, 2, 5, 5), (3, 2, 3, 3), 2, 2),
-            ("conv2d N=2", (2, 2, 4, 4), (3, 2, 3, 3), 1, 1)):
+    for name, xs, ks, padding in (
+            ("conv2d 1x1 padding 0", (1, 3, 4, 4), (2, 3, 1, 1), 0),
+            ("conv2d padding 2", (1, 2, 5, 5), (3, 2, 3, 3), 2),
+            ("conv2d N=2", (2, 2, 4, 4), (3, 2, 3, 3), 1)):
         xc, kc, bc = _rand(rng, *xs), _rand(rng, *ks), _rand(rng, ks[0])
 
-        def conv_sq(xc=xc, kc=kc, bc=bc, stride=stride, padding=padding):
-            y = conv2d(xc, kc, bc, stride=stride, padding=padding)
+        def conv_sq(xc=xc, kc=kc, bc=bc, padding=padding):
+            y = conv2d(xc, kc, bc, padding=padding)
             return tsum(mul(y, y))
 
         results.append(GradCheckResult(

@@ -44,9 +44,6 @@ class ParameterRegistry:
         for p in self._params.values():
             p.zero_grad()
 
-    def total_count(self) -> int:
-        return sum(p.size for p in self._params.values())
-
 
 def xavier_init(shape: tuple, fan_in: int, fan_out: int,
                 rng: np.random.Generator) -> Tensor:

@@ -235,22 +235,19 @@ class Model:
             raise RuntimeError("saliency map left [0, 1] or went non-finite")
         return x
 
-    def forward_sequence(self, frames: list[Tensor],
-                         alpha_override: Optional[float] = None) -> list[Tensor]:
-        """Fold `forward_frame` over the frames from a fresh state."""
-        if not frames:
-            raise ValueError("forward_sequence needs at least one frame")
-        states = self.fresh_states()
-        return [self.forward_frame(f, states, alpha_override=alpha_override)
-                for f in frames]
-
     def predict_sequence(self, frames: list[np.ndarray],
                          alpha_override: Optional[float] = None) -> list[np.ndarray]:
-        """Evaluation-mode maps as plain (H, W) float arrays."""
+        """Evaluation-mode maps of a video's (H, W) frames, as (H, W) float
+        arrays: `forward_frame` folded over the frames one at a time, in
+        order, from a fresh state and under `no_grad`. The maps equal those
+        of one call over the video's [T, 1, H, W] stack."""
+        if len(frames) == 0:
+            raise ValueError("predict_sequence needs at least one frame")
+        states = self.fresh_states()
         with no_grad():
-            maps = self.forward_sequence([Tensor(f[None, None]) for f in frames],
-                                         alpha_override)
-        return [m.data[0, 0] for m in maps]
+            return [self.forward_frame(Tensor(f[None, None]), states,
+                                       alpha_override=alpha_override).data[0, 0]
+                    for f in frames]
 
 
 def build(cfg: ModelConfig) -> Model:

@@ -115,11 +115,10 @@ class ConvLstmWeights:
             for g in "ufo")
 
 
-def convlstm_step(s_t: Tensor, state: ConvLstmState, w: ConvLstmWeights,
-                  emit_hidden: bool = False) -> tuple[Tensor, ConvLstmState]:
+def convlstm_step(s_t: Tensor, state: ConvLstmState,
+                  w: ConvLstmWeights) -> tuple[Tensor, ConvLstmState]:
     """One ConvLSTM step (Shi et al. 2015, eq. 3); emits the new cell state
-    C_t by default (the routing used downstream), or H_t when `emit_hidden`
-    is set."""
+    C_t, the routing used downstream. H_t is in the returned state."""
     if s_t.shape[2:] != state.cell.shape[2:]:
         raise ValueError(
             f"convlstm_step: input spatial dims {s_t.shape} do not match "
@@ -130,5 +129,4 @@ def convlstm_step(s_t: Tensor, state: ConvLstmState, w: ConvLstmWeights,
                      for g, p in zip(gates, w.peepholes))
     c_t = add(mul(f_t, state.cell), mul(u_t, tanh(pre_c)))
     h_t = mul(o_t, tanh(c_t))
-    new_state = ConvLstmState(cell=c_t, hidden=h_t)
-    return (h_t if emit_hidden else c_t), new_state
+    return c_t, ConvLstmState(cell=c_t, hidden=h_t)

@@ -271,11 +271,11 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2d cross-correlation of NCHW input with an OIHW kernel.
+           padding: int = 0) -> Tensor:
+    """2d cross-correlation of NCHW input with an OIHW kernel, at stride 1.
 
-    Output spatial size is (H + 2*padding - kH) // stride + 1. Bias, when
-    given, is added per output channel (the one sanctioned broadcast).
+    Output spatial size is H + 2*padding - kH + 1. Bias, when given, is
+    added per output channel (the one sanctioned broadcast).
 
     Layout: the input windows form an (N, H'*W', Cin*kH*kW) matrix, each
     window flattened in (Cin, kH, kW) order to match the kernel viewed as
@@ -289,8 +289,6 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     if input.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
             f"conv2d expects 4d input/kernel, got {input.shape} and {kernel.shape}")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"conv2d padding must be >= 0, got {padding}")
     n, cin, h, w = input.shape
@@ -312,11 +310,11 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         xp[:, :, padding:padding + h, padding:padding + w] = input.data
     else:
         xp = input.data
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    ho, wo = hp - kh + 1, wp - kw + 1
     sn, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(  # (N, H', W', Cin, kH, kW)
         xp, shape=(n, ho, wo, cin, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+        strides=(sn, sh, sw, sc, sh, sw), writeable=False)
     cols = windows.reshape(n, ho * wo, cin * kh * kw)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
     out = cols @ kmat.T  # (N, H'*W', Cout)
@@ -330,8 +328,7 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         dxp = np.zeros((n, hp, wp, cin))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + stride * ho:stride,
-                    j:j + stride * wo:stride] += dcols[..., i, j]
+                dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
         return dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
     def dkernel(g):

@@ -97,17 +97,17 @@ class Adam:
             p.data -= m_hat
 
 
-def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
+def train_clip(model: Model, frames: Tensor, gts: Tensor,
                state: RecurrenceStates, optimizer: Adam,
                video_id: str, rng=None, first_frame: int = 0,
                epoch: int = 0) -> tuple[float, RecurrenceStates]:
     """One optimizer step over an unrolled clip; returns (mean BCE, carried
     state). The state must come from the same video or be fresh.
 
-    The clip's frames, each shaped [1, 1, H, W], run as one [T, 1, H, W]
-    stack through a single `forward_frame` call, and the loss is one BCE
-    over the stack: the mean of the per-frame means, as every frame has
-    H*W pixels.
+    The clip's T frames and ground-truth maps come as [T, 1, H, W] stacks.
+    The frames run through a single `forward_frame` call, and the loss is
+    one BCE over the stack: the mean of the per-frame means, as every
+    frame has H*W pixels.
 
     A non-finite map or clip loss raises RuntimeError before any gradient
     or optimizer update, naming the video, the clip's frames (counted from
@@ -118,17 +118,15 @@ def train_clip(model: Model, frames: list[Tensor], gts: list[Tensor],
     elif state.video_id != video_id:
         raise ValueError(f"state carries video {state.video_id!r} but clip is "
                          f"from {video_id!r}; reset at video boundaries")
-    stack = Tensor(np.concatenate([f.data for f in frames]))
-    gt = Tensor(np.concatenate([g.data for g in gts]))
     try:
-        pred = model.forward_frame(stack, state, training=True, rng=rng)
-        loss = bce_loss(pred, gt)
+        pred = model.forward_frame(frames, state, training=True, rng=rng)
+        loss = bce_loss(pred, gts)
         if not np.isfinite(loss.item()):
             raise RuntimeError(f"non-finite training loss {loss.item()}")
     except RuntimeError as exc:  # this check or the forward pass's map guard
         raise RuntimeError(
             f"{exc}: video {video_id!r}, "
-            f"frames {first_frame}-{first_frame + len(frames) - 1}, "
+            f"frames {first_frame}-{first_frame + frames.shape[0] - 1}, "
             f"epoch {epoch + 1}") from exc
     model.registry.zero_grad()
     backward(loss)
@@ -143,17 +141,6 @@ class EpochReport:
     per_video: dict[str, float]
 
 
-def _augment_video(frames, gts, mirror: bool, rot_k: int):
-    def tx(a):
-        if mirror:
-            a = a[:, ::-1]
-        if rot_k:
-            a = np.rot90(a, rot_k)
-        return np.ascontiguousarray(a)
-
-    return [tx(f) for f in frames], [tx(g) for g in gts]
-
-
 def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
                 rng: np.random.Generator, epoch: int = 0) -> EpochReport:
     """One pass over the dataset: videos in shuffled order, consecutive
@@ -164,18 +151,21 @@ def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
     per_video: dict[str, float] = {}
     for idx in order:
         s = samples[int(idx)]
-        frames, gts = s.frames, s.gt_maps
+        frames, gts = np.stack(s.frames)[:, None], np.stack(s.gt_maps)[:, None]
         if cfg.augment:
             mirror = bool(rng.integers(0, 2))
-            square = frames[0].shape[0] == frames[0].shape[1]
+            square = frames.shape[2] == frames.shape[3]
             rot_k = int(rng.choice([0, 1, 2, 3] if square else [0, 2]))
-            frames, gts = _augment_video(frames, gts, mirror, rot_k)
+            if mirror:
+                frames, gts = frames[..., ::-1], gts[..., ::-1]
+            frames = np.rot90(frames, rot_k, axes=(2, 3))
+            gts = np.rot90(gts, rot_k, axes=(2, 3))
         state = model.fresh_states(s.video_id)
         clip_losses = []
         for start in range(0, len(frames), cfg.clip_length):
-            clip_f = [Tensor(f[None, None]) for f in frames[start:start + cfg.clip_length]]
-            clip_g = [Tensor(g[None, None]) for g in gts[start:start + cfg.clip_length]]
-            loss, state = train_clip(model, clip_f, clip_g, state, optimizer,
+            clip = slice(start, start + cfg.clip_length)
+            loss, state = train_clip(model, Tensor(frames[clip]),
+                                     Tensor(gts[clip]), state, optimizer,
                                      s.video_id, rng=rng, first_frame=start,
                                      epoch=epoch)
             clip_losses.append(loss)
@@ -327,9 +317,13 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                      f"repeated or of the wrong shape")
                 target[...] = _read_blob_data(f, shape)
             (rlen,) = struct.unpack("<I", _read_exact(f, 4))
-            rng_state = json.loads(_read_exact(f, rlen).decode("utf-8"))
+            rng_bytes = _read_exact(f, rlen)
             rng = np.random.default_rng(0)
-            rng.bit_generator.state = rng_state
+            try:
+                rng.bit_generator.state = json.loads(rng_bytes.decode("utf-8"))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: malformed checkpoint RNG state "
+                                 f"({type(exc).__name__}: {exc})") from exc
             (epoch,) = struct.unpack("<I", _read_exact(f, 4))
             if f.read(1):
                 raise ValueError(f"{path}: trailing bytes after the epoch counter")

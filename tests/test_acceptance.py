@@ -149,8 +149,8 @@ def test_convlstm_invariants():
     for _ in range(1000):
         prev_cell = state.cell.data.copy()
         x = Tensor(rng.uniform(-3, 3, (1, 2, 4, 4)))
-        out, state = convlstm_step(x, state, w2, emit_hidden=True)
-        ok &= bool(np.all(np.abs(out.data) < 1.0))  # H in (-1, 1)
+        _, state = convlstm_step(x, state, w2)
+        ok &= bool(np.all(np.abs(state.hidden.data) < 1.0))  # H in (-1, 1)
         ok &= bool(np.all(np.abs(state.cell.data)
                           <= np.abs(prev_cell) + 1.0 + 1e-12))
     verdict("ConvLSTM: zero-weight fixed point, gate/H ranges, "

@@ -13,7 +13,7 @@ from salrec.data import (SynthConfig, generate, read_dataset, write_dataset,
                          write_predictions)
 from salrec.gradcheck import GradCheckResult
 from salrec.model import Model, ModelConfig, build
-from salrec.training import Adam, save_checkpoint
+from salrec.training import Adam, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -93,6 +93,19 @@ class TestTrain:
         assert run("train", small_ds, out, "--recurrence", kind,
                    "--ema-at", "output", "--epochs", 1) == 1
         assert not out.exists()
+
+    def test_trainable_alpha_refuses_alpha(self, small_ds, tmp_path):
+        """The trainable alpha starts at sigmoid(0) = 0.5 and never reads
+        `alpha`; a run records 0.1 for it, even with two EMA points."""
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--recurrence", "ema-trainable",
+                   "--alpha", 5, "--epochs", 1) == 1
+        assert not out.exists()
+        assert run("train", small_ds, out, "--recurrence", "ema-trainable",
+                   "--ema-at", "encoder1,bottleneck", "--epochs", 1) == 0
+        assert json.loads((out / "config.json").read_text())["model"]["alpha"] == 0.1
+        model, *_ = load_checkpoint(out / "checkpoint_final.salr")
+        assert model.cfg.alpha == 0.1
 
     def test_missing_dataset_exits_2(self, tmp_path):
         assert run("train", tmp_path / "nope", tmp_path / "run") == 2
@@ -254,6 +267,24 @@ class TestEval:
                          + raw[12 + clen:])
         assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
         assert f"error: {ckpt}: malformed checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state", [[1, 2], {"bit_generator": "PCG64"}],
+                             ids=["list", "no-state"])
+    def test_malformed_rng_state_exits_2(self, small_ds, tmp_path, capsys,
+                                         state):
+        ckpt = tmp_path / "rng.salr"
+        model = build(ModelConfig(input_size=(16, 16)))
+        rng = np.random.default_rng(0)
+        save_checkpoint(ckpt, model, Adam(model.registry), rng, 0)
+        raw = ckpt.read_bytes()
+        old = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+        at = raw.rindex(old)
+        new = json.dumps(state).encode()
+        ckpt.write_bytes(raw[:at - 4] + struct.pack("<I", len(new)) + new
+                         + raw[at + len(old):])
+        assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
+        assert (f"error: {ckpt}: malformed checkpoint RNG state"
+                in capsys.readouterr().err)
 
     def test_checkpoint_header_missing_field_exits_2(self, small_ds, tmp_path,
                                                      capsys):

@@ -81,7 +81,7 @@ class TestRegistry:
         layer = ConvLayer(reg, "c1", 2, 4, 3, np.random.default_rng(0),
                           padding=1)
         assert reg.names() == ["c1.kernel", "c1.bias"]
-        assert reg.total_count() == 4 * 2 * 3 * 3 + 4
+        assert sum(p.size for _, p in reg.items()) == 4 * 2 * 3 * 3 + 4
         assert layer.kernel.requires_grad and layer.bias.requires_grad
 
     def test_iteration_order_deterministic(self):

@@ -5,13 +5,16 @@ import pytest
 
 from salrec.model import ModelConfig, build, parse_point
 from salrec.recurrence import EmaConfig, EmaState, ema_step
-from salrec.tensor import Tensor, add, backward, scale
+from salrec.tensor import Tensor, add, backward, no_grad, scale
 from salrec.training import bce_loss
 
 
-def frames_from(rng, n, size=32, channels=1):
-    return [Tensor(rng.uniform(0, 1, size=(1, channels, size, size)))
-            for _ in range(n)]
+def frames_from(rng, n, size=32):
+    return [rng.uniform(0, 1, size=(size, size)) for _ in range(n)]
+
+
+def parameter_count(model):
+    return sum(p.size for _, p in model.registry.items())
 
 
 class TestInsertionPoint:
@@ -65,7 +68,7 @@ class TestBuild:
             expected += c * prev * 9 + c
             prev = c
         expected += 1 * prev * 1 + 1  # 1x1 head
-        assert model.registry.total_count() == expected
+        assert parameter_count(model) == expected
 
     def test_convlstm_registry(self):
         model = build(ModelConfig(recurrence="convlstm"))
@@ -77,7 +80,7 @@ class TestBuild:
                         ("convlstm.u.peephole", (32, 4, 4)),
                         ("convlstm.f.peephole", (32, 4, 4)),
                         ("convlstm.o.peephole", (32, 4, 4))]
-        assert model.registry.total_count() == 87_657
+        assert parameter_count(model) == 87_657
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -104,10 +107,10 @@ class TestForwardFrame:
         model = build(ModelConfig(recurrence="none", seed=0))
         rng = np.random.default_rng(0)
         fs = frames_from(rng, 3)
-        seq = model.forward_sequence(fs)
-        rev = model.forward_sequence(fs[::-1])
+        seq = model.predict_sequence(fs)
+        rev = model.predict_sequence(fs[::-1])
         for a, b in zip(seq, rev[::-1]):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
 
     def test_ema_alpha_one_equals_none(self):
         # identical seeds give identical conv weights; alpha=1 is an identity
@@ -115,22 +118,22 @@ class TestForwardFrame:
         ema_model = build(ModelConfig(recurrence="ema", alpha=1.0, seed=3))
         rng = np.random.default_rng(1)
         fs = frames_from(rng, 4)
-        for a, b in zip(none_model.forward_sequence(fs),
-                        ema_model.forward_sequence(fs)):
-            assert np.array_equal(a.data, b.data)
+        for a, b in zip(none_model.predict_sequence(fs),
+                        ema_model.predict_sequence(fs)):
+            assert np.array_equal(a, b)
 
     def test_constant_video_constant_output(self):
         model = build(ModelConfig(recurrence="ema", alpha=0.3, seed=4))
-        frame = Tensor(np.random.default_rng(2).uniform(0, 1, (1, 1, 32, 32)))
-        maps = model.forward_sequence([frame] * 5)
+        frame = np.random.default_rng(2).uniform(0, 1, (32, 32))
+        maps = model.predict_sequence([frame] * 5)
         for m in maps[1:]:
-            np.testing.assert_allclose(m.data, maps[0].data, atol=1e-12)
+            np.testing.assert_allclose(m, maps[0], atol=1e-12)
 
     def test_output_in_unit_interval(self):
         model = build(ModelConfig(recurrence="convlstm", seed=5))
         rng = np.random.default_rng(3)
-        for m in model.forward_sequence(frames_from(rng, 3)):
-            assert m.data.min() >= 0.0 and m.data.max() <= 1.0
+        for m in model.predict_sequence(frames_from(rng, 3)):
+            assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_foreign_state_rejected(self):
         a = build(ModelConfig(seed=0))
@@ -150,17 +153,20 @@ class TestForwardFrame:
 
 
 class TestForwardSequence:
+    """A video's frames run through the model in order (`predict_sequence`)."""
+
     def test_single_frame_equals_forward_frame(self):
         model = build(ModelConfig(recurrence="ema", alpha=0.2, seed=6))
-        frame = Tensor(np.random.default_rng(4).uniform(0, 1, (1, 1, 32, 32)))
-        seq = model.forward_sequence([frame])
-        single = model.forward_frame(frame, model.fresh_states())
-        assert np.array_equal(seq[0].data, single.data)
+        frame = np.random.default_rng(4).uniform(0, 1, (32, 32))
+        seq = model.predict_sequence([frame])
+        single = model.forward_frame(Tensor(frame[None, None]),
+                                     model.fresh_states())
+        assert np.array_equal(seq[0], single.data[0, 0])
 
     def test_empty_sequence_rejected(self):
         model = build(ModelConfig(seed=0))
         with pytest.raises(ValueError, match="at least one"):
-            model.forward_sequence([])
+            model.predict_sequence([])
 
     def test_output_ema_composes_with_standalone_oracle(self):
         stateless = build(ModelConfig(recurrence="none", seed=7))
@@ -168,32 +174,32 @@ class TestForwardSequence:
                                     ema_points=("output",), seed=7))
         rng = np.random.default_rng(5)
         fs = frames_from(rng, 6)
-        raw_maps = [m for m in stateless.forward_sequence(fs)]
+        raw_maps = stateless.predict_sequence(fs)
         cfg = EmaConfig(alpha=0.1)
         state = EmaState()
         expected = []
         for m in raw_maps:
-            out, state = ema_step(m, state, cfg)
+            out, state = ema_step(Tensor(m), state, cfg)
             expected.append(out.data)
-        got = wrapped.forward_sequence(fs)
+        got = wrapped.predict_sequence(fs)
         for e, g in zip(expected, got):
-            np.testing.assert_allclose(g.data, e, atol=1e-12)
+            np.testing.assert_allclose(g, e, atol=1e-12)
 
     def test_frame_permutation_changes_outputs(self):
         model = build(ModelConfig(recurrence="ema", alpha=0.1, seed=8))
         rng = np.random.default_rng(6)
         fs = frames_from(rng, 3)
-        a = model.forward_sequence(fs)[-1]
-        b = model.forward_sequence([fs[1], fs[0], fs[2]])[-1]
-        assert not np.array_equal(a.data, b.data)
+        a = model.predict_sequence(fs)[-1]
+        b = model.predict_sequence([fs[1], fs[0], fs[2]])[-1]
+        assert not np.array_equal(a, b)
 
     def test_temporal_influence_of_first_frame(self):
         model = build(ModelConfig(recurrence="ema", alpha=0.3, seed=9))
         rng = np.random.default_rng(7)
         fs = frames_from(rng, 6)
-        base = model.forward_sequence(fs)[5].data
-        perturbed = [Tensor(fs[0].data + 0.1)] + fs[1:]
-        moved = model.forward_sequence(perturbed)[5].data
+        base = model.predict_sequence(fs)[5]
+        perturbed = [fs[0] + 0.1] + fs[1:]
+        moved = model.predict_sequence(perturbed)[5]
         assert np.abs(base - moved).max() > 0.0
 
     def test_dual_insertion_keeps_two_states(self):
@@ -202,8 +208,8 @@ class TestForwardSequence:
         states = model.fresh_states()
         assert len(states.states) == 2
         rng = np.random.default_rng(8)
-        for f in frames_from(rng, 3):
-            model.forward_frame(f, states)
+        model.forward_frame(Tensor(np.stack(frames_from(rng, 3))[:, None]),
+                            states)
         accs = [st.accumulator for st in states.states.values()]
         assert all(a is not None for a in accs)
         assert accs[0].shape != accs[1].shape  # encoder vs decoder resolution
@@ -212,8 +218,8 @@ class TestForwardSequence:
         model = build(ModelConfig(recurrence="ema-residual", alpha=0.5,
                                   ema_points=("output",), seed=11))
         rng = np.random.default_rng(9)
-        for m in model.forward_sequence(frames_from(rng, 4)):
-            assert m.data.min() >= 0.0 and m.data.max() <= 1.0
+        for m in model.predict_sequence(frames_from(rng, 4)):
+            assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_dropout_only_active_in_training(self):
         cfg = ModelConfig(recurrence="ema", alpha=0.5, dropout=True, seed=12)
@@ -245,9 +251,9 @@ DROPOUT_CASES = ("ema-bottleneck", "ema-trainable", "ema-residual-output",
                  "convlstm")
 
 
-def stack_model(dropout=False, **kw):
+def stack_model(dropout=False, alpha=0.3, **kw):
     return build(ModelConfig(input_size=(16, 16), stages=2, base_channels=4,
-                             alpha=0.3, dropout=dropout, seed=13, **kw))
+                             alpha=alpha, dropout=dropout, seed=13, **kw))
 
 
 def per_frame_fold(model, frames, gts, states, rng):
@@ -347,3 +353,18 @@ class TestFrameStack:
         assert np.array_equal(stacked, maps(per_frame_fold, PointMajor(2)))
         assert not np.array_equal(
             stacked, maps(per_frame_fold, np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("case,alpha_override", [
+        *((case, None) for case in sorted(STACK_CASES)),
+        ("ema-bottleneck", 0.3)])
+    def test_predict_sequence_matches_one_stack(self, case, alpha_override):
+        """Evaluation maps frame by frame equal one `no_grad` call over the
+        video's [T, 1, H, W] stack; the override replaces the model's 0.1."""
+        model = stack_model(alpha=0.1, **STACK_CASES[case])
+        frames = np.random.default_rng(3).uniform(0, 1, size=(6, 16, 16))
+        maps = model.predict_sequence(list(frames), alpha_override)
+        with no_grad():
+            stacked = model.forward_frame(Tensor(frames[:, None]),
+                                          model.fresh_states(),
+                                          alpha_override=alpha_override)
+        assert np.array_equal(np.stack(maps), stacked.data[:, 0])

@@ -173,14 +173,11 @@ class TestConvLstm:
             assert np.all(np.abs(state.hidden.data) < 1.0)
             assert np.all(np.abs(state.cell.data) <= np.abs(prev_cell) + 1.0)
 
-    def test_emit_hidden_switch(self):
+    def test_emits_cell_state(self):
         _, w = make_weights(seed=8)
         x = Tensor(np.random.default_rng(9).normal(size=(1, 2, 3, 3)))
-        out_c, st_c = convlstm_step(x, ConvLstmState.zeros(1, 2, 3, 3), w)
-        out_h, st_h = convlstm_step(x, ConvLstmState.zeros(1, 2, 3, 3), w,
-                                    emit_hidden=True)
-        assert np.array_equal(out_c.data, st_c.cell.data)
-        assert np.array_equal(out_h.data, st_h.hidden.data)
+        out, state = convlstm_step(x, ConvLstmState.zeros(1, 2, 3, 3), w)
+        assert np.array_equal(out.data, state.cell.data)
 
     def test_shape_mismatch_rejected(self):
         _, w = make_weights()

@@ -49,16 +49,16 @@ class TestConv2d:
         out = conv2d(x, k).data[0, 0]
         np.testing.assert_array_equal(out, [[2, 4], [6, 8]])
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("ksize", [1, 3])
-    def test_output_shape_formula(self, stride, padding, ksize):
+    def test_output_shape_formula(self, n, padding, ksize):
         h = w = 9
-        x = t(np.zeros((1, 2, h, w)))
+        x = t(np.zeros((n, 2, h, w)))
         k = t(np.zeros((3, 2, ksize, ksize)))
-        out = conv2d(x, k, stride=stride, padding=padding)
-        expected = (h + 2 * padding - ksize) // stride + 1
-        assert out.shape == (1, 3, expected, expected)
+        out = conv2d(x, k, padding=padding)
+        expected = h + 2 * padding - ksize + 1
+        assert out.shape == (n, 3, expected, expected)
 
     def test_channel_mismatch_names_both_shapes(self):
         x = t(np.zeros((1, 3, 4, 4)))
@@ -71,26 +71,24 @@ class TestConv2d:
         x = rng.normal(size=(1, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        out = conv2d(t(x), t(k), t(b), stride=2, padding=1).data
+        out = conv2d(t(x), t(k), t(b), padding=1).data
         # independent scalar-loop convolution
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         for n in range(1):
             for co in range(3):
                 for i in range(out.shape[2]):
                     for j in range(out.shape[3]):
-                        win = xp[n, :, 2 * i:2 * i + 3, 2 * j:2 * j + 3]
+                        win = xp[n, :, i:i + 3, j:j + 3]
                         ref = (win * k[co]).sum() + b[co]
                         assert out[n, co, i, j] == pytest.approx(ref, abs=1e-12)
 
 
-def reference_conv2d(input, kernel, bias=None, stride=1, padding=0):
+def reference_conv2d(input, kernel, bias=None, padding=0):
     """conv2d by np.pad, sliding_window_view, an einsum kernel gradient and
     an NCHW scatter: the oracle for conv2d's outputs and gradients."""
     if input.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
             f"conv2d expects 4d input/kernel, got {input.shape} and {kernel.shape}")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
     if padding < 0:
         raise ValueError(f"conv2d padding must be >= 0, got {padding}")
     n, cin, h, w = input.shape
@@ -108,8 +106,8 @@ def reference_conv2d(input, kernel, bias=None, stride=1, padding=0):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
     xp = np.pad(input.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # (N, Cin, H', W', kH, kW)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (N, Cin, H', W', kH, kW)
     ho, wo = windows.shape[2], windows.shape[3]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, cin * kh * kw)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
@@ -131,8 +129,7 @@ def reference_conv2d(input, kernel, bias=None, stride=1, padding=0):
         dxp = np.zeros((n, cin, hp, wp))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + stride * ho:stride,
-                    j:j + stride * wo:stride] += dcols[:, :, i, j]
+                dxp[:, :, i:i + ho, j:j + wo] += dcols[:, :, i, j]
         if padding:
             dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
         return dxp
@@ -143,11 +140,11 @@ def reference_conv2d(input, kernel, bias=None, stride=1, padding=0):
     return _node(out, *edges)
 
 
-def _window_matrix(x, kh, kw, stride, padding):
+def _window_matrix(x, kh, kw, padding):
     """(N*H'*W', Cin*kH*kW) matrix of input windows, as the reference builds it."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    win = win.transpose(0, 2, 3, 1, 4, 5)
     return win.reshape(-1, x.shape[1] * kh * kw)
 
 
@@ -168,7 +165,7 @@ def conv_cases(draw):
     lo = max(1, k - 2 * padding)  # the kernel must fit the padded input
     return dict(n=draw(st.sampled_from([1, 2])),
                 cin=draw(st.integers(1, 4)), cout=draw(st.integers(1, 4)),
-                k=k, stride=draw(st.sampled_from([1, 2, 3])), padding=padding,
+                k=k, padding=padding,
                 h=draw(st.integers(lo, 7)), w=draw(st.integers(lo, 7)),
                 seed=draw(st.integers(0, 2**32 - 1)))
 
@@ -178,14 +175,14 @@ class TestConv2dReference:
     def test_matches_reference(self, case):
         rng = np.random.default_rng(case["seed"])
         n, cin, cout, k = case["n"], case["cin"], case["cout"], case["k"]
-        stride, padding = case["stride"], case["padding"]
+        padding = case["padding"]
         x = rng.normal(size=(n, cin, case["h"], case["w"]))
         kern = rng.normal(size=(cout, cin, k, k))
         b = rng.normal(size=cout)
         results = []
         for op in (conv2d, reference_conv2d):
             xt, kt, bt = t(x, grad=True), t(kern, grad=True), t(b, grad=True)
-            y = op(xt, kt, bt, stride=stride, padding=padding)
+            y = op(xt, kt, bt, padding=padding)
             g = np.random.default_rng(case["seed"] + 1).normal(size=y.shape)
             backward(tsum(mul(y, t(g))))  # upstream gradient of y is g
             results.append((y.data, xt.grad, kt.grad, bt.grad, g))
@@ -195,7 +192,7 @@ class TestConv2dReference:
         assert np.array_equal(db, db_ref)
         # the kernel gradient sums N*H'*W' products in another order
         positions = n * y.shape[2] * y.shape[3]
-        cols = _window_matrix(x, k, k, stride, padding)
+        cols = _window_matrix(x, k, k, padding)
         g_abs = np.abs(g).transpose(1, 0, 2, 3).reshape(cout, positions)
         bound = (positions * np.finfo(np.float64).eps
                  * (g_abs @ np.abs(cols)).reshape(dk.shape))
@@ -527,7 +524,7 @@ def _away_from(rng, shape, points, gap=0.2):
 # name -> (op over the inputs, function making the inputs); each op runs
 # alone between its inputs and a fixed random projection to a scalar
 OP_CASES = {
-    "conv2d": (lambda x, k, b: conv2d(x, k, b, stride=2, padding=1),
+    "conv2d": (lambda x, k, b: conv2d(x, k, b, padding=1),
                lambda r: [_uniform(r, (2, 2, 5, 5)), _uniform(r, (3, 2, 3, 3)),
                           _uniform(r, (3,))]),
     "concat-channels": (lambda a, b: concat(a, b, axis=1),
@@ -620,8 +617,8 @@ class TestTracerContract:
         net = build(cfg)
         h, w = cfg.input_size
         rng = np.random.default_rng(0)
-        frames = [t(rng.uniform(size=(1, 1, h, w))) for _ in range(n_frames)]
-        gts = [t(rng.uniform(size=(1, 1, h, w))) for _ in range(n_frames)]
+        frames = t(rng.uniform(size=(n_frames, 1, h, w)))
+        gts = t(rng.uniform(size=(n_frames, 1, h, w)))
         optimizer = Adam(net.registry)
         if tracer is not None:
             tracer.install()

@@ -163,29 +163,34 @@ class TestAdam:
                         == opts[1].registry[name].data.tobytes()), (step, name)
 
 
-class TestTrainClip:
-    def to_tensors(self, arrs):
-        return [Tensor(a[None, None]) for a in arrs]
+def to_stack(arrs):
+    """A clip's (H, W) frames or maps as one [T, 1, H, W] tensor."""
+    return Tensor(np.stack(arrs)[:, None])
 
+
+def to_tensors(arrs):
+    return [Tensor(a[None, None]) for a in arrs]
+
+
+class TestTrainClip:
     def test_loss_equals_mean_of_independent_frame_losses(self):
         model = small_model(recurrence="none")
         data = small_dataset()[0]
-        frames = self.to_tensors(data.frames[:4])
-        gts = self.to_tensors(data.gt_maps[:4])
+        frames, gts = data.frames[:4], data.gt_maps[:4]
         with no_grad():
             expected = np.mean([
                 bce_loss(model.forward_frame(f, model.fresh_states()), g).item()
-                for f, g in zip(frames, gts)])
+                for f, g in zip(to_tensors(frames), to_tensors(gts))])
         opt = Adam(model.registry, lr=1e-3)
-        loss, _ = train_clip(model, frames, gts, model.fresh_states(), opt,
-                             "v0")
+        loss, _ = train_clip(model, to_stack(frames), to_stack(gts),
+                             model.fresh_states(), opt, "v0")
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_single_frame_clip_is_static_step(self):
         model = small_model(recurrence="ema")
         data = small_dataset()[0]
-        frames = self.to_tensors(data.frames[:1])
-        gts = self.to_tensors(data.gt_maps[:1])
+        frames = to_stack(data.frames[:1])
+        gts = to_stack(data.gt_maps[:1])
         opt = Adam(model.registry, lr=1e-3)
         loss, state = train_clip(model, frames, gts, model.fresh_states(), opt,
                                  "v0")
@@ -195,8 +200,8 @@ class TestTrainClip:
     def test_video_mixing_rejected(self):
         model = small_model()
         data = small_dataset()[0]
-        frames = self.to_tensors(data.frames[:2])
-        gts = self.to_tensors(data.gt_maps[:2])
+        frames = to_stack(data.frames[:2])
+        gts = to_stack(data.gt_maps[:2])
         opt = Adam(model.registry, lr=1e-3)
         _, state = train_clip(model, frames, gts, model.fresh_states(), opt,
                               "video-a")
@@ -208,10 +213,10 @@ class TestTrainClip:
         # state replaced by a constant holding the same values
         model = small_model(recurrence="ema")
         data = small_dataset()[0]
-        f1 = self.to_tensors(data.frames[:3])
-        g1 = self.to_tensors(data.gt_maps[:3])
-        f2 = self.to_tensors(data.frames[3:6])
-        g2 = self.to_tensors(data.gt_maps[3:6])
+        f1 = to_stack(data.frames[:3])
+        g1 = to_stack(data.gt_maps[:3])
+        f2 = to_tensors(data.frames[3:6])
+        g2 = to_tensors(data.gt_maps[3:6])
 
         def clip2_grads(state):
             from salrec.tensor import add, backward, scale
@@ -245,6 +250,37 @@ class TestTrainClip:
         from salrec.gradcheck import check_model
         for result in check_model(seed=2):
             assert result.passed, f"{result.name}: {result.max_rel_err}"
+
+
+def reference_augment_video(frames, gts, mirror: bool, rot_k: int):
+    """The per-frame augmentation `train_epoch` once applied: each (H, W)
+    frame and map mirrored along W, then turned by rot_k right angles."""
+    def tx(a):
+        if mirror:
+            a = a[:, ::-1]
+        if rot_k:
+            a = np.rot90(a, rot_k)
+        return np.ascontiguousarray(a)
+
+    return [tx(f) for f in frames], [tx(g) for g in gts]
+
+
+class FixedDraws:
+    """An rng stand-in for `train_epoch`: videos in dataset order, and the
+    given mirror and rotation for every video."""
+
+    def __init__(self, mirror: bool, rot_k: int):
+        self.mirror, self.rot_k = mirror, rot_k
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def integers(self, low, high):
+        return int(self.mirror)
+
+    def choice(self, options):
+        assert self.rot_k in options
+        return self.rot_k
 
 
 class TestTrainEpoch:
@@ -296,6 +332,32 @@ class TestTrainEpoch:
                                np.random.default_rng(cfg.seed)).mean_loss
 
         assert run() == run()
+
+    @pytest.mark.parametrize("size,mirror,rot_k", [
+        *(((16, 16), m, k) for m in (False, True) for k in range(4)),
+        *(((8, 12), m, k) for m in (False, True) for k in (0, 2))])
+    def test_stack_augmentation_matches_per_frame_reference(
+            self, monkeypatch, size, mirror, rot_k):
+        data = generate(SynthConfig(n_videos=2, frames_per_video=5,
+                                    height=size[0], width=size[1], seed=1))
+        clips = []
+
+        def record(model, frames, gts, state, *args, **kw):
+            clips.append((frames.data, gts.data))
+            return 0.0, state
+
+        monkeypatch.setattr(training_mod, "train_clip", record)
+        cfg = TrainConfig(epochs=1, clip_length=2, augment=True)
+        train_epoch(small_model(), data, cfg, None, FixedDraws(mirror, rot_k))
+        assert len(clips) == 6  # clips of 2, 2 and 1 frames per video
+        for v, s in enumerate(data):
+            frames, gts = reference_augment_video(s.frames, s.gt_maps,
+                                                  mirror, rot_k)
+            got = clips[3 * v:3 * v + 3]
+            assert np.array_equal(np.concatenate([f for f, _ in got]),
+                                  np.stack(frames)[:, None])
+            assert np.array_equal(np.concatenate([g for _, g in got]),
+                                  np.stack(gts)[:, None])
 
     @pytest.mark.parametrize("where", ["parameter", "ground truth"])
     def test_non_finite_loss_fails_before_update(self, where):
