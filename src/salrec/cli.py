@@ -212,21 +212,20 @@ def cmd_eval(args) -> int:
 
 def read_report_csv(path: Path) -> metrics_mod.MetricReport:
     report = metrics_mod.MetricReport(per_frame={})
-    with open(path) as f:
-        reader = csv.DictReader(f)
-        for column in ("video_id", "metric", "mean", "valid_frames"):
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{path}: report has no {column!r} column")
-        for row in reader:
-            m, vid = row["metric"], row["video_id"]
-            try:  # a short row reads None for its missing fields
-                mean = float(row["mean"]) if row["mean"] else None
-                report.valid_counts.setdefault(m, {})[vid] = int(
-                    row["valid_frames"])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}: line {reader.line_num} is not a "
-                                 f"report row") from None
-            report.video_means.setdefault(m, {})[vid] = mean
+    reader = csv.DictReader(data_mod.read_utf8(path).splitlines(keepends=True))
+    for column in ("video_id", "metric", "mean", "valid_frames"):
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: report has no {column!r} column")
+    for row in reader:
+        m, vid = row["metric"], row["video_id"]
+        try:  # a short row reads None for its missing fields
+            mean = float(row["mean"]) if row["mean"] else None
+            report.valid_counts.setdefault(m, {})[vid] = int(
+                row["valid_frames"])
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: line {reader.line_num} is not a "
+                             f"report row") from None
+        report.video_means.setdefault(m, {})[vid] = mean
     for m, vm in report.video_means.items():
         vals = [v for v in vm.values() if v is not None]
         report.dataset_means[m] = float(np.mean(vals)) if vals else None

@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -55,6 +54,34 @@ def read_pgm(path: Path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w) / 255.0
 
 
+def _write_maps(vdir: Path, maps: list[np.ndarray]) -> None:
+    """Write maps as vdir/0000.pgm, vdir/0001.pgm, ... in order."""
+    vdir.mkdir(parents=True, exist_ok=True)
+    for t, m in enumerate(maps):
+        write_pgm(vdir / f"{t:04d}.pgm", m)
+
+
+def _read_maps(vdir: Path, n: int, shape: tuple[int, int]) -> list[np.ndarray]:
+    """Read vdir/0000.pgm ... vdir/<n-1>.pgm by name; a missing map or one
+    of another size raises, naming the file."""
+    maps = []
+    for t in range(n):
+        path = vdir / f"{t:04d}.pgm"
+        m = read_pgm(path)
+        if m.shape != shape:
+            raise ValueError(f"{path}: shape {m.shape}, expected {shape}")
+        maps.append(m)
+    return maps
+
+
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; other bytes raise ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def write_fixations(path: Path, fix: FixationMap) -> None:
     with open(path, "w") as f:
         for r, c in fix.points:
@@ -65,12 +92,8 @@ def read_fixations(path: Path, extent: tuple[int, int]) -> FixationMap:
     """One "row col" fixation per line of a UTF-8 file. A malformed line or
     a point outside the extent raises ValueError naming `<path>:<line>`."""
     h, w = extent
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     points = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -197,11 +220,10 @@ def write_dataset(samples: list[VideoSample], root: Path) -> None:
     for s in samples:
         h, w = s.frames[0].shape
         vdir = root / s.video_id
-        for sub in ("frames", "gt", "fix"):
-            (vdir / sub).mkdir(parents=True, exist_ok=True)
-        for t, (frame, gt, fix) in enumerate(zip(s.frames, s.gt_maps, s.fixations)):
-            write_pgm(vdir / "frames" / f"{t:04d}.pgm", frame)
-            write_pgm(vdir / "gt" / f"{t:04d}.pgm", gt)
+        _write_maps(vdir / "frames", s.frames)
+        _write_maps(vdir / "gt", s.gt_maps)
+        (vdir / "fix").mkdir(parents=True, exist_ok=True)
+        for t, fix in enumerate(s.fixations):
             write_fixations(vdir / "fix" / f"{t:04d}.txt", fix)
         entries.append({"video_id": s.video_id, "frames": len(s.frames),
                         "height": h, "width": w, "path": s.video_id})
@@ -216,12 +238,13 @@ _ENTRY_FIELDS = {"video_id": str, "path": str, "frames": int, "height": int,
 
 def _load_manifest(root: Path) -> list[dict]:
     """The manifest's video entries, checked before any frame is read: each
-    has every field at its type, at least one frame, and the frame size of
-    the first video."""
+    has every field at its type, a video_id no other entry has, at least
+    one frame, and the frame size of the first video."""
     path = Path(root) / MANIFEST_NAME
-    if not path.exists():
-        raise FileNotFoundError(f"{path}: dataset manifest missing")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: the manifest is not a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
@@ -230,6 +253,7 @@ def _load_manifest(root: Path) -> list[dict]:
     videos = manifest.get("videos")
     if not isinstance(videos, list) or not videos:
         raise ValueError(f"{path}: the manifest lists no videos")
+    seen = set()
     for i, entry in enumerate(videos):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: video entry {i} is not a JSON object")
@@ -239,6 +263,9 @@ def _load_manifest(root: Path) -> list[dict]:
             if type(entry[key]) is not kind:  # rejects true/false as ints
                 raise ValueError(f"{path}: video entry {i} has {key} "
                                  f"{entry[key]!r}, expected {kind.__name__}")
+        if entry["video_id"] in seen:
+            raise ValueError(f"{path}: video_id {entry['video_id']!r} repeats")
+        seen.add(entry["video_id"])
         if entry["frames"] < 1:
             raise ValueError(f"{path}: video {entry['video_id']} lists "
                              f"{entry['frames']} frames, expected >= 1")
@@ -255,24 +282,11 @@ def read_dataset(root: Path) -> list[VideoSample]:
     samples = []
     for entry in _load_manifest(root):
         vdir = root / entry["path"]
-        h, w = entry["height"], entry["width"]
-        frames, gts, fixes = [], [], []
-        for t in range(entry["frames"]):
-            fpath = vdir / "frames" / f"{t:04d}.pgm"
-            gpath = vdir / "gt" / f"{t:04d}.pgm"
-            xpath = vdir / "fix" / f"{t:04d}.txt"
-            for p in (fpath, gpath, xpath):
-                if not p.exists():
-                    raise FileNotFoundError(f"{p}: listed in manifest but missing")
-            frame = read_pgm(fpath)
-            gt = read_pgm(gpath)
-            for p, arr in ((fpath, frame), (gpath, gt)):
-                if arr.shape != (h, w):
-                    raise ValueError(f"{p}: shape {arr.shape} does not match "
-                                     f"manifest ({h}, {w})")
-            frames.append(frame)
-            gts.append(gt)
-            fixes.append(read_fixations(xpath, (h, w)))
+        n, size = entry["frames"], (entry["height"], entry["width"])
+        frames = _read_maps(vdir / "frames", n, size)
+        gts = _read_maps(vdir / "gt", n, size)
+        fixes = [read_fixations(vdir / "fix" / f"{t:04d}.txt", size)
+                 for t in range(n)]
         samples.append(VideoSample(video_id=entry["video_id"], frames=frames,
                                    gt_maps=gts, fixations=fixes))
     return samples
@@ -280,23 +294,20 @@ def read_dataset(root: Path) -> list[VideoSample]:
 
 def load_predictions(root: Path, reference: list[VideoSample]
                      ) -> dict[str, list[np.ndarray]]:
-    """Load externally produced PGM maps mirroring the dataset layout."""
-    root = Path(root)
+    """Load externally produced maps, <root>/<video_id>/NNNN.pgm, one per
+    frame of each reference video and at its frame size."""
     preds = {}
     for s in reference:
-        vdir = root / s.video_id
-        files = sorted(vdir.glob("*.pgm"))
-        if len(files) != len(s.frames):
-            raise ValueError(f"video {s.video_id}: {len(files)} prediction "
+        vdir = Path(root) / s.video_id
+        found = len(list(vdir.glob("*.pgm")))
+        if found != len(s.frames):
+            raise ValueError(f"video {s.video_id}: {found} prediction "
                              f"maps for {len(s.frames)} frames")
-        preds[s.video_id] = [read_pgm(p) for p in files]
+        preds[s.video_id] = (_read_maps(vdir, len(s.frames), s.frames[0].shape)
+                             if s.frames else [])
     return preds
 
 
 def write_predictions(preds: dict[str, list[np.ndarray]], root: Path) -> None:
-    root = Path(root)
     for vid, maps in preds.items():
-        vdir = root / vid
-        vdir.mkdir(parents=True, exist_ok=True)
-        for t, m in enumerate(maps):
-            write_pgm(vdir / f"{t:04d}.pgm", m)
+        _write_maps(Path(root) / vid, maps)

@@ -21,22 +21,24 @@ METRIC_NAMES = ("AUC-J", "s-AUC", "NSS", "CC", "SIM")
 
 @dataclass
 class FixationMap:
-    """Discrete gaze locations; duplicates allowed (multiple observers)."""
+    """Discrete gaze locations; duplicates allowed (multiple observers).
+    `index` holds each point's flat pixel index `r * W + c`, in order."""
     points: list[tuple[int, int]]
     extent: tuple[int, int]
+    index: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         h, w = self.extent
         for r, c in self.points:
             if not (0 <= r < h and 0 <= c < w):
                 raise ValueError(f"fixation ({r}, {c}) outside extent {self.extent}")
+        self.index = np.array([r * w + c for r, c in self.points], dtype=np.int64)
 
     def unique_indices(self, shape: tuple[int, int]) -> np.ndarray:
         """Unique flat pixel indices of the fixated locations."""
         if shape != self.extent:
             raise ValueError(f"map shape {shape} != fixation extent {self.extent}")
-        flat = np.array([r * shape[1] + c for r, c in self.points], dtype=np.int64)
-        return np.unique(flat)
+        return np.unique(self.index)
 
 
 def nss(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
@@ -50,8 +52,7 @@ def nss(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
         return None
     z = (pred - pred.mean()) / sd
     # every observation counts, duplicates included
-    vals = z.reshape(-1)[[r * pred.shape[1] + c for r, c in fix.points]]
-    return float(np.mean(vals))
+    return float(np.mean(z.reshape(-1)[fix.index]))
 
 
 def cc(pred: np.ndarray, gt: np.ndarray) -> Optional[float]:
@@ -101,9 +102,7 @@ def auc_judd(pred: np.ndarray, fix: FixationMap) -> Optional[float]:
     flat = pred.reshape(-1)
     if len(idx) == flat.size:
         return None  # no negatives
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[idx] = True
-    return _auc_from_scores(flat[mask], flat[~mask])
+    return _auc_from_scores(flat[idx], np.delete(flat, idx))
 
 
 def auc_shuffled(pred: np.ndarray, fix: FixationMap,
@@ -119,14 +118,11 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
         return None
     if not other_fix:
         raise ValueError("auc_shuffled needs a non-empty pool of other fixations")
-    pool: set[int] = set()
-    w = pred.shape[1]
-    for om in other_fix:
-        if om.extent != fix.extent:
-            raise ValueError("fixation extents differ across the pool")
-        pool.update(r * w + c for r, c in om.points)
-    pool.difference_update(pos_idx.tolist())
-    pool_arr = np.array(sorted(pool), dtype=np.int64)
+    if any(om.extent != fix.extent for om in other_fix):
+        raise ValueError("fixation extents differ across the pool")
+    # the distinct pool pixels that are not positives, sorted
+    pool_arr = np.setdiff1d(np.concatenate([om.index for om in other_fix]),
+                            pos_idx)
     if pool_arr.size == 0:
         return None
     flat = pred.reshape(-1)

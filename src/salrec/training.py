@@ -201,7 +201,7 @@ def _read_blob_head(f) -> tuple[str, tuple]:
     """The name and declared shape of the next array. Its data follows;
     the caller checks the shape before `_read_blob_data` sizes a read by it."""
     (nlen,) = struct.unpack("<I", _read_exact(f, 4))
-    name = _read_exact(f, nlen).decode("utf-8")
+    name = _read_exact(f, nlen).decode("utf-8", "backslashreplace")
     (rank,) = struct.unpack("<I", _read_exact(f, 4))
     return name, tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
 
@@ -209,6 +209,34 @@ def _read_blob_head(f) -> tuple[str, tuple]:
 def _read_blob_data(f, shape: tuple) -> np.ndarray:
     count = int(np.prod(shape))
     return np.frombuffer(_read_exact(f, 8 * count), dtype="<f8").reshape(shape)
+
+
+def _arrays(model: Model, optimizer: Adam) -> tuple[dict, dict]:
+    """The checkpoint's two sections of named arrays, in file order: the
+    parameters, then the Adam moments `adam.m.<p>` and `adam.v.<p>`."""
+    params = {name: p.data for name, p in model.registry.items()}
+    moments = {f"adam.{kind}.{name}": state[name]
+               for kind, state in (("m", optimizer.m), ("v", optimizer.v))
+               for name in params}
+    return params, moments
+
+
+def _read_section(f, path: Path, label: str, arrays: dict) -> None:
+    """Fill `arrays` in place from the file's next section. The count, and
+    each array's name and shape, are checked before its data is read."""
+    (count,) = struct.unpack("<I", _read_exact(f, 4))
+    if count != len(arrays):
+        raise ValueError(f"{path}: {count} {label}s in file, "
+                         f"expected {len(arrays)}")
+    for i, (expected, target) in enumerate(arrays.items()):
+        name, shape = _read_blob_head(f)
+        if name != expected:
+            raise ValueError(f"{path}: {label} {name!r} at position {i}, "
+                             f"expected {expected!r}")
+        if shape != target.shape:
+            raise ValueError(f"{path}: {label} {name!r} has shape {shape}, "
+                             f"model expects {target.shape}")
+        target[...] = _read_blob_data(f, shape)
 
 
 def save_checkpoint(path: Path, model: Model, optimizer: Adam,
@@ -230,15 +258,10 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
             cfg_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
             f.write(struct.pack("<I", len(cfg_bytes)))
             f.write(cfg_bytes)
-            names = model.registry.names()
-            f.write(struct.pack("<I", len(names)))
-            for name in names:
-                _write_blob(f, name, model.registry[name].data)
-            f.write(struct.pack("<I", 2 * len(names)))
-            for name in names:
-                _write_blob(f, f"adam.m.{name}", optimizer.m[name])
-            for name in names:
-                _write_blob(f, f"adam.v.{name}", optimizer.v[name])
+            for section in _arrays(model, optimizer):
+                f.write(struct.pack("<I", len(section)))
+                for name, arr in section.items():
+                    _write_blob(f, name, arr)
             rng_bytes = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
             f.write(struct.pack("<I", len(rng_bytes)))
             f.write(rng_bytes)
@@ -272,8 +295,9 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                 raise ValueError(f"{path}: checkpoint version {version}, "
                                  f"expected {CHECKPOINT_VERSION}")
             (clen,) = struct.unpack("<I", _read_exact(f, 4))
-            header = json.loads(_read_exact(f, clen).decode("utf-8"))
+            header_bytes = _read_exact(f, clen)
             try:
+                header = json.loads(header_bytes.decode("utf-8"))
                 model = build(_config(ModelConfig, header["model"]))
                 optimizer = Adam(model.registry, lr=header["adam"]["lr"])
                 optimizer.t = header["adam"]["t"]
@@ -282,40 +306,9 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed checkpoint header "
                                  f"({type(exc).__name__}: {exc})") from exc
-            (n_params,) = struct.unpack("<I", _read_exact(f, 4))
-            if n_params != len(model.registry):
-                raise ValueError(f"{path}: {n_params} parameters in file, "
-                                 f"model has {len(model.registry)}")
-            seen = set()
-            for _ in range(n_params):
-                name, shape = _read_blob_head(f)
-                if name not in model.registry:
-                    raise ValueError(f"{path}: unknown parameter {name!r}")
-                if name in seen:
-                    raise ValueError(f"{path}: parameter {name!r} appears twice")
-                seen.add(name)
-                param = model.registry[name]
-                if param.shape != shape:
-                    raise ValueError(
-                        f"{path}: parameter {name!r} has shape {shape}, "
-                        f"model expects {param.shape}")
-                param.data[...] = _read_blob_data(f, shape)
-            (n_moments,) = struct.unpack("<I", _read_exact(f, 4))
-            if n_moments != 2 * n_params:
-                raise ValueError(f"{path}: {n_moments} Adam moments in file, "
-                                 f"expected {2 * n_params}")
-            # each name may be read once: every one of the 2 * n_params
-            # moments must then be present
-            unread = {f"adam.{kind}.{p}": moments[p]
-                      for kind, moments in (("m", optimizer.m), ("v", optimizer.v))
-                      for p in model.registry.names()}
-            for _ in range(n_moments):
-                name, shape = _read_blob_head(f)
-                target = unread.pop(name, None)
-                if target is None or target.shape != shape:
-                    raise ValueError(f"{path}: moment {name!r} is unknown, "
-                                     f"repeated or of the wrong shape")
-                target[...] = _read_blob_data(f, shape)
+            for label, arrays in zip(("parameter", "Adam moment"),
+                                     _arrays(model, optimizer)):
+                _read_section(f, path, label, arrays)
             (rlen,) = struct.unpack("<I", _read_exact(f, 4))
             rng_bytes = _read_exact(f, rlen)
             rng = np.random.default_rng(0)

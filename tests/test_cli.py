@@ -167,6 +167,32 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "video000" in err and "manifest.json" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_repeated_video_id_exits_2(self, tmp_path, capsys, command):
+        root = tmp_path / "ds"
+        assert run("synth", root, "--videos", 3, "--frames", 2, "--size", 16) == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["videos"][2]["video_id"] = "video001"
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        extra = ["--epochs", 1] if command == "train" else ["--pred-dir", root]
+        assert run(command, root, out, *extra) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json: video_id 'video001' repeats" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"version": 1, "videos": [}', "not JSON"),
+        (b'{"version": 1, "videos": ["\xff"]}', "not UTF-8 text")],
+        ids=["not-json", "not-utf8"])
+    def test_unreadable_manifest_exits_2(self, tmp_path, capsys, text,
+                                         message):
+        root = tmp_path / "ds"
+        root.mkdir()
+        (root / "manifest.json").write_bytes(text)
+        assert run("train", root, tmp_path / "run") == 2
+        assert f"error: {root / 'manifest.json'}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["1 2 3", "a b", "7", "99 1", "1 -1"])
     def test_malformed_fixation_line_named(self, tmp_path, capsys, line):
         root = tmp_path / "ds"
@@ -480,6 +506,13 @@ class TestCompare:
         err = capsys.readouterr().err
         assert str(report) in err and message in err
 
+
+    def test_binary_report_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_bytes(b"video_id,metric,mean,valid_frames\n"
+                           b"video\xff,NSS,0.5,3\n")
+        assert run("compare", report, report) == 2
+        assert f"error: {report}: not UTF-8 text" in capsys.readouterr().err
 
 
 class TestSweepAlpha:

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from salrec.data import (MANIFEST_NAME, SynthConfig, generate,
+from salrec import data as data_mod
+from salrec.data import (MANIFEST_NAME, SynthConfig, VideoSample, generate,
                          load_predictions, read_dataset, read_fixations,
                          read_pgm, write_dataset, write_pgm, write_predictions)
 from salrec.metrics import (auc_judd, cc, evaluate_predictions, nss, sim)
@@ -151,6 +153,31 @@ class TestDatasetIO:
             read_dataset(root)
         assert MANIFEST_NAME in str(exc.value)
 
+    @pytest.mark.parametrize("edit, match", [
+        ("not-json", "not JSON"), ("not-utf8", "not UTF-8"),
+        ("repeated-id", "video_id 'video000' repeats")])
+    def test_unreadable_manifest_rejected_before_frames(self, tmp_path,
+                                                        monkeypatch, edit,
+                                                        match):
+        samples, root = self.make(tmp_path)
+        path = root / MANIFEST_NAME
+        if edit == "not-json":
+            path.write_text(path.read_text()[:-3])
+        elif edit == "not-utf8":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:  # two entries name one video: the second would shadow it
+            manifest = json.loads(path.read_text())
+            manifest["videos"][1]["video_id"] = "video000"
+            path.write_text(json.dumps(manifest))
+
+        def no_frames(p):
+            raise AssertionError(f"{p} read before the manifest was checked")
+
+        monkeypatch.setattr(data_mod, "read_pgm", no_frames)
+        with pytest.raises(ValueError, match=match) as exc:
+            read_dataset(root)
+        assert str(path) in str(exc.value)
+
     def test_missing_file_names_path(self, tmp_path):
         samples, root = self.make(tmp_path)
         victim = root / samples[0].video_id / "gt" / "0001.pgm"
@@ -213,6 +240,33 @@ class TestPredictions:
         write_pgm(extra, np.zeros((16, 16)))
         with pytest.raises(ValueError, match=samples[0].video_id):
             load_predictions(pdir, samples)
+
+    def test_map_of_another_size_names_file(self, tmp_path):
+        samples, _ = self.setup_ds(tmp_path)
+        pdir = tmp_path / "preds"
+        write_predictions({s.video_id: s.gt_maps for s in samples}, pdir)
+        small = pdir / samples[1].video_id / "0002.pgm"
+        write_pgm(small, np.zeros((8, 8)))
+        with pytest.raises(ValueError, match=f"{small}: shape \\(8, 8\\), "
+                                             f"expected \\(16, 16\\)"):
+            load_predictions(pdir, samples)
+
+    def test_maps_read_by_frame_name(self, tmp_path):
+        """Maps are read as NNNN.pgm, frame by frame: other names in the
+        right number are not taken in name order."""
+        samples, _ = self.setup_ds(tmp_path)
+        pdir = tmp_path / "preds"
+        write_predictions({s.video_id: s.gt_maps for s in samples}, pdir)
+        vdir = pdir / samples[0].video_id
+        for t, name in enumerate(["a", "b", "c"]):
+            (vdir / f"{t:04d}.pgm").rename(vdir / f"{name}.pgm")
+        with pytest.raises(FileNotFoundError, match=re.escape(
+                str(vdir / "0000.pgm"))):
+            load_predictions(pdir, samples)
+
+    def test_video_without_frames_loads_no_maps(self, tmp_path):
+        empty = VideoSample("empty", frames=[], gt_maps=[], fixations=[])
+        assert load_predictions(tmp_path, [empty]) == {"empty": []}
 
     def test_disk_roundtrip_metrics_within_quantization(self, tmp_path):
         samples, root = self.setup_ds(tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from salrec.data import VideoSample
 from salrec.metrics import (FixationMap, MetricReport, _auc_from_scores,
-                            aggregate, auc_judd, auc_shuffled, cc,
+                            _auc_rows, aggregate, auc_judd, auc_shuffled, cc,
                             compare_per_video, evaluate_predictions, nss, sim)
 
 
@@ -36,6 +36,30 @@ def loop_auc_from_scores(pos, neg):
         fpr.append((len(neg) - np.searchsorted(neg_sorted, t, side="left"))
                    / len(neg))
     return float(np.trapezoid(tpr, fpr))
+
+
+def reference_auc_shuffled(pred, fix, other_fix, n_splits=100, rng_seed=0):
+    """The earlier s-AUC: the pool is a Python set of `r * w + c` over every
+    pool point, less the positives, sorted; the draws and the count are
+    those of `auc_shuffled`."""
+    pos_idx = fix.unique_indices(pred.shape)
+    if not fix.points:
+        return None
+    pool = set()
+    w = pred.shape[1]
+    for om in other_fix:
+        pool.update(r * w + c for r, c in om.points)
+    pool.difference_update(pos_idx.tolist())
+    pool_arr = np.array(sorted(pool), dtype=np.int64)
+    if pool_arr.size == 0:
+        return None
+    flat = pred.reshape(-1)
+    n_neg = len(pos_idx)
+    rng = np.random.default_rng(rng_seed)
+    neg_idx = np.stack([rng.choice(pool_arr, size=n_neg,
+                                   replace=pool_arr.size < n_neg)
+                        for _ in range(n_splits)])
+    return float(np.mean(_auc_rows(flat[pos_idx], flat[neg_idx])))
 
 
 def oracle_auc_judd(pred, fix):
@@ -293,6 +317,36 @@ class TestAucShuffled:
             for _ in range(100)])
         assert got == ref
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_set_based_reference(self, seed):
+        """Random pools of several maps, with repeated points and points
+        that are also positives, give the set-based pool's exact value."""
+        rng = np.random.default_rng(seed)
+        h, w = 6, 7
+        pred = np.round(rng.uniform(size=(h, w)) * 8) / 8  # ties
+
+        def points(n):
+            return [(int(r), int(c)) for r, c in
+                    zip(rng.integers(0, h, n), rng.integers(0, w, n))]
+
+        fix = FixationMap(points(4), (h, w))
+        pool = [FixationMap(points(int(rng.integers(0, 9))), (h, w))
+                for _ in range(3)]
+        pool.append(FixationMap(fix.points[:2] * 2, (h, w)))  # overlap, repeats
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a small pool samples with replacement
+            got = auc_shuffled(pred, fix, pool, n_splits=30, rng_seed=seed)
+            want = reference_auc_shuffled(pred, fix, pool, n_splits=30,
+                                          rng_seed=seed)
+        assert got == want
+
+    def test_pool_emptied_by_positives_is_invalid(self):
+        pred = np.random.default_rng(12).uniform(size=(4, 4))
+        fix = FixationMap([(0, 0), (1, 2)], (4, 4))
+        pool = self.pool((4, 4), [(1, 2), (0, 0), (1, 2)])
+        assert auc_shuffled(pred, fix, pool, n_splits=5) is None
+        assert reference_auc_shuffled(pred, fix, pool, n_splits=5) is None
+
     def test_small_pool_warns_and_samples_with_replacement(self):
         pred = np.random.default_rng(10).uniform(size=(4, 4))
         fix = FixationMap([(0, 0), (1, 1), (2, 2)], (4, 4))
@@ -397,6 +451,13 @@ class TestFixationMap:
     def test_duplicates_permitted(self):
         fix = FixationMap([(1, 1), (1, 1)], (4, 4))
         assert len(fix.unique_indices((4, 4))) == 1
+
+    def test_index_in_point_order_with_duplicates(self):
+        fix = FixationMap([(2, 3), (0, 1), (2, 3)], (3, 5))
+        assert fix.index.tolist() == [13, 1, 13]
+        assert fix.index.dtype == np.int64
+        assert FixationMap([], (3, 5)).index.shape == (0,)
+        assert fix == FixationMap([(2, 3), (0, 1), (2, 3)], (3, 5))
 
 
 def make_video(vid, extent, n_frames, seed):

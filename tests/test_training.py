@@ -595,6 +595,24 @@ class TestCheckpoint:
             raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
             "malformed checkpoint header")
 
+    @pytest.mark.parametrize("header, error", [
+        (b"\xff", "UnicodeDecodeError"), (b"[", "JSONDecodeError")],
+        ids=["not-utf8", "not-json"])
+    def test_undecodable_header_rejected(self, tmp_path, header, error):
+        raw = self.saved(tmp_path)
+        self.assert_rejected(tmp_path, raw[:12] + header + raw[13:],
+                             f"malformed checkpoint header \\({error}")
+
+    @pytest.mark.parametrize("section", ["parameter", "moment"])
+    def test_name_not_utf8_rejected(self, tmp_path, section):
+        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
+        blobs = params if section == "parameter" else moments
+        name, blob = blobs[0]
+        blobs[0] = (name, blob[:4] + b"\xff" + blob[5:])  # the name's first byte
+        self.assert_rejected(
+            tmp_path, join_checkpoint(head, params, moments, tail),
+            f"{section} '.*' at position 0, expected '{name}'")
+
     def test_trailing_bytes_rejected(self, tmp_path):
         self.assert_rejected(tmp_path, self.saved(tmp_path) + b"garbage",
                              "trailing bytes")
@@ -604,7 +622,7 @@ class TestCheckpoint:
         assert [n for n, _ in params[:2]] == ["enc1.kernel", "enc1.bias"]
         params[1] = params[0]  # enc1.kernel twice, enc1.bias never
         self.assert_rejected(tmp_path, join_checkpoint(head, params, [], tail),
-                             "'enc1.kernel' appears twice")
+                             "'enc1.kernel' at position 1, expected 'enc1.bias'")
 
     def test_moment_count_checked(self, tmp_path):
         head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
@@ -640,4 +658,5 @@ class TestCheckpoint:
         name = forged.encode()
         moments[-1] = (forged, struct.pack("<I", len(name)) + name + blob[4 + nlen:])
         self.assert_rejected(tmp_path, join_checkpoint(head, params, moments, tail),
-                             f"moment '{forged}' is unknown, repeated")
+                             f"moment '{forged}' at position {len(moments) - 1}, "
+                             "expected 'adam.v.head.bias'")
