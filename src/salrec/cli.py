@@ -23,7 +23,7 @@ from . import data as data_mod
 from . import metrics as metrics_mod
 from .model import RECURRENCE_KINDS, ModelConfig, build
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-from .gradcheck import MODULE_CHECKS, run_checks
+from .gradcheck import MODULE_CHECKS, TOL, run_checks
 
 
 class UsageError(Exception):
@@ -91,11 +91,18 @@ def _resolve(cls, ini: dict, **flags):
         raise UsageError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _write_resolved_config(out_dir: Path, payload: dict) -> None:
@@ -121,24 +128,26 @@ def cmd_synth(args) -> int:
 
 
 def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
-    """Resolve [model] and the model flags. `--ema-at` and `--alpha` must
-    suit the recurrence; alpha defaults to 0.1, or 0.3 for two EMA points,
-    and 0.1 is recorded where no fixed alpha is read (`ema-trainable`
-    learns its own)."""
+    """Resolve [model] and the model flags. The EMA points and alpha in
+    effect (a flag's value, else the INI file's) must suit the recurrence
+    in effect; alpha defaults to 0.1, or 0.3 for two EMA points, and 0.1
+    is recorded where no fixed alpha is read (`ema-trainable` learns its
+    own)."""
     kind = args.recurrence or ini.get("recurrence", "none")
-    ema_at, alpha = args.ema_at, args.alpha
+    ema_at = ini.get("ema_points") if args.ema_at is None else _split(args.ema_at)
+    alpha = ini.get("alpha") if args.alpha is None else args.alpha
     has_ema = kind not in ("none", "convlstm")
     reads_alpha = has_ema and kind != "ema-trainable"
-    for flag, value, applies in (("--ema-at", ema_at, has_ema),
-                                 ("--alpha", alpha, reads_alpha)):
+    for flag, key, value, applies in (
+            ("--ema-at", "ema_points", ema_at, has_ema),
+            ("--alpha", "alpha", alpha, reads_alpha)):
         if value is not None and not applies:
-            raise UsageError(f"{flag} does not apply to --recurrence {kind}")
-    ema_at = None if ema_at is None else _split(ema_at)
+            raise UsageError(f"{flag} (or [model] {key}) does not apply to "
+                             f"recurrence {kind}")
     if not reads_alpha:
         alpha = 0.1
-    elif alpha is None and "alpha" not in ini:
-        points = ini.get("ema_points", ()) if ema_at is None else ema_at
-        alpha = 0.3 if len(points) == 2 else 0.1
+    elif alpha is None:
+        alpha = 0.3 if len(ema_at or ()) == 2 else 0.1
     return _resolve(ModelConfig, ini, input_size=input_size,
                     recurrence=args.recurrence, ema_points=ema_at, alpha=alpha,
                     stages=args.stages, base_channels=args.base_channels,
@@ -174,6 +183,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(checkpoint, samples):
+    """The model of `checkpoint`, whose input size must be the dataset's."""
+    model, *_ = load_checkpoint(checkpoint)
+    size = samples[0].frames[0].shape
+    if model.cfg.input_size != size:
+        raise ValueError(f"checkpoint expects {model.cfg.input_size}, "
+                         f"dataset frames are {size}")
+    return model
+
+
 def _predict_all(model, samples, alpha_override=None):
     return {s.video_id: model.predict_sequence(s.frames, alpha_override)
             for s in samples}
@@ -184,12 +203,7 @@ def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.pred_dir is None):
         raise UsageError("exactly one of --checkpoint or --pred-dir is required")
     if args.checkpoint:
-        model, *_ = load_checkpoint(args.checkpoint)
-        size = samples[0].frames[0].shape
-        if model.cfg.input_size != size:
-            raise ValueError(f"checkpoint expects {model.cfg.input_size}, "
-                             f"dataset frames are {size}")
-        preds = _predict_all(model, samples)
+        preds = _predict_all(_load_model(args.checkpoint, samples), samples)
     else:
         preds = data_mod.load_predictions(args.pred_dir, samples)
     report = metrics_mod.evaluate_predictions(samples, preds,
@@ -253,7 +267,7 @@ def cmd_sweep_alpha(args) -> int:
     if not valid:
         raise UsageError(f"--alphas must be numbers in (0, 1], got {args.alphas!r}")
     samples = data_mod.read_dataset(args.data_dir)
-    model, *_ = load_checkpoint(args.checkpoint)
+    model = _load_model(args.checkpoint, samples)
     if model.cfg.recurrence not in ("ema", "ema-trainable", "ema-residual"):
         raise UsageError("sweep-alpha requires a checkpoint trained with an "
                          "EMA recurrence")
@@ -279,7 +293,7 @@ def cmd_gradcheck(args) -> int:
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{status}  {r.name:<32} max rel err {r.max_rel_err:.3e} "
-              f"(tol {r.tol:.0e})")
+              f"(tol {TOL:.0e})")
     if not all(r.passed for r in results):
         print("gradient check FAILED", file=sys.stderr)
         return 3
@@ -303,7 +317,8 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, help="square frame size (default 32)")
     p.add_argument("--noise", type=float, help="pixel noise amplitude")
     p.add_argument("--speed", type=float, help="max blob speed px/frame")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int,
+                   help="random seed (default 0)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset")
@@ -326,7 +341,8 @@ def build_parser() -> _Parser:
     p.add_argument("--clip-length", type=int, help="BPTT window (default 10)")
     p.add_argument("--augment", action="store_true", default=None,
                    help="mirror/right-angle-rotation augmentation")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int,
+                   help="random seed (default 0)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or prediction dir")
@@ -338,7 +354,7 @@ def build_parser() -> _Parser:
                    help="write predicted maps as PGMs")
     p.add_argument("--n-splits", type=_positive_int, default=100,
                    help="s-AUC negative resamplings")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="per-video metric difference A-B")
@@ -355,14 +371,14 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas", default="0.05,0.1,0.2,0.3",
                    help="comma list of alphas in (0, 1]")
     p.add_argument("--n-splits", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", help="write the table to this file")
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--module", default="all",
                    choices=["all"] + list(MODULE_CHECKS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

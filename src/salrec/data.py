@@ -141,6 +141,8 @@ class SynthConfig:
             raise ValueError("n_blobs must be in 1..3")
         if self.fixations_per_frame < 0:
             raise ValueError("fixations_per_frame must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

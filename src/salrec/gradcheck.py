@@ -7,6 +7,7 @@ Used by the test suite and by the `gradcheck` CLI command. Relative error is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -14,16 +15,16 @@ import numpy as np
 from . import recurrence as rec
 from .layers import ParameterRegistry
 from .model import ALPHA_PARAM, ModelConfig, build
-from .tensor import (Tensor, add, backward, concat, conv2d, maxpool2d, mul,
-                     relu, scale, sigmoid, split, tanh, tsum, upsample_nearest)
+from .tensor import (Tensor, add, add_const, backward, broadcast_mul, clamp,
+                     concat, conv2d, log, maxpool2d, mul, relu, scale, sigmoid,
+                     split, sub, tanh, tmean, tsum, upsample_nearest)
 from .training import bce_loss
 
-DEFAULT_H = 1e-5
-DEFAULT_TOL = 1e-4
+H = 1e-5  # central-difference step
+TOL = 1e-4  # every check's bound on the relative error
 
 
 def max_rel_error(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
-                  h: float = DEFAULT_H,
                   max_coords: Optional[int] = None,
                   rng: Optional[np.random.Generator] = None) -> float:
     """Compare analytic gradients of the scalar fn() against central finite
@@ -45,12 +46,12 @@ def max_rel_error(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
             coords = rng.choice(flat.size, size=max_coords, replace=False)
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             up = fn().item()
-            flat[i] = orig - h
+            flat[i] = orig - H
             down = fn().item()
             flat[i] = orig
-            numeric = (up - down) / (2 * h)
+            numeric = (up - down) / (2 * H)
             ana = a.reshape(-1)[i]
             err = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8)
             worst = max(worst, err)
@@ -61,81 +62,97 @@ def max_rel_error(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
 class GradCheckResult:
     name: str
     max_rel_err: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < TOL
 
 
 def _rand(rng, *shape, lo=-2.0, hi=2.0):
     return Tensor(rng.uniform(lo, hi, size=shape))
 
 
-def check_tensor_ops(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    x = _rand(rng, 1, 2, 6, 6)
-    k = _rand(rng, 3, 2, 3, 3)
-    b = _rand(rng, 3)
-    results.append(GradCheckResult(
-        "conv2d", max_rel_error(lambda: tsum(conv2d(x, k, b, padding=1)),
-                                [x, k, b]), tol))
-    x2 = _rand(rng, 1, 2, 4, 4)
-    results.append(GradCheckResult(
-        "maxpool2d", max_rel_error(lambda: tsum(mul(maxpool2d(x2), maxpool2d(x2))),
-                                   [x2]), tol))
-    x3 = _rand(rng, 1, 2, 3, 3)
-    results.append(GradCheckResult(
-        "upsample_nearest",
-        max_rel_error(lambda: tsum(mul(upsample_nearest(x3), upsample_nearest(x3))),
-                      [x3]), tol))
-    for op in (sigmoid, tanh, relu):
-        xa = _rand(rng, 5, 5)
-        if op is relu:  # keep the checker away from the kink at 0
-            xa.data[np.abs(xa.data) < 1e-3] = 0.5
-        results.append(GradCheckResult(
-            op.__name__, max_rel_error(lambda: tsum(op(xa)), [xa]), tol))
-    a, bb = _rand(rng, 4, 4), _rand(rng, 4, 4)
-    results.append(GradCheckResult(
-        "elementwise", max_rel_error(
-            lambda: tsum(mul(add(a, bb), scale(mul(a, bb), 0.5))), [a, bb]), tol))
-    # conv2d geometries beyond 3x3/padding 1, each under tsum(y*y) so the
-    # upstream gradient 2y is non-uniform and exposes layout errors
-    for name, xs, ks, padding in (
-            ("conv2d 1x1 padding 0", (1, 3, 4, 4), (2, 3, 1, 1), 0),
-            ("conv2d padding 2", (1, 2, 5, 5), (3, 2, 3, 3), 2),
-            ("conv2d N=2", (2, 2, 4, 4), (3, 2, 3, 3), 1)):
-        xc, kc, bc = _rand(rng, *xs), _rand(rng, *ks), _rand(rng, ks[0])
+def _uniform(*shape, lo=-2.0, hi=2.0):
+    """An input maker: rng -> values uniform in [lo, hi)."""
+    return lambda rng: _rand(rng, *shape, lo=lo, hi=hi)
 
-        def conv_sq(xc=xc, kc=kc, bc=bc, padding=padding):
-            y = conv2d(xc, kc, bc, padding=padding)
-            return tsum(mul(y, y))
 
-        results.append(GradCheckResult(
-            name, max_rel_error(conv_sq, [xc, kc, bc]), tol))
-    xa, xb = _rand(rng, 1, 2, 3, 3), _rand(rng, 1, 3, 3, 3)
-    results.append(GradCheckResult("concat", max_rel_error(
-        lambda: tsum(mul(concat(xa, xb, axis=1), concat(xa, xb, axis=1))),
-        [xa, xb]), tol))
-    xs = _rand(rng, 2, 4, 3, 3)
+def _away_from(*points, gap=0.2):
+    """An input maker: rng -> (3, 4) values in [-2, 2] at least `gap` from
+    every point, so that no probe crosses a kink."""
+    def make(rng):
+        x = rng.uniform(-2.0, 2.0, size=(3, 4))
+        for p in points:
+            near = np.abs(x - p) < gap
+            x[near] = p + np.where(x[near] < p, -gap, gap)
+        return Tensor(x)
+    return make
 
-    def split_mix():  # the last channel group goes unused: zero gradient
-        p = split(xs, 4, axis=1)
-        return tsum(add(mul(p[0], p[1]), mul(p[2], p[2])))
 
-    results.append(GradCheckResult(
-        "split", max_rel_error(split_mix, [xs]), tol))
+_MATRIX = _uniform(3, 4)
+
+# name -> (op, one input maker per input). A name's first "-"-separated
+# word is the tensor op it checks; `check_op` runs the op alone under a
+# fixed random projection of its outputs, so every output element reaches
+# the loss with its own weight.
+OP_CASES = {
+    "conv2d": (lambda x, k, b: conv2d(x, k, b, padding=1),
+               (_uniform(2, 2, 5, 5), _uniform(3, 2, 3, 3), _uniform(3))),
+    "conv2d-1x1": (lambda x, k, b: conv2d(x, k, b),
+                   (_uniform(1, 3, 4, 4), _uniform(2, 3, 1, 1), _uniform(2))),
+    "conv2d-padding2": (lambda x, k, b: conv2d(x, k, b, padding=2),
+                        (_uniform(1, 2, 4, 4), _uniform(2, 2, 3, 3),
+                         _uniform(2))),
+    "concat-channels": (lambda a, b: concat(a, b, axis=1),
+                        (_uniform(1, 2, 3, 3), _uniform(1, 3, 3, 3))),
+    "concat-frames": (lambda a, b, c: concat(a, b, c, axis=0),
+                      (_uniform(1, 2, 2, 3), _uniform(2, 2, 2, 3),
+                       _uniform(1, 2, 2, 3))),
+    # the last channel group goes unused: its gradient is zero
+    "split-channels": (lambda x: split(x, 4, axis=1)[:3],
+                       (_uniform(2, 4, 3, 3),)),
+    "split-frames": (lambda x: split(x, 3, axis=0), (_uniform(3, 2, 2, 2),)),
     # pooling over a frame stack, the shape training runs
-    xm, xu = _rand(rng, 3, 2, 4, 4), _rand(rng, 3, 2, 3, 3)
-    results.append(GradCheckResult("maxpool2d N=3", max_rel_error(
-        lambda: tsum(mul(maxpool2d(xm), maxpool2d(xm))), [xm]), tol))
-    results.append(GradCheckResult("upsample_nearest N=3", max_rel_error(
-        lambda: tsum(mul(upsample_nearest(xu), upsample_nearest(xu))), [xu]), tol))
-    return results
+    "maxpool2d": (maxpool2d, (_uniform(3, 2, 4, 4),)),
+    "upsample_nearest": (upsample_nearest, (_uniform(3, 2, 3, 3),)),
+    "sigmoid": (sigmoid, (_MATRIX,)),
+    "tanh": (tanh, (_MATRIX,)),
+    "relu": (relu, (_away_from(0.0),)),
+    "add": (add, (_MATRIX, _MATRIX)),
+    "sub": (sub, (_MATRIX, _MATRIX)),
+    "mul": (mul, (_MATRIX, _MATRIX)),
+    "broadcast_mul-0d": (broadcast_mul, (_uniform(1, 2, 3, 3), _uniform())),
+    "broadcast_mul-chw": (broadcast_mul,
+                          (_uniform(2, 3, 2, 2), _uniform(3, 2, 2))),
+    "scale": (lambda x: scale(x, -1.5), (_MATRIX,)),
+    "add_const": (lambda x: add_const(x, 0.7), (_MATRIX,)),
+    "log": (log, (_uniform(3, 4, lo=0.5, hi=2.0),)),
+    "clamp": (lambda x: clamp(x, -1.0, 1.0), (_away_from(-1.0, 1.0),)),
+    "tsum": (tsum, (_MATRIX,)),
+    "tmean": (tmean, (_MATRIX,)),
+}
 
 
-def check_recurrence(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
+def check_op(name: str, seed: int = 0) -> float:
+    """The worst relative error of the `OP_CASES` row `name` at `seed`."""
+    op, makers = OP_CASES[name]
+    rng = np.random.default_rng(seed)
+    inputs = [make(rng) for make in makers]
+
+    def outputs():
+        ys = op(*inputs)
+        return ys if isinstance(ys, list) else [ys]
+
+    weights = [Tensor(rng.normal(size=y.shape)) for y in outputs()]
+    return max_rel_error(lambda: reduce(add, [
+        tsum(mul(y, w)) for y, w in zip(outputs(), weights)]), inputs)
+
+
+def check_tensor_ops(seed: int = 0) -> list[GradCheckResult]:
+    return [GradCheckResult(name, check_op(name, seed)) for name in OP_CASES]
+
+
+def check_recurrence(seed: int = 0) -> list[GradCheckResult]:
     rng = np.random.default_rng(seed)
     results = []
 
@@ -153,13 +170,12 @@ def check_recurrence(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
     cfg = rec.EmaConfig(alpha=0.3)
     results.append(GradCheckResult(
         "ema_step (5-frame unroll)",
-        max_rel_error(lambda: ema_unroll(cfg), frames), tol))
+        max_rel_error(lambda: ema_unroll(cfg), frames)))
 
     tcfg = rec.EmaConfig(alpha=0.3, trainable=True)
     tcfg.init_trainable(ParameterRegistry(), ALPHA_PARAM)
     results.append(GradCheckResult(
-        "trainable alpha", max_rel_error(lambda: ema_unroll(tcfg), [tcfg.p]),
-        tol))
+        "trainable alpha", max_rel_error(lambda: ema_unroll(tcfg), [tcfg.p])))
 
     reg2 = ParameterRegistry()
     w = rec.ConvLstmWeights(reg2, "clstm", 2, 2, (3, 3),
@@ -183,19 +199,19 @@ def check_recurrence(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckR
     results.append(GradCheckResult(
         "convlstm_step (5-frame unroll)",
         max_rel_error(clstm_run, params + lframes, max_coords=6,
-                      rng=np.random.default_rng(seed + 2)), tol))
+                      rng=np.random.default_rng(seed + 2))))
     return results
 
 
-def check_loss(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
+def check_loss(seed: int = 0) -> list[GradCheckResult]:
     rng = np.random.default_rng(seed)
     pred = Tensor(rng.uniform(0.05, 0.95, size=(4, 4)))
     gt = Tensor(rng.uniform(0.0, 1.0, size=(4, 4)))
     return [GradCheckResult(
-        "bce_loss", max_rel_error(lambda: bce_loss(pred, gt), [pred]), tol)]
+        "bce_loss", max_rel_error(lambda: bce_loss(pred, gt), [pred]))]
 
 
-def check_model(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
+def check_model(seed: int = 0) -> list[GradCheckResult]:
     """Gradient of a 3-frame clip w.r.t. every parameter of a tiny model
     with EMA at the bottleneck (sampled coordinates), on the path training
     runs: one `forward_frame` over the clip's stack. The loss is a fixed
@@ -220,8 +236,7 @@ def check_model(seed: int = 0, tol: float = DEFAULT_TOL) -> list[GradCheckResult
     params = [model.registry[n] for n in model.registry.names()]
     return [GradCheckResult(
         "model clip loss", max_rel_error(run, params, max_coords=4,
-                                         rng=np.random.default_rng(seed + 3)),
-        tol)]
+                                         rng=np.random.default_rng(seed + 3)))]
 
 
 MODULE_CHECKS = {
@@ -232,11 +247,10 @@ MODULE_CHECKS = {
 }
 
 
-def run_checks(modules: Sequence[str], seed: int = 0,
-               tol: float = DEFAULT_TOL) -> list[GradCheckResult]:
+def run_checks(modules: Sequence[str], seed: int = 0) -> list[GradCheckResult]:
     results = []
     for m in modules:
         if m not in MODULE_CHECKS:
             raise ValueError(f"unknown gradcheck module {m!r}")
-        results.extend(MODULE_CHECKS[m](seed=seed, tol=tol))
+        results.extend(MODULE_CHECKS[m](seed=seed))
     return results

@@ -25,9 +25,6 @@ class ParameterRegistry:
         self._params[name] = tensor
         return tensor
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 

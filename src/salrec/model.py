@@ -67,6 +67,8 @@ class ModelConfig:
             raise ValueError("stages must be >= 1")
         if self.base_channels < 1:
             raise ValueError("base_channels must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if h % (1 << self.stages) or w % (1 << self.stages):
             raise ValueError(
                 f"input size {self.input_size} not divisible by 2^{self.stages}")

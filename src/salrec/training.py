@@ -48,6 +48,8 @@ class TrainConfig:
         if not 0.0 < self.lr < math.inf:  # NaN fails too
             raise ValueError(f"learning rate must be positive and finite, "
                              f"got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:

@@ -13,7 +13,8 @@ from salrec.data import (SynthConfig, generate, read_dataset, write_dataset,
                          write_predictions)
 from salrec.gradcheck import GradCheckResult
 from salrec.model import Model, ModelConfig, build
-from salrec.training import Adam, load_checkpoint, save_checkpoint
+from salrec.training import (Adam, TrainConfig, load_checkpoint,
+                             save_checkpoint)
 
 
 def run(*argv):
@@ -408,6 +409,25 @@ class TestConfigPrecedence:
         assert run("train", small_ds, tmp_path / "run", "--config", ini,
                    "--alpha", 0.2, "--epochs", 1) == 1
 
+    @pytest.mark.parametrize("text, flags", [
+        ("recurrence = ema-trainable\nalpha = 0.5", []),
+        ("recurrence = convlstm\nalpha = 0.7", []),
+        ("ema_points = output", []),
+        ("recurrence = ema\nalpha = 0.5", ["--recurrence", "convlstm"]),
+        ("recurrence = ema\nema_points = output", ["--recurrence", "none"])],
+        ids=["alpha-trainable", "alpha-convlstm", "points-none",
+             "alpha-flag-convlstm", "points-flag-none"])
+    def test_ini_value_checked_against_recurrence(self, small_ds, tmp_path,
+                                                  capsys, text, flags):
+        # these were once accepted and recorded, or dropped for alpha 0.1
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\n{text}\n")
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--config", ini, "--epochs", 1,
+                   *flags) == 1
+        assert "does not apply to recurrence" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         b"[model]\nstages = x\n", b"[model]\nema_points = 1\n",
         b"[train]\nlr = fast\n", b"[model]\ndropout = maybe\n",
@@ -428,6 +448,19 @@ class TestConfigPrecedence:
         cfg = self.resolved(out)
         assert cfg["model"]["dropout"] is True
         assert cfg["train"]["augment"] is True
+
+    @pytest.mark.parametrize("section", ["synth", "model", "train"])
+    def test_negative_ini_seed_exits_1(self, small_ds, tmp_path, capsys,
+                                       section):
+        # numpy's rejection once exited 2, after config.json was written
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\nseed = -2\n")
+        out = tmp_path / "run"
+        argv = (["synth", out, "--videos", 1] if section == "synth"
+                else ["train", small_ds, out, "--epochs", 1])
+        assert run(*argv, "--config", ini) == 1
+        assert "seed must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_seed_from_ini(self, tmp_path):
         ini = tmp_path / "synth.ini"
@@ -548,6 +581,18 @@ class TestSweepAlpha:
                    "--n-splits", 0) == 1
         assert "--n-splits" in capsys.readouterr().err
 
+    def test_checkpoint_dataset_size_mismatch(self, small_ds, tmp_path,
+                                              capsys):
+        # this once failed inside forward_frame, on the first frame
+        out = tmp_path / "run"
+        run("train", small_ds, out, "--recurrence", "ema", "--epochs", 1)
+        wrong = tmp_path / "wrong"
+        run("synth", wrong, "--videos", 1, "--frames", 2, "--size", 32)
+        capsys.readouterr()
+        assert run("sweep-alpha", wrong, out / "checkpoint_final.salr") == 2
+        assert ("error: checkpoint expects (16, 16), dataset frames are "
+                "(32, 32)") in capsys.readouterr().err
+
     def test_rejects_stateless_checkpoint(self, small_ds, tmp_path):
         out = tmp_path / "run"
         run("train", small_ds, out, "--recurrence", "none", "--epochs", 1)
@@ -574,13 +619,31 @@ class TestGradcheck:
         assert failed == [], capsys.readouterr().out
 
     def test_failure_exits_3(self, monkeypatch, capsys):
-        fake = [GradCheckResult(name="loss.bce", max_rel_err=0.5, tol=1e-4)]
+        fake = [GradCheckResult(name="loss.bce", max_rel_err=0.5)]
         monkeypatch.setattr(cli, "run_checks", lambda mods, seed=0: fake)
         assert run("gradcheck", "--module", "loss") == 3
         assert "FAIL" in capsys.readouterr().out
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", [
+        "synth", "train", "eval", "sweep-alpha", "gradcheck"])
+    def test_negative_seed_flag_exits_1(self, small_ds, tmp_path, capsys,
+                                        command):
+        out = tmp_path / "run"
+        argv = {"synth": [out], "train": [small_ds, out],
+                "eval": [small_ds, out, "--pred-dir", small_ds],
+                "sweep-alpha": [small_ds, tmp_path / "ck.salr"],
+                "gradcheck": []}[command]
+        assert run(command, *argv, "--seed", -1) == 1
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cls", [SynthConfig, ModelConfig, TrainConfig])
+    def test_negative_seed_rejected_by_settings(self, cls):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            cls(seed=-1)
+
     def test_no_command_exits_1(self):
         assert run() == 1
 

