@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics as metrics_mod
-from .model import RECURRENCE_KINDS, ModelConfig, build
+from .model import EMA_KINDS, RECURRENCE_KINDS, ModelConfig, build
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .gradcheck import MODULE_CHECKS, TOL, run_checks
 
@@ -134,9 +134,11 @@ def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
     is recorded where no fixed alpha is read (`ema-trainable` learns its
     own)."""
     kind = args.recurrence or ini.get("recurrence", "none")
+    if kind not in RECURRENCE_KINDS:  # an INI value; the flag has choices
+        raise UsageError(f"unknown recurrence {kind!r}")
     ema_at = ini.get("ema_points") if args.ema_at is None else _split(args.ema_at)
     alpha = ini.get("alpha") if args.alpha is None else args.alpha
-    has_ema = kind not in ("none", "convlstm")
+    has_ema = kind in EMA_KINDS
     reads_alpha = has_ema and kind != "ema-trainable"
     for flag, key, value, applies in (
             ("--ema-at", "ema_points", ema_at, has_ema),
@@ -268,7 +270,7 @@ def cmd_sweep_alpha(args) -> int:
         raise UsageError(f"--alphas must be numbers in (0, 1], got {args.alphas!r}")
     samples = data_mod.read_dataset(args.data_dir)
     model = _load_model(args.checkpoint, samples)
-    if model.cfg.recurrence not in ("ema", "ema-trainable", "ema-residual"):
+    if model.cfg.recurrence not in EMA_KINDS:
         raise UsageError("sweep-alpha requires a checkpoint trained with an "
                          "EMA recurrence")
     lines = ["  ".join(f"{h:>8}" for h in ("alpha",) + metrics_mod.METRIC_NAMES)]

@@ -121,8 +121,11 @@ def auc_shuffled(pred: np.ndarray, fix: FixationMap,
     if any(om.extent != fix.extent for om in other_fix):
         raise ValueError("fixation extents differ across the pool")
     # the distinct pool pixels that are not positives, sorted
-    pool_arr = np.setdiff1d(np.concatenate([om.index for om in other_fix]),
-                            pos_idx)
+    in_pool = np.zeros(pred.size, dtype=bool)
+    for om in other_fix:
+        in_pool[om.index] = True
+    in_pool[pos_idx] = False
+    pool_arr = np.flatnonzero(in_pool)
     if pool_arr.size == 0:
         return None
     flat = pred.reshape(-1)

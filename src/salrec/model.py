@@ -9,6 +9,7 @@ activations at the configured insertion points.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +21,8 @@ from .recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig, EmaState,
 from .tensor import (Tensor, concat, maxpool2d, no_grad, relu, sigmoid, split,
                      upsample_nearest)
 
-RECURRENCE_KINDS = ("none", "ema", "ema-trainable", "ema-residual", "convlstm")
+EMA_KINDS = ("ema", "ema-trainable", "ema-residual")
+RECURRENCE_KINDS = ("none", *EMA_KINDS, "convlstm")
 DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
 ALPHA_PARAM = "ema.p"  # registry name of the trainable EMA alpha's logit
 
@@ -29,7 +31,8 @@ def parse_point(text: str, stages: int) -> str:
     """The canonical name of an insertion point, where a recurrence wraps
     the activations: `bottleneck`, `output`, or `encoderK`/`decoderK` for
     stage K in 1..stages. Case, outer blanks and leading zeros are ignored
-    (`" Encoder01"` is `encoder1`)."""
+    (`" Encoder01"` is `encoder1`), and `encoder<stages>` is `bottleneck`,
+    the same activation."""
     text = text.strip().lower()
     if text in ("bottleneck", "output"):
         return text
@@ -42,6 +45,8 @@ def parse_point(text: str, stages: int) -> str:
             if not 1 <= k <= stages:
                 raise ValueError(
                     f"insertion point {prefix}{k} outside 1..{stages}")
+            if prefix == "encoder" and k == stages:
+                return "bottleneck"
             return f"{prefix}{k}"
     raise ValueError(f"cannot parse insertion point {text!r}")
 
@@ -80,7 +85,7 @@ class ModelConfig:
             if pts != ("bottleneck",):
                 raise ValueError("convlstm recurrence is placed only at the "
                                  "bottleneck; --ema-at does not apply")
-        elif self.recurrence != "none":
+        elif self.recurrence in EMA_KINDS:
             if not 1 <= len(pts) <= 2:
                 raise ValueError("ema supports 1 or 2 insertion points")
             if len(set(pts)) != len(pts):
@@ -109,30 +114,20 @@ class ModelConfig:
 
 class RecurrenceStates:
     """Per-video recurrence state bundle, tagged with its owning model and
-    the video it belongs to."""
+    the video it belongs to: one slot per insertion point, None until the
+    point's first frame."""
 
     def __init__(self, model: "Model", video_id: Optional[str] = None):
         self.model = model
         self.video_id = video_id
-        self.states: dict[str, object] = {}
-        cfg = model.cfg
-        if cfg.recurrence == "convlstm":
-            h, w = cfg.bottleneck_size
-            self.states["bottleneck"] = ConvLstmState.zeros(
-                1, cfg.bottleneck_channels, h, w)
-        elif cfg.recurrence != "none":
-            for p in cfg.ema_points:
-                self.states[p] = EmaState()
+        self.states: dict[str, object] = dict.fromkeys(model.points)
 
     def detach(self) -> None:
         """Sever gradient flow at a clip boundary; values carry forward."""
         for point, st in self.states.items():
-            if isinstance(st, EmaState):
-                if st.accumulator is not None:
-                    self.states[point] = EmaState(st.accumulator.detach())
-            else:
-                self.states[point] = ConvLstmState(st.cell.detach(),
-                                                   st.hidden.detach())
+            if st is not None:
+                self.states[point] = type(st)(
+                    *(t.detach() for t in vars(st).values()))
 
 
 class Model:
@@ -157,13 +152,14 @@ class Model:
             prev = c
         self.head = ConvLayer(self.registry, "head", prev, 1, 1, rng)
 
+        self.points = () if cfg.recurrence == "none" else cfg.ema_points
         self.ema_cfg: Optional[EmaConfig] = None
         self.convlstm: Optional[ConvLstmWeights] = None
         if cfg.recurrence == "convlstm":
             self.convlstm = ConvLstmWeights(
                 self.registry, "convlstm", cfg.bottleneck_channels,
                 cfg.bottleneck_channels, cfg.bottleneck_size, rng)
-        elif cfg.recurrence != "none":
+        elif cfg.recurrence in EMA_KINDS:
             self.ema_cfg = EmaConfig(
                 alpha=cfg.alpha,
                 trainable=cfg.recurrence == "ema-trainable",
@@ -175,9 +171,10 @@ class Model:
         return RecurrenceStates(self, video_id)
 
     def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
-               training: bool, rng, alpha_override):
+               training: bool, rng):
         """The recurrence at `point` folded over the frame stack x, in frame
-        order; x itself when no recurrence sits there."""
+        order; x itself when no recurrence sits there. An empty slot starts
+        from a fresh state."""
         if point not in states.states:
             return x
         if self.cfg.dropout:
@@ -185,18 +182,17 @@ class Model:
         st = states.states[point]
         outs = []
         for s_t in split(x, x.shape[0], axis=0):
-            if isinstance(st, EmaState):
-                out, st = ema_step(s_t, st, self.ema_cfg,
-                                   alpha_override=alpha_override)
+            if self.convlstm is None:
+                out, st = ema_step(s_t, st or EmaState(), self.ema_cfg)
             else:
-                out, st = convlstm_step(s_t, st, self.convlstm)
+                out, st = convlstm_step(
+                    s_t, st or ConvLstmState.zeros(*s_t.shape), self.convlstm)
             outs.append(out)
         states.states[point] = st
         return concat(*outs, axis=0)
 
     def forward_frame(self, frames: Tensor, states: RecurrenceStates,
-                      training: bool = False, rng=None,
-                      alpha_override: Optional[float] = None) -> Tensor:
+                      training: bool = False, rng=None) -> Tensor:
         """A stack of T >= 1 consecutive frames of one video, shaped
         [T, 1, H, W], in; their saliency maps, shaped [T, 1, H, W], out.
 
@@ -216,22 +212,20 @@ class Model:
         x = frames
         for k, conv in enumerate(self.enc_convs, start=1):
             x = maxpool2d(relu(conv(x)))
-            x = self._recur(x, f"encoder{k}", states, training, rng,
-                            alpha_override)
-        x = self._recur(x, "bottleneck", states, training, rng, alpha_override)
+            x = self._recur(x, f"encoder{k}", states, training, rng)
+        x = self._recur(x, "bottleneck", states, training, rng)
         for k, conv in enumerate(self.dec_convs, start=1):
             x = upsample_nearest(relu(conv(x)))
-            x = self._recur(x, f"decoder{k}", states, training, rng,
-                            alpha_override)
+            x = self._recur(x, f"decoder{k}", states, training, rng)
         x = self.head(x)
         # the output EMA averages maps after the sigmoid; the residual one
         # stays before it so the map keeps to [0, 1]
         residual = self.ema_cfg is not None and self.ema_cfg.residual
         if residual:
-            x = self._recur(x, "output", states, training, rng, alpha_override)
+            x = self._recur(x, "output", states, training, rng)
         x = sigmoid(x)
         if not residual:
-            x = self._recur(x, "output", states, training, rng, alpha_override)
+            x = self._recur(x, "output", states, training, rng)
         vals = x.data
         if not np.all(np.isfinite(vals)) or vals.min() < 0.0 or vals.max() > 1.0:
             raise RuntimeError("saliency map left [0, 1] or went non-finite")
@@ -242,13 +236,18 @@ class Model:
         """Evaluation-mode maps of a video's (H, W) frames, as (H, W) float
         arrays: `forward_frame` folded over the frames one at a time, in
         order, from a fresh state and under `no_grad`. The maps equal those
-        of one call over the video's [T, 1, H, W] stack."""
+        of one call over the video's [T, 1, H, W] stack. `alpha_override`
+        runs the EMA at that fixed alpha; a model without one ignores it."""
         if len(frames) == 0:
             raise ValueError("predict_sequence needs at least one frame")
-        states = self.fresh_states()
+        model = self
+        if alpha_override is not None and self.ema_cfg is not None:
+            model = copy.copy(self)
+            model.ema_cfg = EmaConfig(alpha_override,
+                                      residual=self.ema_cfg.residual)
+        states = model.fresh_states()
         with no_grad():
-            return [self.forward_frame(Tensor(f[None, None]), states,
-                                       alpha_override=alpha_override).data[0, 0]
+            return [model.forward_frame(Tensor(f[None, None]), states).data[0, 0]
                     for f in frames]
 
 

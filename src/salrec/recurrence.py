@@ -48,13 +48,12 @@ def effective_alpha(cfg: EmaConfig) -> Union[float, Tensor]:
     return cfg.alpha
 
 
-def ema_step(s_t: Tensor, state: EmaState, cfg: EmaConfig,
-             alpha_override: Optional[float] = None) -> tuple[Tensor, EmaState]:
+def ema_step(s_t: Tensor, state: EmaState,
+             cfg: EmaConfig) -> tuple[Tensor, EmaState]:
     """One EMA update; returns (output, advanced state).
 
     With residual enabled the returned value is s_t + e_t while the
-    accumulator still stores e_t. `alpha_override` supports inference-time
-    alpha sweeps without touching the config.
+    accumulator still stores e_t.
     """
     if state.accumulator is None:
         e_t = s_t
@@ -64,7 +63,7 @@ def ema_step(s_t: Tensor, state: EmaState, cfg: EmaConfig,
             raise ValueError(
                 f"ema_step: input shape {s_t.shape} does not match "
                 f"accumulator shape {prev.shape}")
-        a = alpha_override if alpha_override is not None else effective_alpha(cfg)
+        a = effective_alpha(cfg)
         if isinstance(a, Tensor):
             one_minus = add_const(scale(a, -1.0), 1.0)
             e_t = add(broadcast_mul(s_t, a), broadcast_mul(prev, one_minus))

@@ -139,8 +139,7 @@ def train_clip(model: Model, frames: Tensor, gts: Tensor,
 
 @dataclass
 class EpochReport:
-    mean_loss: float
-    per_video: dict[str, float]
+    mean_loss: float  # the mean over videos of each video's mean clip loss
 
 
 def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
@@ -150,7 +149,7 @@ def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
     if not samples:
         raise ValueError("empty dataset")
     order = rng.permutation(len(samples))
-    per_video: dict[str, float] = {}
+    video_losses = []
     for idx in order:
         s = samples[int(idx)]
         frames, gts = np.stack(s.frames)[:, None], np.stack(s.gt_maps)[:, None]
@@ -171,9 +170,8 @@ def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
                                      s.video_id, rng=rng, first_frame=start,
                                      epoch=epoch)
             clip_losses.append(loss)
-        per_video[s.video_id] = float(np.mean(clip_losses))
-    return EpochReport(mean_loss=float(np.mean(list(per_video.values()))),
-                       per_video=per_video)
+        video_losses.append(float(np.mean(clip_losses)))
+    return EpochReport(mean_loss=float(np.mean(video_losses)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,42 +286,39 @@ def _config(cls, section: dict):
 def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                          int, Optional[TrainConfig]]:
     path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            if _read_exact(f, 4) != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path}: not a checkpoint (bad magic)")
-            (version,) = struct.unpack("<I", _read_exact(f, 4))
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: checkpoint version {version}, "
-                                 f"expected {CHECKPOINT_VERSION}")
-            (clen,) = struct.unpack("<I", _read_exact(f, 4))
-            header_bytes = _read_exact(f, clen)
-            try:
-                header = json.loads(header_bytes.decode("utf-8"))
-                model = build(_config(ModelConfig, header["model"]))
-                optimizer = Adam(model.registry, lr=header["adam"]["lr"])
-                optimizer.t = header["adam"]["t"]
-                train_cfg = (_config(TrainConfig, header["train"])
-                             if header["train"] else None)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed checkpoint header "
-                                 f"({type(exc).__name__}: {exc})") from exc
-            for label, arrays in zip(("parameter", "Adam moment"),
-                                     _arrays(model, optimizer)):
-                _read_section(f, path, label, arrays)
-            (rlen,) = struct.unpack("<I", _read_exact(f, 4))
-            rng_bytes = _read_exact(f, rlen)
-            rng = np.random.default_rng(0)
-            try:
-                rng.bit_generator.state = json.loads(rng_bytes.decode("utf-8"))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: malformed checkpoint RNG state "
-                                 f"({type(exc).__name__}: {exc})") from exc
-            (epoch,) = struct.unpack("<I", _read_exact(f, 4))
-            if f.read(1):
-                raise ValueError(f"{path}: trailing bytes after the epoch counter")
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated checkpoint") from exc
+    with open(path, "rb") as f:
+        if _read_exact(f, 4) != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (bad magic)")
+        (version,) = struct.unpack("<I", _read_exact(f, 4))
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint version {version}, "
+                             f"expected {CHECKPOINT_VERSION}")
+        (clen,) = struct.unpack("<I", _read_exact(f, 4))
+        header_bytes = _read_exact(f, clen)
+        try:
+            header = json.loads(header_bytes.decode("utf-8"))
+            model = build(_config(ModelConfig, header["model"]))
+            optimizer = Adam(model.registry, lr=header["adam"]["lr"])
+            optimizer.t = header["adam"]["t"]
+            train_cfg = (_config(TrainConfig, header["train"])
+                         if header["train"] else None)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header "
+                             f"({type(exc).__name__}: {exc})") from exc
+        for label, arrays in zip(("parameter", "Adam moment"),
+                                 _arrays(model, optimizer)):
+            _read_section(f, path, label, arrays)
+        (rlen,) = struct.unpack("<I", _read_exact(f, 4))
+        rng_bytes = _read_exact(f, rlen)
+        rng = np.random.default_rng(0)
+        try:
+            rng.bit_generator.state = json.loads(rng_bytes.decode("utf-8"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint RNG state "
+                             f"({type(exc).__name__}: {exc})") from exc
+        (epoch,) = struct.unpack("<I", _read_exact(f, 4))
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the epoch counter")
     return model, optimizer, rng, epoch, train_cfg
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from salrec import cli
-from salrec.data import (SynthConfig, generate, read_dataset, write_dataset,
-                         write_predictions)
+from salrec.data import (SynthConfig, generate, load_predictions,
+                         read_dataset, write_dataset, write_predictions)
 from salrec.gradcheck import GradCheckResult
 from salrec.model import Model, ModelConfig, build
 from salrec.training import (Adam, TrainConfig, load_checkpoint,
@@ -94,6 +94,23 @@ class TestTrain:
         assert run("train", small_ds, out, "--recurrence", kind,
                    "--ema-at", "output", "--epochs", 1) == 1
         assert not out.exists()
+
+    def test_last_encoder_stage_is_the_bottleneck(self, small_ds, tmp_path):
+        """At three stages `encoder3` is the bottleneck's activation: paired
+        with `bottleneck` it is a duplicate, alone it trains and is recorded
+        as `bottleneck`."""
+        out, other = tmp_path / "run", tmp_path / "other"
+        argv = ("--recurrence", "ema", "--dropout", "--epochs", 1)
+        assert run("train", small_ds, out, "--ema-at", "encoder3,bottleneck",
+                   *argv) == 1
+        assert not out.exists()
+        assert run("train", small_ds, out, "--ema-at", "encoder3", *argv) == 0
+        assert run("train", small_ds, other, "--ema-at", "bottleneck",
+                   *argv) == 0
+        cfg = json.loads((out / "config.json").read_text())["model"]
+        assert cfg["ema_points"] == ["bottleneck"] and cfg["alpha"] == 0.1
+        assert ((out / "checkpoint_final.salr").read_bytes()
+                == (other / "checkpoint_final.salr").read_bytes())
 
     def test_trainable_alpha_refuses_alpha(self, small_ds, tmp_path):
         """The trainable alpha starts at sigmoid(0) = 0.5 and never reads
@@ -269,6 +286,25 @@ class TestEval:
         assert report.dataset_means["SIM"] > 0.99
         assert (out / "report.txt").exists()
 
+    def test_dumped_maps_reload(self, small_ds, tmp_path):
+        """`--dump-maps` writes the predictions as 8-bit PGMs, and they
+        score as a `--pred-dir`."""
+        samples = read_dataset(small_ds)
+        model = build(ModelConfig(input_size=(16, 16), recurrence="ema"))
+        ckpt = tmp_path / "init.salr"
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0)
+        out = tmp_path / "eval"
+        assert run("eval", small_ds, out, "--checkpoint", ckpt, "--dump-maps",
+                   "--n-splits", 3) == 0
+        assert run("eval", small_ds, tmp_path / "reloaded", "--pred-dir",
+                   out / "maps", "--n-splits", 3) == 0
+        dumped = load_predictions(out / "maps", samples)
+        for s in samples:
+            want = np.floor(np.stack(model.predict_sequence(s.frames)) * 255
+                            + 0.5) / 255
+            assert np.array_equal(np.stack(dumped[s.video_id]), want)
+
     def test_requires_exactly_one_source(self, small_ds, tmp_path):
         assert run("eval", small_ds, tmp_path / "o") == 1
 
@@ -431,11 +467,14 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("text", [
         b"[model]\nstages = x\n", b"[model]\nema_points = 1\n",
         b"[train]\nlr = fast\n", b"[model]\ndropout = maybe\n",
-        b"alpha = 0.2\n", b"[train]\nseed = \xff\n"],
-        ids=["stages", "ema_points", "lr", "dropout", "no-section", "not-utf8"])
+        b"alpha = 0.2\n", b"[train]\nseed = \xff\n", b"[eval]\nseed = 1\n",
+        None],
+        ids=["stages", "ema_points", "lr", "dropout", "no-section", "not-utf8",
+             "unknown-section", "missing-file"])
     def test_malformed_ini_exits_1(self, small_ds, tmp_path, text):
         ini = tmp_path / "run.ini"
-        ini.write_bytes(text)
+        if text is not None:  # None: there is no such file
+            ini.write_bytes(text)
         out = tmp_path / "run"
         assert run("train", small_ds, out, "--config", ini, "--epochs", 1) == 1
         assert not out.exists()

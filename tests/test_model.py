@@ -25,7 +25,8 @@ class TestInsertionPoint:
 
     @pytest.mark.parametrize("text,canonical", [
         (" Output", "output"), ("BOTTLENECK ", "bottleneck"),
-        ("Encoder01", "encoder1"), ("decoder003", "decoder3")])
+        ("Encoder01", "encoder1"), ("decoder003", "decoder3"),
+        ("encoder3", "bottleneck")])  # the last encoder stage's activation
     def test_noncanonical_spellings(self, text, canonical):
         assert parse_point(text, stages=3) == canonical
 
@@ -48,8 +49,9 @@ class TestInsertionPoint:
         assert ModelConfig(**asdict(cfg)) == cfg
 
     def test_duplicate_spellings_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ModelConfig(recurrence="ema", ema_points=("encoder1", "Encoder01"))
+        for pair in (("encoder1", "Encoder01"), ("encoder3", "bottleneck")):
+            with pytest.raises(ValueError, match="duplicate"):
+                ModelConfig(recurrence="ema", ema_points=pair)
 
 
 class TestBuild:
@@ -359,12 +361,17 @@ class TestFrameStack:
         ("ema-bottleneck", 0.3)])
     def test_predict_sequence_matches_one_stack(self, case, alpha_override):
         """Evaluation maps frame by frame equal one `no_grad` call over the
-        video's [T, 1, H, W] stack; the override replaces the model's 0.1."""
+        video's [T, 1, H, W] stack; an override of the model's 0.1 gives the
+        maps of the model built at that alpha, and leaves the model as it
+        was."""
         model = stack_model(alpha=0.1, **STACK_CASES[case])
+        built = model if alpha_override is None else stack_model(
+            alpha=alpha_override, **STACK_CASES[case])
         frames = np.random.default_rng(3).uniform(0, 1, size=(6, 16, 16))
         maps = model.predict_sequence(list(frames), alpha_override)
         with no_grad():
-            stacked = model.forward_frame(Tensor(frames[:, None]),
-                                          model.fresh_states(),
-                                          alpha_override=alpha_override)
+            stacked = built.forward_frame(Tensor(frames[:, None]),
+                                          built.fresh_states())
         assert np.array_equal(np.stack(maps), stacked.data[:, 0])
+        if alpha_override is not None:
+            assert model.ema_cfg.alpha == 0.1

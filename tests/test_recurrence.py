@@ -11,12 +11,11 @@ from salrec.tensor import (Tensor, add, broadcast_mul, conv2d, mul, sigmoid,
                            tanh)
 
 
-def run_ema(inputs, cfg, alpha_override=None):
+def run_ema(inputs, cfg):
     state = EmaState()
     outs = []
     for x in inputs:
-        out, state = ema_step(Tensor(np.asarray(x, dtype=float)), state, cfg,
-                              alpha_override=alpha_override)
+        out, state = ema_step(Tensor(np.asarray(x, dtype=float)), state, cfg)
         outs.append(out.data)
     return outs
 
@@ -84,10 +83,6 @@ class TestEmaStep:
         out, state = ema_step(Tensor(np.full((1,), 0.0)), state, cfg)
         assert state.accumulator.data[0] == 0.5
         assert out.data[0] == 0.5
-
-    def test_alpha_override_at_inference(self):
-        outs = run_ema([1.0, 0.0], EmaConfig(alpha=0.9), alpha_override=0.1)
-        assert outs[1].item() == pytest.approx(0.9)
 
 
 class TestEffectiveAlpha:
