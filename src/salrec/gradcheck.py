@@ -16,8 +16,9 @@ from . import recurrence as rec
 from .layers import ParameterRegistry
 from .model import ALPHA_PARAM, ModelConfig, build
 from .tensor import (Tensor, add, add_const, backward, broadcast_mul, clamp,
-                     concat, conv2d, log, maxpool2d, mul, relu, scale, sigmoid,
-                     split, sub, tanh, tmean, tsum, upsample_nearest)
+                     concat, conv2d, log, lstm_cell, maxpool2d, mul, relu,
+                     scale, sigmoid, split, sub, tanh, tmean, tsum,
+                     upsample_nearest)
 from .training import bce_loss
 
 H = 1e-5  # central-difference step
@@ -77,11 +78,11 @@ def _uniform(*shape, lo=-2.0, hi=2.0):
     return lambda rng: _rand(rng, *shape, lo=lo, hi=hi)
 
 
-def _away_from(*points, gap=0.2):
-    """An input maker: rng -> (3, 4) values in [-2, 2] at least `gap` from
-    every point, so that no probe crosses a kink."""
+def _away_from(*points, gap=0.2, shape=(3, 4)):
+    """An input maker: rng -> values in [-2, 2] at least `gap` from every
+    point, so that no probe crosses a kink."""
     def make(rng):
-        x = rng.uniform(-2.0, 2.0, size=(3, 4))
+        x = rng.uniform(-2.0, 2.0, size=shape)
         for p in points:
             near = np.abs(x - p) < gap
             x[near] = p + np.where(x[near] < p, -gap, gap)
@@ -130,6 +131,15 @@ OP_CASES = {
     "clamp": (lambda x: clamp(x, -1.0, 1.0), (_away_from(-1.0, 1.0),)),
     "tsum": (tsum, (_MATRIX,)),
     "tmean": (tmean, (_MATRIX,)),
+    # sigmoid inputs within [-3, 3] and a cell state at least 0.5 from 0
+    # keep every gradient element clear of the central difference's
+    # roundoff floor; plain [-2, 2] inputs at (2, 8, 3, 3) read 9.9e-7 at
+    # seeds 0-9 and exceed 1e-6 at 21 of seeds 0-199
+    "lstm_cell": (
+        lambda pre, cell, *peepholes: list(lstm_cell(pre, cell, peepholes)),
+        (_uniform(2, 8, 1, 2, lo=-1.0, hi=1.0),
+         _away_from(0.0, gap=0.5, shape=(2, 2, 1, 2)),
+         *[_uniform(2, 1, 2, lo=-1.0, hi=1.0)] * 3)),
 }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .layers import ParameterRegistry, xavier_init
 from .tensor import (Tensor, add, add_const, broadcast_mul, concat, conv2d,
-                     mul, scale, sigmoid, split, tanh)
+                     lstm_cell, scale, sigmoid)
 
 
 @dataclass
@@ -123,9 +123,5 @@ def convlstm_step(s_t: Tensor, state: ConvLstmState,
             f"convlstm_step: input spatial dims {s_t.shape} do not match "
             f"state {state.cell.shape}")
     pre = conv2d(concat(s_t, state.hidden, axis=1), w.kernel, w.bias, padding=1)
-    *gates, pre_c = split(pre, 4, axis=1)
-    u_t, f_t, o_t = (sigmoid(add(g, broadcast_mul(p, state.cell)))
-                     for g, p in zip(gates, w.peepholes))
-    c_t = add(mul(f_t, state.cell), mul(u_t, tanh(pre_c)))
-    h_t = mul(o_t, tanh(c_t))
+    c_t, h_t = lstm_cell(pre, state.cell, w.peepholes)
     return c_t, ConvLstmState(cell=c_t, hidden=h_t)

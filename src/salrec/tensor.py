@@ -2,15 +2,18 @@
 
 Only the operations the saliency network needs are implemented:
 2d convolution, 2x2 max pooling, nearest-neighbour upsampling,
-sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions, and
-concatenation/splitting along the frame or channel axis.
-No broadcasting except the conv bias over the channel axis and the
-internal broadcast-multiply used by peepholes and the trainable alpha.
+sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions,
+concatenation/splitting along the frame or channel axis, and the gate
+arithmetic of a peephole ConvLSTM cell. No broadcasting except the conv
+bias over the channel axis, the cell's peepholes over the batch, and the
+broadcast-multiply used by the trainable alpha.
 
 Each op computes its value and gives `_node` one (parent, vjp) edge per
 input; a vjp maps the upstream gradient to that parent's gradient. `_node`
 keeps only the edges whose parent requires grad, and records the op only
 if grad is on and an edge is left, so no op tests `requires_grad` itself.
+An op whose vjps share work on the upstream gradient (the LSTM gates)
+gives `_node` a `prepare` step that does it once per backward call.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "clamp",
     "tsum",
     "tmean",
+    "lstm_cell",
 ]
 
 _GRAD_ENABLED = True
@@ -105,20 +109,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray,
-          *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+def _node(data: np.ndarray, *edges: tuple[Tensor, Callable],
+          prepare: Optional[Callable] = None) -> Tensor:
     """Create a result tensor from its value and one (parent, vjp) edge per
     input, where vjp maps the upstream gradient to that parent's gradient.
 
     While grad is on, only the edges whose parent requires grad are kept,
     and the op is recorded only if any are left. Its backward adds vjp(g)
     into each kept parent, in edge order; no other vjp is ever called.
+    With `prepare`, the vjps take prepare(g) in place of g, and prepare
+    runs once per backward call.
     """
     out = Tensor(data)
     if _GRAD_ENABLED:
         kept = [edge for edge in edges if edge[0].requires_grad]
         if kept:
             def backward_fn(g):
+                if prepare is not None:
+                    g = prepare(g)
                 for parent, vjp in kept:
                     parent.accumulate_grad(vjp(g))
 
@@ -205,8 +213,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def broadcast_mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting.
 
-    Used where broadcasting is intentional: scalar trainable alpha against a
-    feature map, and per-channel peephole weights against the cell state.
+    Used where broadcasting is intentional: the scalar trainable alpha
+    against a feature map.
     """
     return _node(a.data * b.data,
                  (a, lambda g: _unbroadcast(g * b.data, a.shape)),
@@ -226,8 +234,12 @@ def add_const(a: Tensor, c: float) -> Tensor:
 # activations and pointwise functions
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
     return _node(s, (a, lambda g: g * s * (1.0 - s)))
 
 
@@ -433,3 +445,61 @@ def upsample_nearest(input: Tensor) -> Tensor:
     return _node(input.data.repeat(2, axis=2).repeat(2, axis=3),
                  (input, lambda g: (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
                   + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2])))
+
+
+# ---------------------------------------------------------------------------
+# recurrent cells
+
+
+def lstm_cell(pre: Tensor, cell: Tensor,
+              peepholes: tuple[Tensor, Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    """The pointwise half of a peephole ConvLSTM step: (C_t, H_t) from the
+    (N, 4C, H, W) conv pre-activations, in u/f/o/c channel blocks, the
+    previous cell state C_{t-1} of shape (N, C, H, W), and the u/f/o
+    peepholes of shape (C, H, W):
+
+        g = sigmoid(a_g + p_g * C_{t-1})  for the gates g = u, f, o
+        C_t = f * C_{t-1} + u * tanh(a_c)
+        H_t = o * tanh(C_t)
+
+    Contract: the values are bit for bit those of the split, broadcast_mul,
+    add, sigmoid, tanh and mul chain kept as the test oracle; the gradients
+    match it up to summation order. Two tape nodes: C_t with edges (pre,
+    C_{t-1}, p_u, p_f), and H_t with edges (pre, C_{t-1}, p_o, C_t).
+    """
+    shape = cell.shape
+    if (len(shape) != 4 or pre.shape != (shape[0], 4 * shape[1]) + shape[2:]
+            or len(peepholes) != 3
+            or any(p.shape != shape[1:] for p in peepholes)):
+        raise ValueError(
+            f"lstm_cell: pre-activations {pre.shape}, cell {shape} and "
+            f"peepholes {[p.shape for p in peepholes]} do not agree")
+    a, c, ch = pre.data, cell.data, shape[1]
+    p_u, p_f, p_o = peepholes
+    u, f, o = (_sigmoid(a[:, k * ch:(k + 1) * ch] + p.data * c)
+               for k, p in enumerate(peepholes))
+    tc = np.tanh(a[:, 3 * ch:])
+    c_t = f * c + u * tc
+    t_ct = np.tanh(c_t)
+
+    def blocks(*parts):  # the gradient at pre from its u/f/o/c blocks
+        zero = np.zeros(c.shape)
+        return np.concatenate(
+            [zero if part is None else part for part in parts], axis=1)
+
+    # each node prepares (g, the gradients at its gates' sigmoid inputs)
+    c_node = _node(
+        c_t,
+        (pre, lambda d: blocks(d[1], d[2], None, d[0] * u * (1.0 - tc * tc))),
+        (cell, lambda d: d[0] * f + d[1] * p_u.data + d[2] * p_f.data),
+        (p_u, lambda d: (d[1] * c).sum(axis=0)),
+        (p_f, lambda d: (d[2] * c).sum(axis=0)),
+        prepare=lambda g: (g, g * tc * u * (1.0 - u), g * c * f * (1.0 - f)))
+    h_node = _node(
+        o * t_ct,
+        (pre, lambda d: blocks(None, None, d[1], None)),
+        (cell, lambda d: d[1] * p_o.data),
+        (p_o, lambda d: (d[1] * c).sum(axis=0)),
+        (c_node, lambda d: d[0] * o * (1.0 - t_ct * t_ct)),
+        prepare=lambda g: (g, g * t_ct * o * (1.0 - o)))
+    return c_node, h_node

@@ -298,8 +298,14 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
         try:
             header = json.loads(header_bytes.decode("utf-8"))
             model = build(_config(ModelConfig, header["model"]))
-            optimizer = Adam(model.registry, lr=header["adam"]["lr"])
-            optimizer.t = header["adam"]["t"]
+            lr, t = header["adam"]["lr"], header["adam"]["t"]
+            if type(t) is not int or t < 0:  # a bool is not an int here
+                raise ValueError(f"adam.t must be an integer >= 0, got {t!r}")
+            if type(lr) not in (int, float) or not 0.0 < lr < math.inf:
+                raise ValueError(f"adam.lr must be positive and finite, "
+                                 f"got {lr!r}")
+            optimizer = Adam(model.registry, lr=lr)
+            optimizer.t = t
             train_cfg = (_config(TrainConfig, header["train"])
                          if header["train"] else None)
         except (KeyError, TypeError, ValueError) as exc:

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import salrec.recurrence
 from salrec.gradcheck import check_recurrence
 from salrec.layers import ParameterRegistry
+from salrec.model import ModelConfig, build
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, effective_alpha,
                                ema_step)
-from salrec.tensor import (Tensor, add, broadcast_mul, conv2d, mul, sigmoid,
-                           tanh)
+from salrec.tensor import (ComputationTape, Tensor, add, backward,
+                           broadcast_mul, concat, conv2d, lstm_cell, mul,
+                           sigmoid, split, tanh, tsum)
+from salrec.training import bce_loss
 
 
 def run_ema(inputs, cfg):
@@ -221,3 +225,110 @@ class TestBpttGradients:
         for result in check_recurrence(seed=seed):
             assert result.max_rel_err <= 1e-5, (
                 f"{result.name}: {result.max_rel_err}")
+
+
+def chain_cell(pre, cell, peepholes):
+    """Oracle: the gate arithmetic of `lstm_cell` as a chain of single ops,
+    21 tape nodes per step with the concat and the conv."""
+    *gates, pre_c = split(pre, 4, axis=1)
+    u_t, f_t, o_t = (sigmoid(add(g, broadcast_mul(p, cell)))
+                     for g, p in zip(gates, peepholes))
+    c_t = add(mul(f_t, cell), mul(u_t, tanh(pre_c)))
+    return c_t, mul(o_t, tanh(c_t))
+
+
+def unroll(cell_fn, w, frames, upstream):
+    """A 5-frame cell unroll under `cell_fn`; returns the loss (C_t and
+    H_t projected onto fixed upstream weights) and every frame's pre, C_t
+    and H_t, whose grads backward fills."""
+    n, _, h, wd = frames[0].shape
+    state = ConvLstmState.zeros(n, w.peepholes[0].shape[0], h, wd)
+    steps, total = [], None
+    for s_t, (up_c, up_h) in zip(frames, upstream):
+        pre = conv2d(concat(s_t, state.hidden, axis=1), w.kernel, w.bias,
+                     padding=1)
+        c_t, h_t = cell_fn(pre, state.cell, w.peepholes)
+        state = ConvLstmState(cell=c_t, hidden=h_t)
+        steps.append((pre, c_t, h_t))
+        s = add(tsum(mul(c_t, up_c)), tsum(mul(h_t, up_h)))
+        total = s if total is None else add(total, s)
+    return total, steps
+
+
+class TestLstmCell:
+    """`lstm_cell` against the single-op chain it replaces (`chain_cell`).
+    Values are bit-equal. Gradients sum the same terms in another order:
+    the chain adds each peephole and forget term into a gradient buffer on
+    its own, the op adds their sum. So they agree to GRAD_RTOL of the
+    largest gradient of each tensor."""
+
+    GRAD_RTOL = 1e-13
+
+    def assert_grads_close(self, got, want, name):
+        bound = self.GRAD_RTOL * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound, name
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_unroll_matches_chain(self, n):
+        rng = np.random.default_rng(20 + n)
+        data = [rng.uniform(-2, 2, size=(n, 3, 3, 3)) for _ in range(5)]
+        upstream = [tuple(Tensor(rng.normal(size=(n, 2, 3, 3)))
+                          for _ in range(2)) for _ in range(5)]
+        runs = []
+        for cell_fn in (lstm_cell, chain_cell):
+            reg, w = make_weights(seed=19, in_ch=3, ch=2)
+            w.bias.data[...] = np.random.default_rng(22).uniform(-1, 1, 8)
+            frames = [Tensor(x, requires_grad=True) for x in data]
+            loss, steps = unroll(cell_fn, w, frames, upstream)
+            backward(loss)
+            runs.append((reg, frames, steps))
+        (reg, frames, steps), (reg_ref, frames_ref, steps_ref) = runs
+        for t, (step, ref) in enumerate(zip(steps, steps_ref)):
+            for part, got, want in zip(("pre", "C_t", "H_t"), step, ref):
+                assert np.array_equal(got.data, want.data), (t, part)
+            for part, got, want in zip(("pre", "C_t"), step, ref):
+                self.assert_grads_close(got.grad, want.grad, (t, part))
+        for t, (got, want) in enumerate(zip(frames, frames_ref)):
+            self.assert_grads_close(got.grad, want.grad, ("s_t", t))
+        for name in reg.names():
+            self.assert_grads_close(reg[name].grad, reg_ref[name].grad, name)
+
+    def test_default_clip_matches_chain(self, monkeypatch):
+        """One default-shape ConvLSTM clip, `forward_frame` and backward,
+        with the cell's gate arithmetic as the op and as the chain."""
+        rng = np.random.default_rng(23)
+        frames = Tensor(rng.uniform(size=(4, 1, 32, 32)))
+        gts = Tensor(rng.uniform(size=(4, 1, 32, 32)))
+        runs = []
+        for cell_fn in (lstm_cell, chain_cell):
+            monkeypatch.setattr(salrec.recurrence, "lstm_cell", cell_fn)
+            model = build(ModelConfig(recurrence="convlstm", seed=3))
+            maps = model.forward_frame(frames, model.fresh_states())
+            backward(bce_loss(maps, gts))
+            runs.append((maps.data, model.registry))
+        (maps, reg), (maps_ref, reg_ref) = runs
+        assert np.array_equal(maps, maps_ref)
+        for name in reg.names():
+            self.assert_grads_close(reg[name].grad, reg_ref[name].grad, name)
+
+    def test_records_two_nodes(self):
+        _, w = make_weights(seed=24)
+        pre = Tensor(np.random.default_rng(25).normal(size=(1, 8, 3, 3)),
+                     requires_grad=True)
+        cell = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+        p_u, p_f, p_o = w.peepholes
+        c_t, h_t = lstm_cell(pre, cell, w.peepholes)
+        assert c_t._parents == (pre, cell, p_u, p_f)
+        assert h_t._parents == (pre, cell, p_o, c_t)
+        assert ComputationTape(h_t).ops == [c_t, h_t]
+
+    @pytest.mark.parametrize("pre, cell, peep", [
+        ((1, 7, 3, 3), (1, 2, 3, 3), (2, 3, 3)),
+        ((1, 8, 3, 3), (2, 2, 3, 3), (2, 3, 3)),
+        ((1, 8, 3, 3), (1, 2, 3, 2), (2, 3, 3)),
+        ((1, 8, 3, 3), (1, 2, 3, 3), (1, 3, 3)),
+        ((8, 3, 3), (2, 3, 3), (2, 3, 3))])
+    def test_shape_mismatch_rejected(self, pre, cell, peep):
+        with pytest.raises(ValueError, match="lstm_cell"):
+            lstm_cell(Tensor(np.zeros(pre)), Tensor(np.zeros(cell)),
+                      tuple(Tensor(np.zeros(peep)) for _ in range(3)))

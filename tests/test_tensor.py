@@ -532,6 +532,21 @@ class TestOpGradients:
         leaf = _node(b.data, (b, boom))
         assert not leaf.requires_grad and leaf._backward_fn is None
 
+    def test_prepare_runs_once_per_backward_call(self):
+        calls = []
+
+        def prepare(g):
+            calls.append(g)
+            return 2.0 * g
+
+        a, b = t(np.ones(3), grad=True), t(np.ones(3), grad=True)
+        y = _node(a.data + b.data, (a, lambda d: d), (b, lambda d: -d),
+                  prepare=prepare)
+        backward(tsum(y))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [-2.0, -2.0, -2.0])
+
 
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -596,4 +611,17 @@ class TestTracerContract:
             assert tracer.calls[f"layers.{layer}"] == 1, layer
             assert tracer.bwd[f"layers.{layer}"] > 0, layer
         assert tracer.calls["recurrence.ema_step"] == 3
+        self.assert_bit_equal(traced, self.trained_clip(cfg=cfg, n_frames=3))
+
+    def test_traced_convlstm_clip_steps_each_frame(self):
+        """At the default shape, a ConvLSTM clip steps the cell once per
+        frame, and the cell's traced conv2d gives its span backward time."""
+        tracer_mod = _load_tracer()
+        tracer = tracer_mod.Tracer()
+        cfg = ModelConfig(recurrence="convlstm", seed=3)
+        traced = self.trained_clip(tracer, cfg, n_frames=3)
+        assert tracer.calls["model.forward_frame"] == 1
+        assert tracer.calls["recurrence.convlstm_step"] == 3
+        assert tracer.calls["tensor.conv2d"] == len(tracer_mod.LAYER_NAMES) + 3
+        assert tracer.bwd["recurrence.convlstm_step"] > 0
         self.assert_bit_equal(traced, self.trained_clip(cfg=cfg, n_frames=3))

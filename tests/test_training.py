@@ -583,6 +583,24 @@ class TestCheckpoint:
             raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
             "malformed checkpoint header")
 
+    @pytest.mark.parametrize("field, value", [
+        ("t", -3), ("t", 1.5), ("t", True), ("t", "x"), ("lr", -1.0),
+        ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("lr", True), ("lr", "x")])
+    def test_bad_adam_state_rejected(self, tmp_path, field, value):
+        """Adam's step count is an integer >= 0 and its learning rate
+        positive and finite, as `TrainConfig` requires; anything else
+        would step with a wrong bias correction or turn the weights NaN."""
+        raw = self.saved(tmp_path)
+        (clen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + clen])
+        header["adam"][field] = value
+        new = json.dumps(header, sort_keys=True).encode()
+        self.assert_rejected(
+            tmp_path,
+            raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
+            f"malformed checkpoint header .*adam.{field}")
+
     @pytest.mark.parametrize("header, error", [
         (b"\xff", "UnicodeDecodeError"), (b"[", "JSONDecodeError")],
         ids=["not-utf8", "not-json"])
