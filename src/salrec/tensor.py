@@ -92,9 +92,13 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add g into the grad buffer. The first g is stored as g + 0.0 in a
+        new C-contiguous buffer: the bits of a zeroed buffer plus g (-0.0
+        becomes +0.0), without the zero fill and never aliased to g."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def detach(self) -> "Tensor":
         """A new leaf sharing this tensor's values, severed from the graph."""
@@ -289,14 +293,16 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     Output spatial size is H + 2*padding - kH + 1. Bias, when given, is
     added per output channel (the one sanctioned broadcast).
 
-    Layout: the input windows form an (N, H'*W', Cin*kH*kW) matrix, each
-    window flattened in (Cin, kH, kW) order to match the kernel viewed as
-    a (Cout, Cin*kH*kW) matrix. Contract: the forward output (that matrix
-    product) and the input gradient (kernel taps (i, j) added in row-major
-    order into a zeroed buffer) are exact, bit for bit the np.pad +
-    sliding_window_view formulation kept as the test oracle. The kernel
-    gradient is one (Cout, N*H'*W') x (N*H'*W', Cin*kH*kW) GEMM, so it
-    matches that formulation only up to summation order.
+    Layout: the input windows form a channel-major (Cin*kH*kW, N*H'*W')
+    matrix, rows in (Cin, kH, kW) order to match the kernel viewed as a
+    (Cout, Cin*kH*kW) matrix, so building it copies whole output rows.
+    The forward output is one (Cout, Cin*kH*kW) x (Cin*kH*kW, N*H'*W')
+    GEMM, and the kernel gradient one (Cout, N*H'*W') x (N*H'*W',
+    Cin*kH*kW) GEMM. Contract, against the np.pad + sliding_window_view
+    formulation kept as the test oracle: the input gradient (kernel taps
+    (i, j) added in row-major order into a zeroed buffer) is exact, bit for
+    bit; the forward output and the kernel gradient match it up to
+    summation order, within the bounds the tests state.
     """
     if input.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
@@ -324,15 +330,15 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         xp = input.data
     ho, wo = hp - kh + 1, wp - kw + 1
     sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(  # (N, H', W', Cin, kH, kW)
-        xp, shape=(n, ho, wo, cin, kh, kw),
-        strides=(sn, sh, sw, sc, sh, sw), writeable=False)
-    cols = windows.reshape(n, ho * wo, cin * kh * kw)
+    windows = np.lib.stride_tricks.as_strided(  # (Cin, kH, kW, N, H', W')
+        xp, shape=(cin, kh, kw, n, ho, wo),
+        strides=(sc, sh, sw, sn, sh, sw), writeable=False)
+    cols = windows.reshape(cin * kh * kw, n * ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = cols @ kmat.T  # (N, H'*W', Cout)
+    out = kmat @ cols  # (Cout, N*H'*W')
     if bias is not None:
-        out = out + bias.data
-    out = out.transpose(0, 2, 1).reshape(n, cout, ho, wo)
+        out += bias.data[:, None]
+    out = out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
 
     def dinput(g):
         dcols = (g.reshape(n, cout, ho * wo).transpose(0, 2, 1) @ kmat
@@ -345,8 +351,7 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
 
     def dkernel(g):
         gk = g.reshape(n, cout, ho * wo).transpose(1, 0, 2).reshape(cout, n * ho * wo)
-        dk = gk @ cols.reshape(n * ho * wo, cin * kh * kw)
-        return dk.reshape(kernel.shape)
+        return (gk @ cols.T).reshape(kernel.shape)
 
     edges = [(input, dinput), (kernel, dkernel)]
     if bias is not None:

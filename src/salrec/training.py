@@ -84,19 +84,24 @@ class Adam:
         its moments decay, and it still moves by them."""
         self.t += 1
         b1, b2 = BETA1, BETA2
+        # two scratch buffers, as large as the largest parameter
+        scratch = np.empty((2, max((p.size for _, p in self.registry.items()),
+                                   default=0)))
         for name, p in self.registry.items():
-            m, v = self.m[name], self.v[name]
+            m, v, g = self.m[name], self.v[name], p.grad
+            step, denom = (buf[:p.size].reshape(p.shape) for buf in scratch)
             m *= b1
             v *= b2
-            if p.grad is not None:
-                m += (1 - b1) * p.grad
-                v += (1 - b2) * p.grad * p.grad
-            m_hat = m / (1 - b1 ** self.t)
-            denom = np.sqrt(v / (1 - b2 ** self.t))
+            if g is not None:
+                m += np.multiply(g, 1 - b1, out=step)
+                np.multiply(g, 1 - b2, out=step)
+                v += np.multiply(step, g, out=step)
+            np.divide(m, 1 - b1 ** self.t, out=step)
+            np.sqrt(np.divide(v, 1 - b2 ** self.t, out=denom), out=denom)
             denom += EPS
-            m_hat *= ALPHA_LR if name == ALPHA_PARAM else self.lr
-            m_hat /= denom
-            p.data -= m_hat
+            step *= ALPHA_LR if name == ALPHA_PARAM else self.lr
+            step /= denom
+            p.data -= step
 
 
 def train_clip(model: Model, frames: Tensor, gts: Tensor,

@@ -226,6 +226,15 @@ class TestBpttGradients:
             assert result.max_rel_err <= 1e-5, (
                 f"{result.name}: {result.max_rel_err}")
 
+    @pytest.mark.sweep
+    def test_probes_pass_at_every_seed(self):
+        # `salrec gradcheck`'s bound: over seeds 0-199 the ConvLSTM probe
+        # reads up to 3.2e-5 (seed 183), on a peephole gradient element
+        # near zero, so the tighter bound above holds only at some seeds
+        for seed in range(200):
+            for result in check_recurrence(seed=seed):
+                assert result.passed, (seed, result.name, result.max_rel_err)
+
 
 def chain_cell(pre, cell, peepholes):
     """Oracle: the gate arithmetic of `lstm_cell` as a chain of single ops,

@@ -169,9 +169,17 @@ def conv_cases(draw):
                 seed=draw(st.integers(0, 2**32 - 1)))
 
 
+# (Cin, Cout, k, padding, H, W) of the default model's eight convolutions:
+# enc1-3, the ConvLSTM cell, dec1-3 and the 1x1 head
+MODEL_GEOMETRIES = [(1, 8, 3, 1, 32, 32), (8, 16, 3, 1, 16, 16),
+                    (16, 32, 3, 1, 8, 8), (64, 128, 3, 1, 4, 4),
+                    (32, 16, 3, 1, 4, 4), (16, 8, 3, 1, 8, 8),
+                    (8, 8, 3, 1, 16, 16), (8, 1, 1, 0, 32, 32)]
+
+
 class TestConv2dReference:
-    @given(conv_cases())
-    def test_matches_reference(self, case):
+    @staticmethod
+    def check(case):
         rng = np.random.default_rng(case["seed"])
         n, cin, cout, k = case["n"], case["cin"], case["cout"], case["k"]
         padding = case["padding"]
@@ -186,16 +194,32 @@ class TestConv2dReference:
             backward(tsum(mul(y, t(g))))  # upstream gradient of y is g
             results.append((y.data, xt.grad, kt.grad, bt.grad, g))
         (y, dx, dk, db, g), (y_ref, dx_ref, dk_ref, db_ref, _) = results
-        assert np.array_equal(y, y_ref)
         assert np.array_equal(dx, dx_ref)
         assert np.array_equal(db, db_ref)
+        eps = np.finfo(np.float64).eps
+        cols = np.abs(_window_matrix(x, k, k, padding))
+        # the forward output sums Cin*kH*kW products in another order, then
+        # adds the bias
+        products = (cols @ np.abs(kern.reshape(cout, -1)).T).reshape(
+            n, y.shape[2], y.shape[3], cout).transpose(0, 3, 1, 2)
+        bound = cols.shape[1] * eps * products + eps * np.abs(y_ref)
+        assert np.all(np.abs(y - y_ref) <= bound)
         # the kernel gradient sums N*H'*W' products in another order
         positions = n * y.shape[2] * y.shape[3]
-        cols = _window_matrix(x, k, k, padding)
         g_abs = np.abs(g).transpose(1, 0, 2, 3).reshape(cout, positions)
-        bound = (positions * np.finfo(np.float64).eps
-                 * (g_abs @ np.abs(cols)).reshape(dk.shape))
+        bound = positions * eps * (g_abs @ cols).reshape(dk.shape)
         assert np.all(np.abs(dk - dk_ref) <= bound)
+
+    @given(conv_cases())
+    def test_matches_reference(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES)
+    def test_model_geometry_matches_reference(self, geometry, n):
+        cin, cout, k, padding, h, w = geometry
+        self.check(dict(n=n, cin=cin, cout=cout, k=k, padding=padding,
+                        h=h, w=w, seed=17))
 
     def test_training_epoch_matches_reference(self, monkeypatch):
         lean = one_epoch_params("convlstm")
@@ -469,6 +493,26 @@ class TestBackward:
         double = grad_of(lambda x: add(tsum(sigmoid(x)), tsum(sigmoid(x))))
         np.testing.assert_array_equal(double, 2.0 * single)
 
+    def test_first_grad_of_negative_zero_is_positive_zero(self):
+        x = t(np.ones(3), grad=True)
+        x.accumulate_grad(np.array([-0.0, 1.0, -0.0]))
+        assert not np.any(np.signbit(x.grad))  # as zeros + g would store it
+
+    def test_first_grad_is_not_aliased(self):
+        x = t(np.ones(3), grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        x.accumulate_grad(g)
+        g[:] = 7.0
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+
+    def test_first_grad_of_transposed_view_is_contiguous(self):
+        # conv2d's input gradient comes back as an NHWC buffer seen as NCHW
+        x = t(np.ones((1, 2, 3, 4)), grad=True)
+        g = np.arange(24.0).reshape(1, 3, 4, 2).transpose(0, 3, 1, 2)
+        x.accumulate_grad(g)
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, g)
+
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.uniform(-2, 2, size=(1, 2, 4, 4)))
@@ -518,6 +562,12 @@ class TestOpGradients:
         # the per-op bound, a hundredth of `salrec gradcheck`'s tolerance
         errors = [check_op(name, seed) for seed in range(10)]
         assert max(errors) < 1e-6, errors
+
+    @pytest.mark.sweep
+    @pytest.mark.parametrize("name", sorted(OP_CASES))
+    def test_matches_finite_differences_at_every_seed(self, name):
+        errors = [check_op(name, seed) for seed in range(200)]
+        assert max(errors) < 1e-6, (int(np.argmax(errors)), max(errors))
 
     def test_vjp_of_parent_without_grad_never_runs(self):
         def boom(g):

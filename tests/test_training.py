@@ -112,23 +112,12 @@ class TestAdam:
         assert p.data == pytest.approx(-0.1, rel=1e-6)
         assert w.data == pytest.approx(-1e-3, rel=1e-6)
 
-    def test_in_place_step_matches_out_of_place(self):
+    @staticmethod
+    def assert_steps_match(oracle_step):
         """Five steps of `Adam.step` leave the bytes of every parameter and
-        moment that the out-of-place step it replaced leaves, for a
-        parameter whose grad turns None (moments still decaying) too."""
-        def out_of_place_step(opt):
-            opt.t += 1
-            b1, b2 = training_mod.BETA1, training_mod.BETA2
-            for name, p in opt.registry.items():
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
-                opt.m[name] = b1 * opt.m[name] + (1 - b1) * g
-                opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
-                m_hat = opt.m[name] / (1 - b1 ** opt.t)
-                v_hat = opt.v[name] / (1 - b2 ** opt.t)
-                lr = (training_mod.ALPHA_LR if name == training_mod.ALPHA_PARAM
-                      else opt.lr)
-                p.data -= lr * m_hat / (np.sqrt(v_hat) + training_mod.EPS)
-
+        moment that `oracle_step` leaves, for the trainable alpha (stepped
+        at `ALPHA_LR`) and for a parameter whose grad turns None (moments
+        still decaying) too."""
         shapes = {"w": (2, 3), training_mod.ALPHA_PARAM: (), "idle": (4,)}
         opts = []
         for _ in range(2):
@@ -147,13 +136,52 @@ class TestAdam:
                 for name, p in opt.registry.items():
                     p.grad = None if grads[name] is None else grads[name].copy()
             opts[0].step()
-            out_of_place_step(opts[1])
+            oracle_step(opts[1])
             for name in shapes:
                 for table in ("m", "v"):
                     a, b = getattr(opts[0], table)[name], getattr(opts[1], table)[name]
                     assert a.tobytes() == b.tobytes(), (step, table, name)
                 assert (opts[0].registry[name].data.tobytes()
                         == opts[1].registry[name].data.tobytes()), (step, name)
+
+    def test_in_place_step_matches_out_of_place(self):
+        def out_of_place_step(opt):
+            opt.t += 1
+            b1, b2 = training_mod.BETA1, training_mod.BETA2
+            for name, p in opt.registry.items():
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                opt.m[name] = b1 * opt.m[name] + (1 - b1) * g
+                opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
+                m_hat = opt.m[name] / (1 - b1 ** opt.t)
+                v_hat = opt.v[name] / (1 - b2 ** opt.t)
+                lr = (training_mod.ALPHA_LR if name == training_mod.ALPHA_PARAM
+                      else opt.lr)
+                p.data -= lr * m_hat / (np.sqrt(v_hat) + training_mod.EPS)
+
+        self.assert_steps_match(out_of_place_step)
+
+    def test_scratch_step_matches_temporaries(self):
+        """The step that writes into scratch buffers runs the operations,
+        in order, of the step that made a temporary for each of them."""
+        def temporaries_step(opt):
+            opt.t += 1
+            b1, b2 = training_mod.BETA1, training_mod.BETA2
+            for name, p in opt.registry.items():
+                m, v = opt.m[name], opt.v[name]
+                m *= b1
+                v *= b2
+                if p.grad is not None:
+                    m += (1 - b1) * p.grad
+                    v += (1 - b2) * p.grad * p.grad
+                m_hat = m / (1 - b1 ** opt.t)
+                denom = np.sqrt(v / (1 - b2 ** opt.t))
+                denom += training_mod.EPS
+                m_hat *= (training_mod.ALPHA_LR
+                          if name == training_mod.ALPHA_PARAM else opt.lr)
+                m_hat /= denom
+                p.data -= m_hat
+
+        self.assert_steps_match(temporaries_step)
 
 
 def to_stack(arrs):
