@@ -330,9 +330,9 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         xp = input.data
     ho, wo = hp - kh + 1, wp - kw + 1
     sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(  # (Cin, kH, kW, N, H', W')
-        xp, shape=(cin, kh, kw, n, ho, wo),
-        strides=(sc, sh, sw, sn, sh, sw), writeable=False)
+    windows = np.ndarray(  # (Cin, kH, kW, N, H', W'), a view of xp
+        (cin, kh, kw, n, ho, wo), np.float64, xp, 0,
+        (sc, sh, sw, sn, sh, sw))
     cols = windows.reshape(cin * kh * kw, n * ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
     out = kmat @ cols  # (Cout, N*H'*W')

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from salrec.data import VideoSample
-from salrec.metrics import (FixationMap, MetricReport, _auc_from_scores,
-                            _auc_rows, aggregate, auc_judd, auc_shuffled, cc,
+from salrec import metrics
+from salrec.metrics import (_SAMPLER_MAX_K, FixationMap, MetricReport,
+                            _auc_from_scores, _auc_rows, _choice_rows,
+                            aggregate, auc_judd, auc_shuffled, cc,
                             compare_per_video, evaluate_predictions, nss, sim)
 
 
@@ -363,6 +365,137 @@ class TestAucShuffled:
         a = auc_shuffled(pred, fix, other, n_splits=20, rng_seed=7)
         b = auc_shuffled(pred, fix, other, n_splits=20, rng_seed=7)
         assert a == b
+
+
+def choice_loop(seed, n, k, n_splits):
+    """The draws the sampler must reproduce: one `choice` call per split."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.choice(n, size=k, replace=False)
+                     for _ in range(n_splits)])
+
+
+class RejectingGenerator:
+    """A generator whose block of outputs holds 0 at (0, `column`): a
+    Lemire draw of range(r) rejects it whenever 2**32 % r != 0."""
+
+    def __init__(self, rng, column):
+        self.rng = rng
+        self.column = column
+
+    def integers(self, *args, **kwargs):
+        block = self.rng.integers(*args, **kwargs)
+        block[0, self.column] = 0
+        return block
+
+
+class TestChoiceRows:
+    """`_choice_rows` against the loop of `Generator.choice` calls it
+    replaces, array-equal; the wide sweep runs under `-m sweep`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 984, 1024])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_per_split(self, n, seed):
+        assert np.array_equal(_choice_rows(np.random.default_rng(seed), n, 1,
+                                           100), choice_loop(seed, n, 1, 100))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_whole_pool(self, n, seed):
+        # k = n: Floyd's first step has a range of one value and reads no output
+        assert np.array_equal(_choice_rows(np.random.default_rng(seed), n, n,
+                                           20), choice_loop(seed, n, n, 20))
+
+    def test_rejected_output_returns_none(self):
+        # n = 10, k = 3: ranges 8, 9, 10 (Floyd), 3, 2 (shuffle)
+        rng = np.random.default_rng
+        assert _choice_rows(RejectingGenerator(rng(0), 2), 10, 3, 5) is None
+        # 2**32 % 8 == 0, so a zero output there is a valid draw of 0
+        rows = _choice_rows(RejectingGenerator(rng(0), 0), 10, 3, 5)
+        assert rows is not None and 0 in rows[0]
+
+    def test_redraw_falls_back_to_the_loop(self, monkeypatch):
+        pred = np.random.default_rng(20).uniform(size=(6, 6))
+        fix = FixationMap([(0, 0), (1, 2), (3, 1)], (6, 6))
+        pool = [FixationMap([(r, 5) for r in range(6)] + [(5, 0), (4, 4)],
+                            (6, 6))]  # 8 pixels: ranges 6, 7, 8, 3, 2
+        want = reference_auc_shuffled(pred, fix, pool, n_splits=40, rng_seed=9)
+        seeds = []
+        real = np.random.default_rng
+
+        def default_rng(seed):
+            seeds.append(seed)
+            return (RejectingGenerator(real(seed), 1) if len(seeds) == 1
+                    else real(seed))
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        assert auc_shuffled(pred, fix, pool, n_splits=40, rng_seed=9) == want
+        assert seeds == [9, 9]
+
+    def test_small_pool_uses_the_loop(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("sampler called with replacement")
+
+        monkeypatch.setattr(metrics, "_choice_rows", unused)
+        pred = np.random.default_rng(21).uniform(size=(5, 5))
+        fix = FixationMap([(0, 0), (1, 1), (2, 2), (3, 3)], (5, 5))
+        pool = [FixationMap([(4, 4), (0, 4)], (5, 5))]
+        with pytest.warns(UserWarning, match="replacement"):
+            got = auc_shuffled(pred, fix, pool, n_splits=50, rng_seed=4)
+            want = reference_auc_shuffled(pred, fix, pool, n_splits=50,
+                                          rng_seed=4)
+        assert got == want
+
+    def test_numpy_draws_unchanged(self):
+        """The sampler rests on two facts about numpy's `Generator`; this
+        names the numpy version when either stops holding."""
+        words = np.random.default_rng(5).bit_generator.random_raw(6)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], 1).reshape(-1)
+        block = np.random.default_rng(5).integers(0, 2**32, size=12,
+                                                  dtype=np.uint32)
+        assert np.array_equal(block, halves), (
+            f"numpy {np.__version__}: uint32 draws are no longer the low and "
+            "high halves of the PCG64 outputs; s-AUC must use rng.choice")
+        assert np.array_equal(
+            _choice_rows(np.random.default_rng(11), 984, 5, 100),
+            choice_loop(11, 984, 5, 100)), (
+            f"numpy {np.__version__}: Generator.choice no longer draws by "
+            "Floyd's algorithm and a Fisher-Yates shuffle; s-AUC must use "
+            "rng.choice")
+        # numpy's choice runs Floyd's algorithm for every k the sampler takes
+        assert _SAMPLER_MAX_K <= 10_000 // 50
+
+    @pytest.mark.sweep
+    @pytest.mark.parametrize("n, ks", [(n, range(1, n + 1)) for n in range(1, 41)]
+                             + [(n, range(1, 65)) for n in (1024, 10_000, 10_001)])
+    def test_matches_choice_at_every_seed(self, n, ks):
+        redraws = 0
+        for seed in range(200):
+            for k in ks:
+                rows = _choice_rows(np.random.default_rng(seed), n, k, 3)
+                if rows is None:  # numpy redrew: the loop serves this case
+                    redraws += 1
+                    continue
+                assert np.array_equal(rows, choice_loop(seed, n, k, 3)), (
+                    seed, n, k)
+        assert redraws <= 2, redraws
+
+
+class TestScoringArguments:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_splits": 0}, "n_splits"), ({"rng_seed": -1}, "rng_seed")])
+    def test_auc_shuffled_checks_up_front(self, kwargs, name):
+        fix = FixationMap([(0, 0)], (4, 4))
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            auc_shuffled(np.eye(4), fix, [FixationMap([(1, 1)], (4, 4))],
+                         **kwargs)
+
+    @pytest.mark.parametrize("videos", [1, 2])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_splits": 0}, "n_splits"), ({"seed": -1}, "seed")])
+    def test_evaluate_predictions_checks_up_front(self, videos, kwargs, name):
+        samples = [make_video(f"v{i}", (8, 8), 2, seed=i) for i in range(videos)]
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            evaluate_predictions(samples, tied_predictions(samples, 3), **kwargs)
 
 
 class TestAggregate:
