@@ -39,19 +39,31 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
+_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of a file in one unbuffered read, with the OSError of
+    `Path.read_bytes` and without its Path and buffered reader, which cost
+    as much as the read on a 1 KB map."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
 def read_pgm(path: Path) -> np.ndarray:
-    """Read binary PGM back to a [0, 1] float map."""
-    raw = Path(path).read_bytes()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+    """Read binary PGM back to a [0, 1] float map; `path` is a str or a
+    Path, and errors name it as given."""
+    raw = _read_bytes(path)
+    m = _PGM_HEADER.match(raw)
     if not m:
         raise ValueError(f"{path}: malformed PGM header")
     w, h, maxval = (int(g) for g in m.groups())
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pixels = raw[m.end():]
-    if len(pixels) != w * h:
-        raise ValueError(f"{path}: expected {w * h} pixels, got {len(pixels)}")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w) / 255.0
+    n = len(raw) - m.end()
+    if n != w * h:
+        raise ValueError(f"{path}: expected {w * h} pixels, got {n}")
+    return np.frombuffer(raw, np.uint8, n, m.end()).reshape(h, w) / 255.0
 
 
 def _write_maps(vdir: Path, maps: list[np.ndarray]) -> None:
@@ -61,12 +73,19 @@ def _write_maps(vdir: Path, maps: list[np.ndarray]) -> None:
         write_pgm(vdir / f"{t:04d}.pgm", m)
 
 
+def _in_dir(vdir) -> str:
+    """The text that `Path(vdir, name)` puts before a plain file name, so
+    that a loop can join names as strings: the same paths, one Path each."""
+    return str(Path(vdir, "_"))[:-1]
+
+
 def _read_maps(vdir: Path, n: int, shape: tuple[int, int]) -> list[np.ndarray]:
     """Read vdir/0000.pgm ... vdir/<n-1>.pgm by name; a missing map or one
     of another size raises, naming the file."""
+    prefix = _in_dir(vdir)
     maps = []
     for t in range(n):
-        path = vdir / f"{t:04d}.pgm"
+        path = f"{prefix}{t:04d}.pgm"
         m = read_pgm(path)
         if m.shape != shape:
             raise ValueError(f"{path}: shape {m.shape}, expected {shape}")
@@ -75,11 +94,16 @@ def _read_maps(vdir: Path, n: int, shape: tuple[int, int]) -> list[np.ndarray]:
 
 
 def read_utf8(path: Path) -> str:
-    """The text of a UTF-8 file; other bytes raise ValueError naming it."""
+    """The text of a UTF-8 file, with "\\r\\n" and a lone "\\r" read as "\\n"
+    (as `Path.read_text` reads them); other bytes raise ValueError naming
+    it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def write_fixations(path: Path, fix: FixationMap) -> None:
@@ -287,8 +311,8 @@ def read_dataset(root: Path) -> list[VideoSample]:
         n, size = entry["frames"], (entry["height"], entry["width"])
         frames = _read_maps(vdir / "frames", n, size)
         gts = _read_maps(vdir / "gt", n, size)
-        fixes = [read_fixations(vdir / "fix" / f"{t:04d}.txt", size)
-                 for t in range(n)]
+        fix = _in_dir(vdir / "fix")
+        fixes = [read_fixations(f"{fix}{t:04d}.txt", size) for t in range(n)]
         samples.append(VideoSample(video_id=entry["video_id"], frames=frames,
                                    gt_maps=gts, fixations=fixes))
     return samples

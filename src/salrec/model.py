@@ -1,8 +1,13 @@
 """Miniature encoder-decoder saliency model ("MiniSal") with a temporal
 recurrence inserted at configurable points.
 
-Encoder: `stages` blocks of conv3x3 -> relu -> maxpool2. Decoder mirrors with
-upsampling. Head: 1x1 conv -> sigmoid producing a per-frame probability map.
+Encoder: `stages` blocks of conv3x3 -> relu -> maxpool2, computed as pool
+then relu: relu is monotone, so it commutes with the window max, and pooling
+first leaves it a quarter of the values. For finite conv outputs, values and
+gradients are bit for bit those of relu first. A window holding a NaN gives
+0, where relu first would zero the NaN and keep the max of the other taps.
+Decoder mirrors with upsampling. Head: 1x1 conv -> sigmoid producing a
+per-frame probability map.
 The recurrence (EMA variants or a ConvLSTM at the bottleneck) wraps the
 activations at the configured insertion points.
 """
@@ -211,7 +216,7 @@ class Model:
                 f"(T, 1, {h}, {w}) with T >= 1")
         x = frames
         for k, conv in enumerate(self.enc_convs, start=1):
-            x = maxpool2d(relu(conv(x)))
+            x = relu(maxpool2d(conv(x)))  # pool first: see the module docstring
             x = self._recur(x, f"encoder{k}", states, training, rng)
         x = self._recur(x, "bottleneck", states, training, rng)
         for k, conv in enumerate(self.dec_convs, start=1):
@@ -227,7 +232,7 @@ class Model:
         if not residual:
             x = self._recur(x, "output", states, training, rng)
         vals = x.data
-        if not np.all(np.isfinite(vals)) or vals.min() < 0.0 or vals.max() > 1.0:
+        if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # False for NaN
             raise RuntimeError("saliency map left [0, 1] or went non-finite")
         return x
 

@@ -185,6 +185,41 @@ class TestDatasetIO:
         with pytest.raises(FileNotFoundError, match="0001.pgm"):
             read_dataset(root)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\r\r\n"],
+                             ids=["LF", "CRLF", "CR", "CR-CRLF"])
+    def test_fixation_line_endings(self, tmp_path, newline):
+        """`read_utf8` reads "\\r\\n" and a lone "\\r" as "\\n", as
+        `Path.read_text` does, so a fixation file parses the same under any
+        line ending and a bad line keeps its number."""
+        path = tmp_path / "0000.txt"
+        path.write_bytes(newline.join(["3 4", "", "5 6", "0 1", ""]).encode())
+        assert data_mod.read_utf8(path) == path.read_text(encoding="utf-8")
+        assert read_fixations(path, (8, 8)).points == [(3, 4), (5, 6), (0, 1)]
+        path.write_bytes(newline.join(["3 4", "5 x"]).encode())
+        number = 3 if newline == "\r\r\n" else 2  # "\\r\\r\\n" ends two lines
+        with pytest.raises(ValueError, match=f"0000.txt:{number}: expected"):
+            read_fixations(path, (8, 8))
+
+    def test_str_root_reads_and_names_paths_as_path(self, tmp_path):
+        """A str root reads the same dataset as a Path, and an error names
+        the file as the Path join would, without a doubled or trailing
+        "/" or a "./"."""
+        samples, root = self.make(tmp_path)
+        ref = read_dataset(root)
+        for text in (str(root), f"{root}/", f"{root}//./"):
+            loaded = read_dataset(text)
+            for a, b in zip(ref, loaded):
+                assert a.video_id == b.video_id
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(a.frames + a.gt_maps, b.frames + b.gt_maps))
+                assert [f.points for f in a.fixations] == \
+                    [f.points for f in b.fixations]
+        (root / samples[1].video_id / "fix" / "0002.txt").unlink()
+        with pytest.raises(FileNotFoundError) as exc:
+            read_dataset(f"{root}//./")
+        assert str(exc.value) == ("[Errno 2] No such file or directory: "
+                                  f"'{root}/video001/fix/0002.txt'")
+
     def test_roundtrip_quantization_bounded(self, tmp_path):
         samples, root = self.make(tmp_path)
         loaded = read_dataset(root)

@@ -3,9 +3,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import salrec.model
+from salrec.gradcheck import TOL, check_model
 from salrec.model import ModelConfig, build, parse_point
 from salrec.recurrence import EmaConfig, EmaState, ema_step
-from salrec.tensor import Tensor, add, backward, no_grad, scale
+from salrec.tensor import Tensor, _node, add, backward, no_grad, scale
 from salrec.training import bce_loss
 
 
@@ -152,6 +154,37 @@ class TestForwardFrame:
             with pytest.raises(ValueError, match="frame shape"):
                 model.forward_frame(Tensor(np.zeros(shape)),
                                     model.fresh_states())
+
+
+class TestMapCheck:
+    """`forward_frame` raises RuntimeError for a map that leaves [0, 1] or
+    is not finite, and passes the bounds themselves."""
+
+    @staticmethod
+    def forward(monkeypatch, value):
+        """The maps of a stack whose sigmoid puts `value` at one pixel of
+        the second frame and 0.5 everywhere else."""
+        def sigmoid(x):
+            maps = np.full(x.shape, 0.5)
+            maps[1, 0, 5, 3] = value
+            return Tensor(maps)
+
+        monkeypatch.setattr(salrec.model, "sigmoid", sigmoid)
+        model = build(ModelConfig(input_size=(16, 16), stages=2,
+                                  base_channels=2))
+        return model.forward_frame(Tensor(np.zeros((3, 1, 16, 16))),
+                                   model.fresh_states())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300,
+                                       -0.5, 1.0 + 2 ** -52, 7.0])
+    def test_rejects(self, monkeypatch, value):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            self.forward(monkeypatch, value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0])
+    def test_accepts_bounds(self, monkeypatch, value):
+        maps = self.forward(monkeypatch, value).data
+        assert maps[1, 0, 5, 3] == value and maps.min() >= 0.0
 
 
 class TestForwardSequence:
@@ -375,3 +408,30 @@ class TestFrameStack:
         assert np.array_equal(np.stack(maps), stacked.data[:, 0])
         if alpha_override is not None:
             assert model.ema_cfg.alpha == 0.1
+
+
+class TestModelGradcheck:
+    """`check_model`, the model's finite-difference gradient check."""
+
+    def test_probe_clear_of_kinks_at_seed_105(self):
+        # its first clip put a ReLU input 8.6e-6 from zero: the central
+        # difference straddled the kink and read 2.3e-2
+        [result] = check_model(seed=105)
+        assert result.passed, result.max_rel_err
+
+    def test_planted_relu_error_fails(self, monkeypatch):
+        def relu(a):  # ReLU whose gradient is 0.1% too large
+            mask = a.data > 0
+            return _node(np.where(mask, a.data, 0.0),
+                         (a, lambda g: g * mask * (1 + 1e-3)))
+
+        monkeypatch.setattr(salrec.model, "relu", relu)
+        for seed in (0, 105):
+            [result] = check_model(seed=seed)
+            assert result.max_rel_err > TOL, (seed, result.max_rel_err)
+
+    @pytest.mark.sweep
+    def test_passes_at_every_seed(self):
+        for seed in range(200):
+            [result] = check_model(seed=seed)
+            assert result.passed, (seed, result.max_rel_err)

@@ -375,6 +375,96 @@ class TestPoolReference:
             {k: v.tobytes() for k, v in strided.items()}
 
 
+def relu_first(monkeypatch):
+    """Patch the model's encoder stages, relu(maxpool2d(conv(x))), back to
+    maxpool2d(relu(conv(x))): the patched pool hands the conv output on,
+    and the relu that takes it runs both ops, relu first. Returns the list
+    of conv outputs that went that way."""
+    held, ran = [], []
+
+    def pool(x):
+        held.append(x)
+        return x
+
+    def act(x):
+        if held and held[-1] is x:
+            ran.append(held.pop())
+            return maxpool2d(relu(x))
+        return relu(x)
+
+    monkeypatch.setattr(salrec.model, "maxpool2d", pool)
+    monkeypatch.setattr(salrec.model, "relu", act)
+    return ran
+
+
+class TestPoolThenRelu:
+    """The model's encoder stages pool, then apply relu. Relu is monotone,
+    so for inputs that are not NaN, values, input gradients and the signs
+    of zeros are those of relu first: the one zero either order gives is
+    +0.0, and the input's grad buffer stores a -0.0 gradient as +0.0."""
+
+    @staticmethod
+    def run(op, x, g):
+        return TestPoolReference.run(op, x, g)
+
+    @given(pool_cases())
+    def test_commutes_bit_for_bit(self, case):
+        x, rng = case  # ties, signed zeros, infinities, all-negative windows
+        n, c, h, w = x.shape
+        g = rng.normal(size=(n, c, h // 2, w // 2))
+        y, dx = self.run(lambda a: relu(maxpool2d(a)), x, g)
+        y_ref, dx_ref = self.run(lambda a: maxpool2d(relu(a)), x, g)
+        for a, b in ((y, y_ref), (dx, dx_ref)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_all_negative_and_signed_zero_windows(self):
+        x = np.array([[[[-1.0, -2.0, -0.0, 0.0, -0.0, -3.0],
+                        [-3.0, -0.5, 0.0, -0.0, -0.0, -0.0]]]])
+        g = np.array([[[[-2.0, -1.0, 3.0]]]])
+        y, dx = self.run(lambda a: relu(maxpool2d(a)), x, g)
+        y_ref, dx_ref = self.run(lambda a: maxpool2d(relu(a)), x, g)
+        for a, b in ((y, y_ref), (dx, dx_ref)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert not np.signbit(y).any() and not np.signbit(dx).any()
+        assert not y.any() and not dx.any()
+
+    def test_nan_window_differs(self):
+        """A window holding a NaN pools to NaN, which relu maps to 0; relu
+        first maps the NaN to 0 and the window keeps its other taps' max."""
+        x = t([[[[np.nan, 2.0], [1.0, -1.0]]]])
+        assert relu(maxpool2d(x)).item() == 0.0
+        assert maxpool2d(relu(x)).item() == 2.0
+
+    @pytest.mark.parametrize("recurrence", ["ema", "convlstm"])
+    def test_model_matches_relu_first(self, monkeypatch, recurrence):
+        """A training forward over a frame stack (maps and parameter
+        gradients) and one training epoch give the bytes of the model that
+        runs relu first."""
+        model = build(ModelConfig(input_size=(16, 16), stages=2,
+                                  base_channels=4, recurrence=recurrence,
+                                  seed=5))
+        rng = np.random.default_rng(1)
+        frames = Tensor(rng.uniform(0, 1, size=(4, 1, 16, 16)))
+        gts = Tensor(rng.uniform(0, 1, size=(4, 1, 16, 16)))
+
+        def clip():
+            model.registry.zero_grad()
+            pred = model.forward_frame(frames, model.fresh_states(),
+                                       training=True)
+            backward(salrec.training.bce_loss(pred, gts))
+            return [pred.data.tobytes()] + [
+                p.grad.tobytes() for _, p in model.registry.items()]
+
+        pooled, epoch = clip(), one_epoch_params(recurrence)
+        ran = relu_first(monkeypatch)
+        assert clip() == pooled
+        assert len(ran) == 2  # both encoder stages ran relu first
+        ref = one_epoch_params(recurrence)
+        assert {k: v.tobytes() for k, v in ref.items()} == \
+            {k: v.tobytes() for k, v in epoch.items()}
+
+
 class TestActivations:
     def test_values_at_zero(self):
         assert sigmoid(t(0.0)).item() == 0.5
