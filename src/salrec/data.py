@@ -73,19 +73,13 @@ def _write_maps(vdir: Path, maps: list[np.ndarray]) -> None:
         write_pgm(vdir / f"{t:04d}.pgm", m)
 
 
-def _in_dir(vdir) -> str:
-    """The text that `Path(vdir, name)` puts before a plain file name, so
-    that a loop can join names as strings: the same paths, one Path each."""
-    return str(Path(vdir, "_"))[:-1]
-
-
 def _read_maps(vdir: Path, n: int, shape: tuple[int, int]) -> list[np.ndarray]:
     """Read vdir/0000.pgm ... vdir/<n-1>.pgm by name; a missing map or one
-    of another size raises, naming the file."""
-    prefix = _in_dir(vdir)
+    of another size raises, naming the file. The names join the Path vdir
+    as text, which skips a Path per file."""
     maps = []
     for t in range(n):
-        path = f"{prefix}{t:04d}.pgm"
+        path = f"{vdir}/{t:04d}.pgm"
         m = read_pgm(path)
         if m.shape != shape:
             raise ValueError(f"{path}: shape {m.shape}, expected {shape}")
@@ -101,9 +95,7 @@ def read_utf8(path: Path) -> str:
         text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_fixations(path: Path, fix: FixationMap) -> None:
@@ -311,8 +303,8 @@ def read_dataset(root: Path) -> list[VideoSample]:
         n, size = entry["frames"], (entry["height"], entry["width"])
         frames = _read_maps(vdir / "frames", n, size)
         gts = _read_maps(vdir / "gt", n, size)
-        fix = _in_dir(vdir / "fix")
-        fixes = [read_fixations(f"{fix}{t:04d}.txt", size) for t in range(n)]
+        fixes = [read_fixations(f"{vdir}/fix/{t:04d}.txt", size)
+                 for t in range(n)]
         samples.append(VideoSample(video_id=entry["video_id"], frames=frames,
                                    gt_maps=gts, fixations=fixes))
     return samples

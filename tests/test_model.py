@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import salrec.model
-from salrec.gradcheck import TOL, check_model
+from salrec.gradcheck import TOL, check_model, kink_distance
 from salrec.model import ModelConfig, build, parse_point
 from salrec.recurrence import EmaConfig, EmaState, ema_step
 from salrec.tensor import Tensor, _node, add, backward, no_grad, scale
@@ -418,6 +418,15 @@ class TestModelGradcheck:
         # difference straddled the kink and read 2.3e-2
         [result] = check_model(seed=105)
         assert result.passed, result.max_rel_err
+
+    def test_kink_distance_sees_tied_pool_windows(self):
+        # on a blank clip the first conv gives its bias, 1, at every tap
+        model = build(ModelConfig(input_size=(8, 8), stages=2,
+                                  base_channels=2, recurrence="ema"))
+        for name, p in model.registry.items():
+            if name.endswith(".bias"):
+                p.data[...] = 1.0
+        assert kink_distance(model, Tensor(np.zeros((3, 1, 8, 8)))) == 0.0
 
     def test_planted_relu_error_fails(self, monkeypatch):
         def relu(a):  # ReLU whose gradient is 0.1% too large
