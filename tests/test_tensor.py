@@ -403,9 +403,7 @@ class TestPoolThenRelu:
     of zeros are those of relu first: the one zero either order gives is
     +0.0, and the input's grad buffer stores a -0.0 gradient as +0.0."""
 
-    @staticmethod
-    def run(op, x, g):
-        return TestPoolReference.run(op, x, g)
+    run = staticmethod(TestPoolReference.run)
 
     @given(pool_cases())
     def test_commutes_bit_for_bit(self, case):
