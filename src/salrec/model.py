@@ -8,6 +8,18 @@ gradients are bit for bit those of relu first. A window holding a NaN gives
 0, where relu first would zero the NaN and keep the max of the other taps.
 Decoder mirrors with upsampling. Head: 1x1 conv -> sigmoid producing a
 per-frame probability map.
+
+The head and the sigmoid run before the last upsample, on a quarter of the
+pixels: a 1x1 conv, its bias and a sigmoid act on each pixel alone, so they
+commute with a nearest-neighbour copy and the maps are bit for bit those of
+upsampling first. Gradients change only in summation order, as the
+upsample's backward sums the four taps of a pixel before the head, not
+after. Two exceptions: under `ema-residual` at `output` the upsample moves
+past the head only, as that EMA runs before the sigmoid; and with a
+recurrence at `decoder<stages>` it stays where it is. A recurrence at
+`output` runs after the upsample, at full size, so a dropout mask keeps its
+shape and draws.
+
 The recurrence (EMA variants or a ConvLSTM at the bottleneck) wraps the
 activations at the configured insertion points.
 """
@@ -219,18 +231,23 @@ class Model:
             x = relu(maxpool2d(conv(x)))  # pool first: see the module docstring
             x = self._recur(x, f"encoder{k}", states, training, rng)
         x = self._recur(x, "bottleneck", states, training, rng)
+        # the last upsample waits for the head, and for the sigmoid too
+        # unless the residual output EMA runs first: see the module docstring
+        stages = self.cfg.stages
+        late = f"decoder{stages}" not in self.points
         for k, conv in enumerate(self.dec_convs, start=1):
-            x = upsample_nearest(relu(conv(x)))
+            x = relu(conv(x))
+            if k < stages or not late:
+                x = upsample_nearest(x)
             x = self._recur(x, f"decoder{k}", states, training, rng)
         x = self.head(x)
+        up = upsample_nearest if late else (lambda t: t)
         # the output EMA averages maps after the sigmoid; the residual one
         # stays before it so the map keeps to [0, 1]
-        residual = self.ema_cfg is not None and self.ema_cfg.residual
-        if residual:
-            x = self._recur(x, "output", states, training, rng)
-        x = sigmoid(x)
-        if not residual:
-            x = self._recur(x, "output", states, training, rng)
+        if "output" in self.points and self.ema_cfg.residual:
+            x = sigmoid(self._recur(up(x), "output", states, training, rng))
+        else:
+            x = self._recur(up(sigmoid(x)), "output", states, training, rng)
         vals = x.data
         if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # False for NaN
             raise RuntimeError("saliency map left [0, 1] or went non-finite")

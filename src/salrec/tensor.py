@@ -3,10 +3,11 @@
 Only the operations the saliency network needs are implemented:
 2d convolution, 2x2 max pooling, nearest-neighbour upsampling,
 sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions,
-concatenation/splitting along the frame or channel axis, and the gate
-arithmetic of a peephole ConvLSTM cell. No broadcasting except the conv
-bias over the channel axis, the cell's peepholes over the batch, and the
-broadcast-multiply used by the trainable alpha.
+concatenation/splitting along the frame or channel axis, the gate
+arithmetic of a peephole ConvLSTM cell, and the binary cross entropy. No
+broadcasting except the conv bias over the channel axis, the cell's
+peepholes over the batch, and the broadcast-multiply used by the trainable
+alpha.
 
 Each op computes its value and gives `_node` one (parent, vjp) edge per
 input; a vjp maps the upstream gradient to that parent's gradient. `_node`
@@ -47,6 +48,7 @@ __all__ = [
     "tsum",
     "tmean",
     "lstm_cell",
+    "bce",
 ]
 
 _GRAD_ENABLED = True
@@ -508,3 +510,36 @@ def lstm_cell(pre: Tensor, cell: Tensor,
         (c_node, lambda d: d[0] * o * (1.0 - t_ct * t_ct)),
         prepare=lambda g: (g, g * t_ct * o * (1.0 - o)))
     return c_node, h_node
+
+
+# ---------------------------------------------------------------------------
+# loss
+
+
+def bce(pred: Tensor, target: Tensor, eps: float) -> Tensor:
+    """Mean binary cross entropy of `pred` against `target`, with pred
+    clipped to [eps, 1 - eps] before the logs. No gradient reaches the
+    target. Shapes must agree; the caller checks them.
+
+    Contract: one tape node, where the clamp, scale, add_const, log, mul,
+    add and tmean chain kept as the test oracle records ten, with its value
+    and its gradient bit for bit, sign bits included. The forward evaluates
+    the chain's numpy expressions in its order, and the vjp its backward's,
+    masked by the clamp's inside set. The chain also adds 0.0 as it first
+    fills each gradient buffer; that changes only the sign of a zero, which
+    the first fill of the prediction's own buffer clears in both.
+    """
+    x, q = pred.data, target.data
+    p = np.clip(x, eps, 1.0 - eps)
+    one_minus_q = q * -1.0 + 1.0
+    one_minus_p = p * -1.0 + 1.0
+    ll = q * np.log(p) + one_minus_q * np.log(one_minus_p)
+
+    def dpred(g):
+        d = g.reshape(-1)[0] * -1.0 / x.size  # the sign's, then the mean's
+        dp = d * q / p  # through log(p)
+        dp -= d * one_minus_q / one_minus_p  # through log(1 - p)
+        dp *= (x >= eps) & (x <= 1.0 - eps)
+        return dp
+
+    return _node(np.asarray(ll.mean()) * -1.0, (pred, dpred))

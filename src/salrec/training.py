@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ALPHA_PARAM, Model, ModelConfig, RecurrenceStates, build
-from .tensor import (Tensor, add, add_const, backward, clamp, log, mul, scale,
-                     tmean)
+from .tensor import Tensor, backward, bce
 
 CHECKPOINT_MAGIC = b"SALR"
 CHECKPOINT_VERSION = 3
@@ -54,17 +53,15 @@ class TrainConfig:
 
 def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean binary cross entropy over pixels, target-weighted logs, with the
-    prediction clamped to [1e-7, 1 - 1e-7] before the logs."""
+    prediction clamped to [1e-7, 1 - 1e-7] before the logs. It records one
+    tape node (`tensor.bce`), whose value and gradient are bit for bit
+    those of the chain of clamp, scale, add_const, log, mul, add and tmean
+    ops that it replaces. A NaN prediction gives a NaN loss."""
     if pred.shape != gt.shape:
         raise ValueError(f"bce_loss: shape mismatch {pred.shape} vs {gt.shape}")
     if not (gt.data.min() >= 0.0 and gt.data.max() <= 1.0):  # NaN fails too
         raise ValueError("bce_loss: ground truth must lie in [0, 1]")
-    p = clamp(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    q = gt
-    one_minus_q = add_const(scale(q, -1.0), 1.0)
-    one_minus_p = add_const(scale(p, -1.0), 1.0)
-    ll = add(mul(q, log(p)), mul(one_minus_q, log(one_minus_p)))
-    return scale(tmean(ll), -1.0)
+    return bce(pred, gt, BCE_CLAMP)
 
 
 class Adam:

@@ -685,9 +685,11 @@ class TestGradcheck:
         assert run("gradcheck", "--seed", 105) == 0, capsys.readouterr().out
 
     def test_roundoff_floor_seeds_pass(self, capsys):
-        # a BCE probe loss read 1.0045e-4 at seed 26 and 6.3e-5 at seed 15:
-        # an enc1.kernel gradient of -6.4e-8 met the loss's roundoff floor
-        failed = [seed for seed in (15, 26)
+        # the seeds whose accepted model probe reads worst over 0-199, where
+        # an enc1.kernel gradient element is small enough that the loss's
+        # roundoff is a large share of it: 1.172e-5 at seed 196 (an element
+        # of 1.6e-5) and 1.167e-5 at seed 155 (one of 7.5e-6)
+        failed = [seed for seed in (155, 196)
                   if run("gradcheck", "--module", "model", "--seed", seed) != 0]
         assert failed == [], capsys.readouterr().out
 

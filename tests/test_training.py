@@ -1,18 +1,25 @@
 import hashlib
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from salrec.data import SynthConfig, generate
 from salrec.layers import ParameterRegistry
 from salrec.model import ModelConfig, build
-from salrec.tensor import Tensor, no_grad
+from salrec.tensor import (ComputationTape, Tensor, add, add_const, backward,
+                           clamp, log, mul, no_grad, scale, tmean)
 import salrec.training as training_mod
-from salrec.training import (Adam, TrainConfig, _read_blob_data,
+from salrec.training import (BCE_CLAMP, Adam, TrainConfig, _read_blob_data,
                              _read_blob_head, bce_loss, load_checkpoint,
                              save_checkpoint, train, train_clip, train_epoch)
 
@@ -70,6 +77,87 @@ class TestBceLoss:
             pred = rng.uniform(size=(3, 3))
             gt = rng.uniform(size=(3, 3))
             assert bce_loss(Tensor(pred), Tensor(gt)).item() >= 0.0
+
+
+def chain_bce(pred, gt):
+    """Oracle: `bce_loss` as the chain of single ops that `tensor.bce`
+    replaces, ten tape nodes for a prediction that requires grad."""
+    p = clamp(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    one_minus_q = add_const(scale(gt, -1.0), 1.0)
+    one_minus_p = add_const(scale(p, -1.0), 1.0)
+    ll = add(mul(gt, log(p)), mul(one_minus_q, log(one_minus_p)))
+    return scale(tmean(ll), -1.0)
+
+
+def loss_bits(loss_fn, pred, gt, upstream=1.0):
+    """The bytes of the loss and of the prediction's gradient under a loss
+    scaled by `upstream`."""
+    x = Tensor(pred, requires_grad=True)
+    loss = loss_fn(x, Tensor(gt))
+    backward(scale(loss, upstream))
+    return loss.data.tobytes(), x.grad.tobytes()
+
+
+# the clamp's edges, a pixel either side of each, and values it clips
+PRED_EDGES = [0.0, -0.0, BCE_CLAMP, 1.0 - BCE_CLAMP, 1.0,
+              np.nextafter(BCE_CLAMP, 0.0), np.nextafter(1.0 - BCE_CLAMP, 1.0),
+              -0.5, 1.5]
+
+
+class TestBceOp:
+    """`bce_loss`'s one tape node against the op chain it replaced
+    (`chain_bce`): the loss and the prediction's gradient are bit-equal,
+    sign bits included."""
+
+    @pytest.mark.parametrize("p", [0.0, BCE_CLAMP, 1.0 - BCE_CLAMP, 1.0])
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_clamp_edges_match_chain(self, p, q):
+        pred, gt = np.full((2, 3), p), np.full((2, 3), q)
+        assert loss_bits(bce_loss, pred, gt) == loss_bits(chain_bce, pred, gt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, (2, 3), elements=st.one_of(
+               st.sampled_from(PRED_EDGES), st.floats(-0.1, 1.1))),
+           hnp.arrays(np.float64, (2, 3), elements=st.one_of(
+               st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))),
+           st.sampled_from([1.0, -2.5, 0.0, -0.0, 5e-324]))
+    def test_matches_chain(self, pred, gt, upstream):
+        assert loss_bits(bce_loss, pred, gt, upstream) == \
+            loss_bits(chain_bce, pred, gt, upstream)
+
+    def test_records_one_node(self):
+        pred = Tensor(np.full((2, 3), 0.3), requires_grad=True)
+        loss = bce_loss(pred, Tensor(np.full((2, 3), 0.6)))
+        assert loss._parents == (pred,)
+        assert ComputationTape(loss).ops == [loss]
+
+    def test_nan_prediction_gives_nan_loss(self):
+        pred = np.full((2, 3), 0.3)
+        pred[1, 2] = np.nan
+        assert np.isnan(bce_loss(Tensor(pred), Tensor(np.zeros((2, 3)))).item())
+
+    def test_nan_prediction_raises_before_backward(self, monkeypatch):
+        """A NaN that reaches the loss past the map guard stops `train_clip`
+        before any gradient or update."""
+        model = small_model()
+        data = small_dataset()[0]
+        forward = model.forward_frame
+
+        def nan_forward(frames, states, **kw):
+            poison = np.zeros(frames.shape)
+            poison[1, 0, 2, 3] = np.nan
+            return add(forward(frames, states, **kw), Tensor(poison))
+
+        monkeypatch.setattr(model, "forward_frame", nan_forward)
+        before = {n: p.data.copy() for n, p in model.registry.items()}
+        opt = Adam(model.registry)
+        with pytest.raises(RuntimeError, match="non-finite training loss nan"):
+            train_clip(model, to_stack(data.frames[:3]),
+                       to_stack(data.gt_maps[:3]), model.fresh_states(), opt,
+                       "v0")
+        for name, p in model.registry.items():
+            assert p.grad is None and np.array_equal(p.data, before[name])
+        assert opt.t == 0
 
 
 class TestAdam:
@@ -694,3 +782,44 @@ class TestCheckpoint:
         self.assert_rejected(tmp_path, join_checkpoint(head, params, moments, tail),
                              f"moment '{forged}' at position {len(moments) - 1}, "
                              "expected 'adam.v.head.bias'")
+
+
+# one epoch of a default-geometry EMA and ConvLSTM model, whose checkpoints
+# go to the directory named by the first argument
+TRAIN_BOTH = """
+import sys
+from pathlib import Path
+from salrec.data import SynthConfig, generate
+from salrec.model import ModelConfig, build
+from salrec.training import TrainConfig, save_checkpoint, train
+data = generate(SynthConfig(n_videos=2, frames_per_video=10, seed=4))
+cfg = TrainConfig(epochs=1)
+for kind in ("ema", "convlstm"):
+    model = build(ModelConfig(recurrence=kind, seed=5))
+    opt, rng, _ = train(model, data, cfg)
+    save_checkpoint(Path(sys.argv[1]) / (kind + ".salr"), model, opt, rng, 1,
+                    cfg)
+"""
+
+
+def test_checkpoints_independent_of_blas_threads(tmp_path):
+    """Training writes the same checkpoint bytes at 1 and 2 OpenBLAS
+    threads. A 10-frame clip gives GEMMs large enough for OpenBLAS to split
+    between threads; the split must not change the order of any sum."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        runs.append((out, subprocess.Popen(
+            [sys.executable, "-c", TRAIN_BOTH, str(out)], env=env,
+            stderr=subprocess.PIPE, text=True)))
+    for out, proc in runs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    (one, _), (two, _) = runs
+    for kind in ("ema", "convlstm"):
+        name = kind + ".salr"
+        assert (one / name).read_bytes() == (two / name).read_bytes(), kind
