@@ -73,6 +73,9 @@ def _load_config_file(path: str) -> dict[str, dict[str, object]]:
             ftypes = {f.name: f.type for f in fields(_SECTION_TYPES[section])}
             out[section] = {}
             for key, raw in parser[section].items():
+                if (section, key) == ("model", "input_size"):
+                    raise UsageError("[model] input_size is not an INI key: "
+                                     "train takes the dataset's frame size")
                 if key not in ftypes:
                     raise UsageError(f"unknown key {key!r} in section [{section}]")
                 out[section][key] = _coerce(raw, ftypes[key])
@@ -202,8 +205,6 @@ def _predict_all(model, samples, alpha_override=None):
 
 def cmd_eval(args) -> int:
     samples = data_mod.read_dataset(args.data_dir)
-    if (args.checkpoint is None) == (args.pred_dir is None):
-        raise UsageError("exactly one of --checkpoint or --pred-dir is required")
     if args.checkpoint:
         preds = _predict_all(_load_model(args.checkpoint, samples), samples)
     else:
@@ -350,8 +351,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint or prediction dir")
     p.add_argument("data_dir")
     p.add_argument("out_dir")
-    p.add_argument("--checkpoint")
-    p.add_argument("--pred-dir", help="directory of predicted PGM maps")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--pred-dir", help="directory of predicted PGM maps")
     p.add_argument("--dump-maps", action="store_true",
                    help="write predicted maps as PGMs")
     p.add_argument("--n-splits", type=_positive_int, default=100,

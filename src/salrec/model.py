@@ -107,8 +107,8 @@ class ModelConfig:
                 raise ValueError("ema supports 1 or 2 insertion points")
             if len(set(pts)) != len(pts):
                 raise ValueError("duplicate insertion points")
-            # the trainable alpha is sigmoid(p); EmaConfig checks a fixed one
-            EmaConfig(self.alpha, trainable=self.recurrence == "ema-trainable")
+            if self.recurrence != "ema-trainable":  # it learns sigmoid(p)
+                EmaConfig(self.alpha)  # checks the fixed alpha
             if (self.dropout and "output" in pts
                     and self.recurrence != "ema-residual"):
                 raise ValueError(
@@ -177,12 +177,11 @@ class Model:
                 self.registry, "convlstm", cfg.bottleneck_channels,
                 cfg.bottleneck_channels, cfg.bottleneck_size, rng)
         elif cfg.recurrence in EMA_KINDS:
+            # p starts at 0, so a trainable alpha starts at sigmoid(0) = 0.5
+            p = (self.registry.register(ALPHA_PARAM, Tensor(np.asarray(0.0)))
+                 if cfg.recurrence == "ema-trainable" else None)
             self.ema_cfg = EmaConfig(
-                alpha=cfg.alpha,
-                trainable=cfg.recurrence == "ema-trainable",
-                residual=cfg.recurrence == "ema-residual")
-            if self.ema_cfg.trainable:
-                self.ema_cfg.init_trainable(self.registry, ALPHA_PARAM)
+                alpha=cfg.alpha, residual=cfg.recurrence == "ema-residual", p=p)
 
     def fresh_states(self, video_id: Optional[str] = None) -> RecurrenceStates:
         return RecurrenceStates(self, video_id)

@@ -2,14 +2,15 @@
 alpha, residual skip) and a peephole ConvLSTM cell.
 
 EMA update: e_t = alpha * s_t + (1 - alpha) * e_{t-1}, with e_0 = s_0 so the
-first frame behaves like a static predictor. The trainable variant squashes a
-scalar parameter p through a sigmoid to keep the combination convex.
+first frame behaves like a static predictor. A trainable alpha is
+sigmoid(p) for a scalar parameter p, which keeps the combination convex;
+the model registers p as `ema.p`, and a config that holds one learns alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -20,32 +21,21 @@ from .tensor import (Tensor, add, add_const, broadcast_mul, concat, conv2d,
 
 @dataclass
 class EmaConfig:
+    """The EMA's settings. A registered scalar `p` makes alpha trainable,
+    sigmoid(p), and `alpha` is then unused; without one, `alpha` is fixed
+    and must lie in (0, 1]. `residual` adds the input to the output."""
     alpha: float = 0.1
-    trainable: bool = False
     residual: bool = False
-    p: Optional[Tensor] = None  # pre-sigmoid scalar, set when trainable
+    p: Optional[Tensor] = None
 
     def __post_init__(self):
-        if not self.trainable and not 0.0 < self.alpha <= 1.0:
+        if self.p is None and not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-
-    def init_trainable(self, registry: ParameterRegistry, name: str) -> None:
-        """Register the scalar p at 0, so the starting alpha is sigmoid(0) = 0.5."""
-        self.p = registry.register(name, Tensor(np.asarray(0.0)))
 
 
 @dataclass
 class EmaState:
     accumulator: Optional[Tensor] = None
-
-
-def effective_alpha(cfg: EmaConfig) -> Union[float, Tensor]:
-    """Fixed alpha, or sigmoid(p) as a differentiable scalar tensor."""
-    if cfg.trainable:
-        if cfg.p is None:
-            raise ValueError("trainable EMA has no registered p parameter")
-        return sigmoid(cfg.p)
-    return cfg.alpha
 
 
 def ema_step(s_t: Tensor, state: EmaState,
@@ -63,14 +53,14 @@ def ema_step(s_t: Tensor, state: EmaState,
             raise ValueError(
                 f"ema_step: input shape {s_t.shape} does not match "
                 f"accumulator shape {prev.shape}")
-        a = effective_alpha(cfg)
-        if isinstance(a, Tensor):
+        if cfg.p is not None:
+            a = sigmoid(cfg.p)
             one_minus = add_const(scale(a, -1.0), 1.0)
             e_t = add(broadcast_mul(s_t, a), broadcast_mul(prev, one_minus))
-        elif a == 1.0:
+        elif cfg.alpha == 1.0:
             e_t = s_t  # bit-exact identity
         else:
-            e_t = add(scale(s_t, a), scale(prev, 1.0 - a))
+            e_t = add(scale(s_t, cfg.alpha), scale(prev, 1.0 - cfg.alpha))
     new_state = EmaState(accumulator=e_t)
     out = add(s_t, e_t) if cfg.residual else e_t
     return out, new_state

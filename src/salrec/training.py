@@ -243,11 +243,13 @@ def _read_section(f, path: Path, label: str, arrays: dict) -> None:
 
 def save_checkpoint(path: Path, model: Model, optimizer: Adam,
                     rng: np.random.Generator, epoch: int,
-                    train_cfg: Optional[TrainConfig] = None) -> None:
+                    train_cfg: TrainConfig) -> None:
+    """Write everything an exact resume needs: the model and training
+    settings, the parameters, the Adam state, the rng and the epoch."""
     path = Path(path)
     header = {
         "model": asdict(model.cfg),
-        "train": asdict(train_cfg) if train_cfg else None,
+        "train": asdict(train_cfg),
         "adam": {"lr": optimizer.lr, "t": optimizer.t},
     }
     # write a sibling file and rename it over the target, so a crash
@@ -279,6 +281,9 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
 def _config(cls, section: dict):
     """A config dataclass from a header section that names every field;
     a missing field is an error, not its default."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{cls.__name__} section is "
+                         f"{type(section).__name__}, not an object")
     missing = [f.name for f in fields(cls) if f.name not in section]
     if missing:
         raise ValueError(f"{cls.__name__} lacks {', '.join(missing)}")
@@ -286,7 +291,10 @@ def _config(cls, section: dict):
 
 
 def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
-                                         int, Optional[TrainConfig]]:
+                                         int, TrainConfig]:
+    """The model, Adam, rng, epoch and training settings that
+    `save_checkpoint` wrote. A malformed file, a header without training
+    settings included, raises ValueError naming the file."""
     path = Path(path)
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
@@ -308,8 +316,7 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                  f"got {lr!r}")
             optimizer = Adam(model.registry, lr=lr)
             optimizer.t = t
-            train_cfg = (_config(TrainConfig, header["train"])
-                         if header["train"] else None)
+            train_cfg = _config(TrainConfig, header["train"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header "
                              f"({type(exc).__name__}: {exc})") from exc

@@ -2,7 +2,7 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +293,7 @@ class TestEval:
         model = build(ModelConfig(input_size=(16, 16), recurrence="ema"))
         ckpt = tmp_path / "init.salr"
         save_checkpoint(ckpt, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         out = tmp_path / "eval"
         assert run("eval", small_ds, out, "--checkpoint", ckpt, "--dump-maps",
                    "--n-splits", 3) == 0
@@ -305,8 +305,14 @@ class TestEval:
                             + 0.5) / 255
             assert np.array_equal(np.stack(dumped[s.video_id]), want)
 
-    def test_requires_exactly_one_source(self, small_ds, tmp_path):
-        assert run("eval", small_ds, tmp_path / "o") == 1
+    def test_requires_exactly_one_source(self, small_ds, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("eval", small_ds, out) == 1
+        # checked before the dataset is read: a missing one once exited 2
+        for sources in ([], ["--checkpoint", "c.salr", "--pred-dir", "maps"]):
+            assert run("eval", tmp_path / "missing", out, *sources) == 1
+            assert "--checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_n_splits_below_one_exits_1(self, tmp_path, capsys):
         # checked before the (here missing) dataset is read
@@ -320,16 +326,22 @@ class TestEval:
         ckpt = tmp_path / "bad.salr"
         model = build(ModelConfig(input_size=(16, 16)))
         save_checkpoint(ckpt, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         raw = ckpt.read_bytes()
         (clen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + clen])
-        header["model"]["frame_rate"] = 25
-        new = json.dumps(header, sort_keys=True).encode()
-        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
-                         + raw[12 + clen:])
-        assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
-        assert f"error: {ckpt}: malformed checkpoint header" in capsys.readouterr().err
+        for edit in ("unknown model key", "null train"):
+            header = json.loads(raw[12:12 + clen])
+            if edit == "unknown model key":
+                header["model"]["frame_rate"] = 25
+            else:
+                header["train"] = None  # once loaded, as no settings
+            new = json.dumps(header, sort_keys=True).encode()
+            ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
+                             + raw[12 + clen:])
+            assert run("eval", small_ds, tmp_path / "e", "--checkpoint",
+                       ckpt) == 2
+            assert (f"error: {ckpt}: malformed checkpoint header"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("state", [[1, 2], {"bit_generator": "PCG64"}],
                              ids=["list", "no-state"])
@@ -338,7 +350,8 @@ class TestEval:
         ckpt = tmp_path / "rng.salr"
         model = build(ModelConfig(input_size=(16, 16)))
         rng = np.random.default_rng(0)
-        save_checkpoint(ckpt, model, Adam(model.registry), rng, 0)
+        save_checkpoint(ckpt, model, Adam(model.registry), rng, 0,
+                        TrainConfig())
         raw = ckpt.read_bytes()
         old = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
         at = raw.rindex(old)
@@ -355,7 +368,7 @@ class TestEval:
         model = build(ModelConfig(input_size=(16, 16), recurrence="ema",
                                   alpha=0.4))
         save_checkpoint(ckpt, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         raw = ckpt.read_bytes()
         (clen,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12:12 + clen])
@@ -383,7 +396,7 @@ class TestEval:
         ckpt = tmp_path / "dims.salr"
         model = build(ModelConfig(input_size=(16, 16)))
         save_checkpoint(ckpt, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         raw = ckpt.read_bytes()
         (clen,) = struct.unpack("<I", raw[8:12])
         at = raw.index(b"enc1.kernel", 12 + clen) + len(b"enc1.kernel")
@@ -406,6 +419,40 @@ class TestEval:
         assert run("eval", small_ds, tmp_path / "e", "--checkpoint",
                    out / "checkpoint_final.salr") == 3
         assert "error: saliency map left [0, 1]" in capsys.readouterr().err
+
+
+# INI settings that keep the runs of the field test small
+INI_BASE = {"synth": {"n_videos": "1", "frames_per_video": "2",
+                      "height": "8", "width": "8"},
+            "model": {}, "train": {"epochs": "1"}}
+# (section, field) -> (a valid non-default INI value, the value config.json
+# records, None where the command exits 1, and the settings under which
+# the field applies)
+INI_FIELDS = {
+    ("synth", "n_videos"): ("2", 2, {}),
+    ("synth", "frames_per_video"): ("3", 3, {}),
+    ("synth", "height"): ("9", 9, {}),
+    ("synth", "width"): ("7", 7, {}),
+    ("synth", "n_blobs"): ("1", 1, {}),
+    ("synth", "sigma"): ("2.5", 2.5, {}),
+    ("synth", "max_speed"): ("0.5", 0.5, {}),
+    ("synth", "noise"): ("0.1", 0.1, {}),
+    ("synth", "fixations_per_frame"): ("3", 3, {}),
+    ("synth", "seed"): ("4", 4, {}),
+    ("model", "input_size"): ("16,16", None, {}),  # the dataset's frame size
+    ("model", "stages"): ("2", 2, {}),
+    ("model", "base_channels"): ("4", 4, {}),
+    ("model", "recurrence"): ("convlstm", "convlstm", {}),
+    ("model", "ema_points"): ("decoder1", ["decoder1"], {"recurrence": "ema"}),
+    ("model", "alpha"): ("0.4", 0.4, {"recurrence": "ema"}),
+    ("model", "dropout"): ("true", True, {"recurrence": "ema"}),
+    ("model", "seed"): ("3", 3, {}),
+    ("train", "clip_length"): ("3", 3, {}),
+    ("train", "epochs"): ("1", 1, {}),
+    ("train", "lr"): ("0.01", 0.01, {}),
+    ("train", "augment"): ("true", True, {}),
+    ("train", "seed"): ("5", 5, {}),
+}
 
 
 class TestConfigPrecedence:
@@ -468,9 +515,9 @@ class TestConfigPrecedence:
         b"[model]\nstages = x\n", b"[model]\nema_points = 1\n",
         b"[train]\nlr = fast\n", b"[model]\ndropout = maybe\n",
         b"alpha = 0.2\n", b"[train]\nseed = \xff\n", b"[eval]\nseed = 1\n",
-        None],
+        None, b"[model]\ninput_size = 64,64\n"],
         ids=["stages", "ema_points", "lr", "dropout", "no-section", "not-utf8",
-             "unknown-section", "missing-file"])
+             "unknown-section", "missing-file", "input_size"])
     def test_malformed_ini_exits_1(self, small_ds, tmp_path, text):
         ini = tmp_path / "run.ini"
         if text is not None:  # None: there is no such file
@@ -500,6 +547,30 @@ class TestConfigPrecedence:
         assert run(*argv, "--config", ini) == 1
         assert "seed must be >= 0, got -2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, field", [
+        (section, f.name) for section, cls in (
+            ("synth", SynthConfig), ("model", ModelConfig),
+            ("train", TrainConfig)) for f in fields(cls)])
+    def test_every_ini_field_is_recorded_or_rejected(self, small_ds, tmp_path,
+                                                     section, field):
+        """Each config field set in an INI file reaches config.json, or the
+        command exits 1; a new field needs a row in `INI_FIELDS`."""
+        value, recorded, applies = INI_FIELDS[section, field]
+        sections = {name: dict(keys) for name, keys in INI_BASE.items()}
+        sections[section].update(applies, **{field: value})
+        ini = tmp_path / "run.ini"
+        ini.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()))
+        out = tmp_path / "out"
+        argv = ["synth", out] if section == "synth" else ["train", small_ds, out]
+        if recorded is None:
+            assert run(*argv, "--config", ini) == 1
+            assert not out.exists()
+        else:
+            assert run(*argv, "--config", ini) == 0
+            assert self.resolved(out)[section][field] == recorded
 
     def test_synth_seed_from_ini(self, tmp_path):
         ini = tmp_path / "synth.ini"

@@ -7,8 +7,7 @@ from salrec.gradcheck import check_recurrence
 from salrec.layers import ParameterRegistry
 from salrec.model import ModelConfig, build
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
-                               EmaState, convlstm_step, effective_alpha,
-                               ema_step)
+                               EmaState, convlstm_step, ema_step)
 from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
                            broadcast_mul, concat, conv2d, lstm_cell, mul,
                            sigmoid, split, tanh, tsum)
@@ -90,20 +89,28 @@ class TestEmaStep:
 
 
 class TestEffectiveAlpha:
+    """The alpha that `ema_step` blends with: sigmoid(p) when the config
+    holds a registered p, else the fixed `alpha`."""
+
     def test_trainable_starts_at_half(self):
-        reg = ParameterRegistry()
-        cfg = EmaConfig(alpha=0.1, trainable=True)
-        cfg.init_trainable(reg, "ema.p")
-        assert effective_alpha(cfg).item() == 0.5
+        # the model registers p = 0 as `ema.p`, after the head
+        model = build(ModelConfig(recurrence="ema-trainable"))
+        assert model.registry.names()[-1] == "ema.p"
+        assert model.ema_cfg.p is model.registry["ema.p"]
+        assert run_ema([[2.0], [0.0]], model.ema_cfg)[1][0] == 1.0
 
     def test_fixed_passthrough(self):
-        assert effective_alpha(EmaConfig(alpha=0.1)) == 0.1
+        outs = run_ema([[2.0], [0.0]], EmaConfig(alpha=0.1))
+        assert outs[1][0] == 2.0 * (1 - 0.1)
 
     def test_invalid_fixed_alpha_rejected(self):
         with pytest.raises(ValueError):
             EmaConfig(alpha=0.0)
         with pytest.raises(ValueError):
             EmaConfig(alpha=1.5)
+        # a registered p makes alpha trainable; the fixed one goes unused
+        p = ParameterRegistry().register("ema.p", Tensor(np.asarray(0.0)))
+        assert run_ema([[2.0], [0.0]], EmaConfig(alpha=0.0, p=p))[1][0] == 1.0
 
 
 def make_weights(seed=0, in_ch=2, ch=2, spatial=(3, 3)):

@@ -511,21 +511,16 @@ def join_checkpoint(head: bytes, params, moments, tail: bytes) -> bytes:
 
 
 class TestCheckpoint:
-    def roundtrip(self, tmp_path, model, opt, rng, epoch):
-        p = tmp_path / "ck.salr"
-        save_checkpoint(p, model, opt, rng, epoch)
-        return p
-
     def test_save_load_save_byte_identical(self, tmp_path):
         model = small_model(seed=4)
         opt = Adam(model.registry, lr=1e-3)
         rng = np.random.default_rng(0)
         p1 = tmp_path / "a.salr"
-        save_checkpoint(p1, model, opt, rng, 1)
-        m2, o2, r2, epoch, _ = load_checkpoint(p1)
-        assert epoch == 1
+        save_checkpoint(p1, model, opt, rng, 1, TrainConfig(lr=0.01))
+        m2, o2, r2, epoch, cfg = load_checkpoint(p1)
+        assert epoch == 1 and cfg == TrainConfig(lr=0.01)
         p2 = tmp_path / "b.salr"
-        save_checkpoint(p2, m2, o2, r2, epoch)
+        save_checkpoint(p2, m2, o2, r2, epoch, cfg)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_magic_and_version_checked(self, tmp_path):
@@ -536,7 +531,7 @@ class TestCheckpoint:
         model = small_model()
         good = tmp_path / "good.salr"
         save_checkpoint(good, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         raw = bytearray(good.read_bytes())
         raw[4:8] = struct.pack("<I", 99)
         bad = tmp_path / "v99.salr"
@@ -548,7 +543,7 @@ class TestCheckpoint:
         model = small_model()
         p = tmp_path / f"v{version}.salr"
         save_checkpoint(p, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         raw = bytearray(p.read_bytes())
         assert struct.unpack("<I", raw[4:8]) == (3,)
         raw[4:8] = struct.pack("<I", version)
@@ -571,7 +566,7 @@ class TestCheckpoint:
         model = small_model()
         p = tmp_path / "t.salr"
         save_checkpoint(p, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         (tmp_path / "cut.salr").write_bytes(p.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / "cut.salr")
@@ -580,7 +575,7 @@ class TestCheckpoint:
         model = small_model()
         p = tmp_path / "c.salr"
         save_checkpoint(p, model, Adam(model.registry),
-                        np.random.default_rng(0), 0)
+                        np.random.default_rng(0), 0, TrainConfig())
         # tamper: rewrite the config block with different channel widths
         raw = p.read_bytes()
         (clen,) = struct.unpack("<I", raw[8:12])
@@ -632,7 +627,8 @@ class TestCheckpoint:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         p = tmp_path / "ck.salr"
         model = small_model(seed=1)
-        save_checkpoint(p, model, Adam(model.registry), np.random.default_rng(0), 1)
+        save_checkpoint(p, model, Adam(model.registry), np.random.default_rng(0), 1,
+                        TrainConfig())
         previous = p.read_bytes()
         written = []
         orig = training_mod._write_blob
@@ -647,7 +643,7 @@ class TestCheckpoint:
         other = small_model(seed=2)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(p, other, Adam(other.registry),
-                            np.random.default_rng(0), 2)
+                            np.random.default_rng(0), 2, TrainConfig())
         assert p.read_bytes() == previous
         assert [q.name for q in tmp_path.iterdir()] == ["ck.salr"]
 
@@ -655,7 +651,7 @@ class TestCheckpoint:
         model = small_model()
         p = tmp_path / "ok.salr"
         save_checkpoint(p, model, Adam(model.registry),
-                        np.random.default_rng(0), 3)
+                        np.random.default_rng(0), 3, TrainConfig())
         return p.read_bytes()
 
     def assert_rejected(self, tmp_path, raw, message):
@@ -684,15 +680,20 @@ class TestCheckpoint:
             raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
             f"malformed checkpoint header .*lacks {field}")
 
-    @pytest.mark.parametrize("edit", ["unknown model key", "no adam"])
+    @pytest.mark.parametrize("edit", ["unknown model key", "no adam",
+                                      "null train"])
     def test_malformed_header_rejected(self, tmp_path, edit):
+        """Every checkpoint records its training settings, so a header
+        without them, `"train": null`, is malformed too."""
         raw = self.saved(tmp_path)
         (clen,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12:12 + clen])
         if edit == "unknown model key":
             header["model"]["frame_rate"] = 25
-        else:
+        elif edit == "no adam":
             del header["adam"]
+        else:
+            header["train"] = None
         new = json.dumps(header, sort_keys=True).encode()
         self.assert_rejected(
             tmp_path,
