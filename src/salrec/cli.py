@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import data as data_mod
 from . import metrics as metrics_mod
@@ -130,12 +127,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
+def _parse_model_flags(args, ini: dict) -> ModelConfig:
     """Resolve [model] and the model flags. The EMA points and alpha in
     effect (a flag's value, else the INI file's) must suit the recurrence
     in effect; alpha defaults to 0.1, or 0.3 for two EMA points, and 0.1
     is recorded where no fixed alpha is read (`ema-trainable` learns its
-    own)."""
+    own). The input size is left (0, 0), which divides by any 2^stages,
+    for the caller to set from the dataset."""
     kind = args.recurrence or ini.get("recurrence", "none")
     if kind not in RECURRENCE_KINDS:  # an INI value; the flag has choices
         raise UsageError(f"unknown recurrence {kind!r}")
@@ -153,19 +151,21 @@ def _parse_model_flags(args, ini: dict, input_size) -> ModelConfig:
         alpha = 0.1
     elif alpha is None:
         alpha = 0.3 if len(ema_at or ()) == 2 else 0.1
-    return _resolve(ModelConfig, ini, input_size=input_size,
+    return _resolve(ModelConfig, ini, input_size=(0, 0),
                     recurrence=args.recurrence, ema_points=ema_at, alpha=alpha,
                     stages=args.stages, base_channels=args.base_channels,
                     dropout=args.dropout, seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    samples = data_mod.read_dataset(args.data_dir)
-    model_cfg = _parse_model_flags(args, args.config.get("model", {}),
-                                   samples[0].frames[0].shape)
+    # every check but the frame size's runs before the dataset is read
+    model_cfg = _parse_model_flags(args, args.config.get("model", {}))
     train_cfg = _resolve(TrainConfig, args.config.get("train", {}), lr=args.lr,
                          epochs=args.epochs, clip_length=args.clip_length,
                          augment=args.augment, seed=args.seed)
+    samples = data_mod.read_dataset(args.data_dir)
+    model_cfg = _resolve(ModelConfig, asdict(model_cfg),
+                         input_size=samples[0].frames[0].shape)
     out = Path(args.out_dir)
     _write_resolved_config(out, {"model": asdict(model_cfg),
                                  "train": asdict(train_cfg)})
@@ -188,14 +188,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(checkpoint, samples):
-    """The model of `checkpoint`, whose input size must be the dataset's."""
-    model, *_ = load_checkpoint(checkpoint)
+def _check_input_size(model, samples) -> None:
+    """Reject a dataset whose frames are not the model's input size."""
     size = samples[0].frames[0].shape
     if model.cfg.input_size != size:
         raise ValueError(f"checkpoint expects {model.cfg.input_size}, "
                          f"dataset frames are {size}")
-    return model
 
 
 def _predict_all(model, samples, alpha_override=None):
@@ -206,7 +204,9 @@ def _predict_all(model, samples, alpha_override=None):
 def cmd_eval(args) -> int:
     samples = data_mod.read_dataset(args.data_dir)
     if args.checkpoint:
-        preds = _predict_all(_load_model(args.checkpoint, samples), samples)
+        model, *_ = load_checkpoint(args.checkpoint)
+        _check_input_size(model, samples)
+        preds = _predict_all(model, samples)
     else:
         preds = data_mod.load_predictions(args.pred_dir, samples)
     report = metrics_mod.evaluate_predictions(samples, preds,
@@ -228,25 +228,7 @@ def cmd_eval(args) -> int:
 
 
 def read_report_csv(path: Path) -> metrics_mod.MetricReport:
-    report = metrics_mod.MetricReport(per_frame={})
-    reader = csv.DictReader(data_mod.read_utf8(path).splitlines(keepends=True))
-    for column in ("video_id", "metric", "mean", "valid_frames"):
-        if column not in (reader.fieldnames or ()):
-            raise ValueError(f"{path}: report has no {column!r} column")
-    for row in reader:
-        m, vid = row["metric"], row["video_id"]
-        try:  # a short row reads None for its missing fields
-            mean = float(row["mean"]) if row["mean"] else None
-            report.valid_counts.setdefault(m, {})[vid] = int(
-                row["valid_frames"])
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: line {reader.line_num} is not a "
-                             f"report row") from None
-        report.video_means.setdefault(m, {})[vid] = mean
-    for m, vm in report.video_means.items():
-        vals = [v for v in vm.values() if v is not None]
-        report.dataset_means[m] = float(np.mean(vals)) if vals else None
-    return report
+    return metrics_mod.report_from_csv(data_mod.read_utf8(path), path)
 
 
 def cmd_compare(args) -> int:
@@ -269,11 +251,12 @@ def cmd_sweep_alpha(args) -> int:
         valid = False
     if not valid:
         raise UsageError(f"--alphas must be numbers in (0, 1], got {args.alphas!r}")
-    samples = data_mod.read_dataset(args.data_dir)
-    model = _load_model(args.checkpoint, samples)
+    model, *_ = load_checkpoint(args.checkpoint)
     if model.cfg.recurrence not in EMA_KINDS:
         raise UsageError("sweep-alpha requires a checkpoint trained with an "
                          "EMA recurrence")
+    samples = data_mod.read_dataset(args.data_dir)
+    _check_input_size(model, samples)
     lines = ["  ".join(f"{h:>8}" for h in ("alpha",) + metrics_mod.METRIC_NAMES)]
     for alpha in alphas:
         preds = _predict_all(model, samples, alpha_override=alpha)

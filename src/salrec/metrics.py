@@ -238,12 +238,17 @@ def aggregate(per_frame: dict[str, dict[str, list[Optional[float]]]]) -> MetricR
             vm[vid] = float(np.mean(valid)) if valid else None
         report.video_means[metric] = vm
         report.valid_counts[metric] = vc
-        means = [m for m in vm.values() if m is not None]
-        if len(means) < len(vm):
+        if None in vm.values():
             warnings.warn(f"{metric}: videos with zero valid frames excluded "
                           "from the dataset mean")
-        report.dataset_means[metric] = float(np.mean(means)) if means else None
+        report.dataset_means[metric] = _dataset_mean(vm)
     return report
+
+
+def _dataset_mean(video_means: dict[str, Optional[float]]) -> Optional[float]:
+    """The mean of the valid per-video means; None if no video is valid."""
+    means = [m for m in video_means.values() if m is not None]
+    return float(np.mean(means)) if means else None
 
 
 def compare_per_video(report_a: MetricReport, report_b: MetricReport,
@@ -335,13 +340,43 @@ def report_to_text(report: MetricReport) -> str:
     return out.getvalue()
 
 
+REPORT_COLUMNS = ("video_id", "metric", "mean", "valid_frames")
+
+
 def report_to_csv(report: MetricReport) -> str:
     """One record per video per metric: video_id, metric, mean, valid frames."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["video_id", "metric", "mean", "valid_frames"])
+    writer.writerow(REPORT_COLUMNS)
     for m in METRIC_NAMES:
         for vid, mean in report.video_means.get(m, {}).items():
             writer.writerow([vid, m, "" if mean is None else f"{mean:.12g}",
                              report.valid_counts[m][vid]])
     return out.getvalue()
+
+
+def report_from_csv(text: str, source) -> MetricReport:
+    """The report in a `report_to_csv` text, dataset means as `aggregate`
+    takes them. A missing column, or a row whose mean is neither empty nor
+    a finite number or whose frame count is not an integer >= 0, raises
+    ValueError naming `source` and the line."""
+    report = MetricReport(per_frame={})
+    reader = csv.DictReader(text.splitlines(keepends=True))
+    for column in REPORT_COLUMNS:
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{source}: report has no {column!r} column")
+    for row in reader:
+        m, vid = row["metric"], row["video_id"]
+        try:  # a short row reads None for its missing fields
+            mean = float(row["mean"]) if row["mean"] else None
+            count = int(row["valid_frames"])
+            if (mean is not None and not np.isfinite(mean)) or count < 0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"{source}: line {reader.line_num} is not a "
+                             f"report row") from None
+        report.video_means.setdefault(m, {})[vid] = mean
+        report.valid_counts.setdefault(m, {})[vid] = count
+    report.dataset_means = {m: _dataset_mean(vm)
+                            for m, vm in report.video_means.items()}
+    return report

@@ -22,7 +22,7 @@ from .model import ALPHA_PARAM, Model, ModelConfig, RecurrenceStates, build
 from .tensor import Tensor, backward, bce
 
 CHECKPOINT_MAGIC = b"SALR"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 BCE_CLAMP = 1e-7
 # Adam hyper-parameters: the defaults of Kingma & Ba 2014 (arXiv 1412.6980)
 BETA1 = 0.9
@@ -177,19 +177,13 @@ def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic "SALR", u32 version, length-prefixed JSON config,
-# then named float64 blobs (parameters, Adam moments), then a JSON RNG state
-# block and the epoch counter.
-
-
-def _write_blob(f, name: str, arr: np.ndarray) -> None:
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<I", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<I", d))
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+# checkpoint format, version 4: magic "SALR", u32 version, u32 header length
+# (integers little-endian), a UTF-8 JSON header, then the arrays. The header
+# holds the model and training settings, Adam's learning rate and step
+# count, the PCG64 state, the epoch, and `arrays`: [name, shape] for each
+# array in file order, the parameters and then the Adam moments `adam.m.<p>`
+# and `adam.v.<p>`, each in registry order. The arrays follow as
+# little-endian float64 bytes, in that order, with nothing after them.
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -199,46 +193,29 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
-def _read_blob_head(f) -> tuple[str, tuple]:
-    """The name and declared shape of the next array. Its data follows;
-    the caller checks the shape before `_read_blob_data` sizes a read by it."""
-    (nlen,) = struct.unpack("<I", _read_exact(f, 4))
-    name = _read_exact(f, nlen).decode("utf-8", "backslashreplace")
-    (rank,) = struct.unpack("<I", _read_exact(f, 4))
-    return name, tuple(struct.unpack("<I", _read_exact(f, 4))[0] for _ in range(rank))
-
-
-def _read_blob_data(f, shape: tuple) -> np.ndarray:
-    count = int(np.prod(shape))
-    return np.frombuffer(_read_exact(f, 8 * count), dtype="<f8").reshape(shape)
-
-
-def _arrays(model: Model, optimizer: Adam) -> tuple[dict, dict]:
-    """The checkpoint's two sections of named arrays, in file order: the
-    parameters, then the Adam moments `adam.m.<p>` and `adam.v.<p>`."""
+def _arrays(model: Model, optimizer: Adam) -> dict[str, np.ndarray]:
+    """The checkpoint's arrays by name, in file order."""
     params = {name: p.data for name, p in model.registry.items()}
-    moments = {f"adam.{kind}.{name}": state[name]
-               for kind, state in (("m", optimizer.m), ("v", optimizer.v))
-               for name in params}
-    return params, moments
+    return {**params, **{f"adam.{kind}.{name}": state[name]
+                         for kind, state in (("m", optimizer.m),
+                                             ("v", optimizer.v))
+                         for name in params}}
 
 
-def _read_section(f, path: Path, label: str, arrays: dict) -> None:
-    """Fill `arrays` in place from the file's next section. The count, and
-    each array's name and shape, are checked before its data is read."""
-    (count,) = struct.unpack("<I", _read_exact(f, 4))
-    if count != len(arrays):
-        raise ValueError(f"{path}: {count} {label}s in file, "
-                         f"expected {len(arrays)}")
-    for i, (expected, target) in enumerate(arrays.items()):
-        name, shape = _read_blob_head(f)
-        if name != expected:
-            raise ValueError(f"{path}: {label} {name!r} at position {i}, "
-                             f"expected {expected!r}")
-        if shape != target.shape:
-            raise ValueError(f"{path}: {label} {name!r} has shape {shape}, "
-                             f"model expects {target.shape}")
-        target[...] = _read_blob_data(f, shape)
+def _index(arrays: dict[str, np.ndarray]) -> list:
+    """The header's `arrays`, in the form JSON reads back."""
+    return [[name, list(a.shape)] for name, a in arrays.items()]
+
+
+def _index_mismatch(index, expected: list) -> str:
+    """Where a header's array index first departs from the model's."""
+    if not isinstance(index, list):
+        return f"is {type(index).__name__}, not a list"
+    for i, want in enumerate(expected):
+        got = index[i] if i < len(index) else "missing"
+        if got != want:
+            return f"entry {i} (name, shape) is {got}, model expects {want}"
+    return f"has {len(index)} entries, model expects {len(expected)}"
 
 
 def save_checkpoint(path: Path, model: Model, optimizer: Adam,
@@ -247,29 +224,22 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
     """Write everything an exact resume needs: the model and training
     settings, the parameters, the Adam state, the rng and the epoch."""
     path = Path(path)
-    header = {
-        "model": asdict(model.cfg),
-        "train": asdict(train_cfg),
+    arrays = _arrays(model, optimizer)
+    header = json.dumps({
+        "model": asdict(model.cfg), "train": asdict(train_cfg),
         "adam": {"lr": optimizer.lr, "t": optimizer.t},
-    }
+        "rng": rng.bit_generator.state, "epoch": epoch,
+        "arrays": _index(arrays)}, sort_keys=True).encode("utf-8")
     # write a sibling file and rename it over the target, so a crash
     # mid-write leaves the previous checkpoint at `path` intact
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            cfg_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-            f.write(struct.pack("<I", len(cfg_bytes)))
-            f.write(cfg_bytes)
-            for section in _arrays(model, optimizer):
-                f.write(struct.pack("<I", len(section)))
-                for name, arr in section.items():
-                    _write_blob(f, name, arr)
-            rng_bytes = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
-            f.write(struct.pack("<I", len(rng_bytes)))
-            f.write(rng_bytes)
-            f.write(struct.pack("<I", epoch))
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
+            f.write(header)
+            for arr in arrays.values():
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -294,7 +264,9 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
                                          int, TrainConfig]:
     """The model, Adam, rng, epoch and training settings that
     `save_checkpoint` wrote. A malformed file, a header without training
-    settings included, raises ValueError naming the file."""
+    settings included, raises ValueError naming the file, and before any
+    array is read if the header is at fault. Array lengths come from the
+    model, never from the file."""
     path = Path(path)
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
@@ -303,37 +275,44 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: checkpoint version {version}, "
                              f"expected {CHECKPOINT_VERSION}")
-        (clen,) = struct.unpack("<I", _read_exact(f, 4))
-        header_bytes = _read_exact(f, clen)
+        (hlen,) = struct.unpack("<I", _read_exact(f, 4))
+        rest = os.fstat(f.fileno()).st_size - f.tell()
+        if hlen > rest:  # before the length sizes a read
+            raise ValueError(f"{path}: header length {hlen} exceeds the "
+                             f"{rest} bytes left in the file")
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
+            header = json.loads(f.read(hlen).decode("utf-8"))
             model = build(_config(ModelConfig, header["model"]))
             lr, t = header["adam"]["lr"], header["adam"]["t"]
-            if type(t) is not int or t < 0:  # a bool is not an int here
-                raise ValueError(f"adam.t must be an integer >= 0, got {t!r}")
+            epoch = header["epoch"]
+            for name, value in (("adam.t", t), ("epoch", epoch)):
+                # a bool is not an int here
+                if type(value) is not int or value < 0:
+                    raise ValueError(f"{name} must be an integer >= 0, "
+                                     f"got {value!r}")
             if type(lr) not in (int, float) or not 0.0 < lr < math.inf:
                 raise ValueError(f"adam.lr must be positive and finite, "
                                  f"got {lr!r}")
             optimizer = Adam(model.registry, lr=lr)
             optimizer.t = t
             train_cfg = _config(TrainConfig, header["train"])
-        except (KeyError, TypeError, ValueError) as exc:
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = header["rng"]
+            index = header["arrays"]
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header "
                              f"({type(exc).__name__}: {exc})") from exc
-        for label, arrays in zip(("parameter", "Adam moment"),
-                                 _arrays(model, optimizer)):
-            _read_section(f, path, label, arrays)
-        (rlen,) = struct.unpack("<I", _read_exact(f, 4))
-        rng_bytes = _read_exact(f, rlen)
-        rng = np.random.default_rng(0)
-        try:
-            rng.bit_generator.state = json.loads(rng_bytes.decode("utf-8"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint RNG state "
-                             f"({type(exc).__name__}: {exc})") from exc
-        (epoch,) = struct.unpack("<I", _read_exact(f, 4))
+        arrays = _arrays(model, optimizer)
+        expected = _index(arrays)
+        if index != expected:
+            raise ValueError(f"{path}: array index "
+                             f"{_index_mismatch(index, expected)}")
+        for target in arrays.values():
+            target[...] = np.frombuffer(_read_exact(f, 8 * target.size),
+                                        dtype="<f8").reshape(target.shape)
         if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the epoch counter")
+            raise ValueError(f"{path}: trailing bytes after the arrays")
     return model, optimizer, rng, epoch, train_cfg
 
 

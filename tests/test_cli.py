@@ -21,6 +21,17 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def edit_header(ckpt: Path, edit) -> None:
+    """Apply `edit` to a checkpoint's JSON header and write the file back."""
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode()
+    ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
+                     + raw[12 + hlen:])
+
+
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -141,6 +152,8 @@ class TestTrain:
     def test_zero_epochs_exits_1(self, small_ds, tmp_path):
         out = tmp_path / "run"
         assert run("train", small_ds, out, "--epochs", 0) == 1
+        # checked before the (here missing) dataset is read
+        assert run("train", tmp_path / "missing", out, "--epochs", 0) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -149,13 +162,18 @@ class TestTrain:
         ["--recurrence", "ema", "--alpha", "nan"],
         ["--recurrence", "ema-residual", "--alpha", 0],
         ["--recurrence", "ema-residual", "--alpha", "nan"],
+        ["--recurrence", "convlstm", "--alpha", 0.3],
         ["--base-channels", 0], ["--lr", "nan"], ["--lr", "inf"]],
         ids=["alpha-0", "alpha-1.5", "alpha-nan", "residual-alpha-0",
-             "residual-alpha-nan", "base-channels-0", "lr-nan", "lr-inf"])
+             "residual-alpha-nan", "convlstm-alpha", "base-channels-0",
+             "lr-nan", "lr-inf"])
     def test_settings_build_or_training_rejects_exit_1(self, small_ds, tmp_path,
                                                         flags):
         out = tmp_path / "run"
         assert run("train", small_ds, out, "--epochs", 1, *flags) == 1
+        # checked before the (here missing) dataset is read
+        assert run("train", tmp_path / "missing", out, "--epochs", 1,
+                   *flags) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, code", [
@@ -328,16 +346,11 @@ class TestEval:
         save_checkpoint(ckpt, model, Adam(model.registry),
                         np.random.default_rng(0), 0, TrainConfig())
         raw = ckpt.read_bytes()
-        (clen,) = struct.unpack("<I", raw[8:12])
-        for edit in ("unknown model key", "null train"):
-            header = json.loads(raw[12:12 + clen])
-            if edit == "unknown model key":
-                header["model"]["frame_rate"] = 25
-            else:
-                header["train"] = None  # once loaded, as no settings
-            new = json.dumps(header, sort_keys=True).encode()
-            ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
-                             + raw[12 + clen:])
+        # `"train": null` once loaded, as no settings
+        for edit in (lambda h: h["model"].update(frame_rate=25),
+                     lambda h: h.update(train=None)):
+            ckpt.write_bytes(raw)
+            edit_header(ckpt, edit)
             assert run("eval", small_ds, tmp_path / "e", "--checkpoint",
                        ckpt) == 2
             assert (f"error: {ckpt}: malformed checkpoint header"
@@ -349,17 +362,11 @@ class TestEval:
                                          state):
         ckpt = tmp_path / "rng.salr"
         model = build(ModelConfig(input_size=(16, 16)))
-        rng = np.random.default_rng(0)
-        save_checkpoint(ckpt, model, Adam(model.registry), rng, 0,
-                        TrainConfig())
-        raw = ckpt.read_bytes()
-        old = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
-        at = raw.rindex(old)
-        new = json.dumps(state).encode()
-        ckpt.write_bytes(raw[:at - 4] + struct.pack("<I", len(new)) + new
-                         + raw[at + len(old):])
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0, TrainConfig())
+        edit_header(ckpt, lambda h: h.update(rng=state))
         assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
-        assert (f"error: {ckpt}: malformed checkpoint RNG state"
+        assert (f"error: {ckpt}: malformed checkpoint header"
                 in capsys.readouterr().err)
 
     def test_checkpoint_header_missing_field_exits_2(self, small_ds, tmp_path,
@@ -369,13 +376,8 @@ class TestEval:
                                   alpha=0.4))
         save_checkpoint(ckpt, model, Adam(model.registry),
                         np.random.default_rng(0), 0, TrainConfig())
-        raw = ckpt.read_bytes()
-        (clen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + clen])
-        del header["model"]["alpha"]  # would load as the default 0.1
-        new = json.dumps(header, sort_keys=True).encode()
-        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new
-                         + raw[12 + clen:])
+        # would load as the default 0.1
+        edit_header(ckpt, lambda h: h["model"].pop("alpha"))
         assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
         err = capsys.readouterr().err
         assert f"error: {ckpt}: malformed checkpoint header" in err
@@ -397,15 +399,15 @@ class TestEval:
         model = build(ModelConfig(input_size=(16, 16)))
         save_checkpoint(ckpt, model, Adam(model.registry),
                         np.random.default_rng(0), 0, TrainConfig())
-        raw = ckpt.read_bytes()
-        (clen,) = struct.unpack("<I", raw[8:12])
-        at = raw.index(b"enc1.kernel", 12 + clen) + len(b"enc1.kernel")
-        assert struct.unpack("<I", raw[at:at + 4]) == (4,)
-        ckpt.write_bytes(raw[:at + 4] + struct.pack("<4I", *[0x7FFF] * 4)
-                         + raw[at + 20:])
+
+        def oversize(header):
+            assert header["arrays"][0][0] == "enc1.kernel"
+            header["arrays"][0][1] = [0x7FFF] * 4
+
+        edit_header(ckpt, oversize)
         assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
-        assert (f"error: {ckpt}: parameter 'enc1.kernel' has shape (32767, "
-                in capsys.readouterr().err)
+        assert (f"error: {ckpt}: array index entry 0 (name, shape) is "
+                "['enc1.kernel', [32767, " in capsys.readouterr().err)
 
     def test_map_guard_failure_exits_3(self, small_ds, tmp_path, monkeypatch,
                                        capsys):
@@ -639,9 +641,15 @@ class TestCompare:
         ("video_id,metric,mean,valid_frames\nvideo000,NSS\n",
          "line 2 is not a report row"),
         ("video_id,metric,mean,valid_frames\nvideo000,NSS,high,3\n",
+         "line 2 is not a report row"),
+        ("video_id,metric,mean,valid_frames\nv0,CC,0.5,1\nv1,NSS,nan,3\n",
+         "line 3 is not a report row"),
+        ("video_id,metric,mean,valid_frames\nv1,NSS,-inf,3\n",
+         "line 2 is not a report row"),
+        ("video_id,metric,mean,valid_frames\nv1,NSS,,-1\n",
          "line 2 is not a report row")],
         ids=["empty", "no-metric", "no-valid-frames", "short-row",
-             "bad-mean"])
+             "bad-mean", "nan-mean", "infinite-mean", "negative-frames"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.csv"
         report.write_text(text)
@@ -737,6 +745,9 @@ class TestSweepAlpha:
         out = tmp_path / "run"
         run("train", small_ds, out, "--recurrence", "none", "--epochs", 1)
         assert run("sweep-alpha", small_ds, out / "checkpoint_final.salr") == 1
+        # checked before the (here missing) dataset is read
+        assert run("sweep-alpha", tmp_path / "missing",
+                   out / "checkpoint_final.salr") == 1
 
 
 class TestGradcheck:

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from salrec.data import VideoSample
 from salrec import metrics
-from salrec.metrics import (_SAMPLER_MAX_K, FixationMap, MetricReport,
-                            _auc_from_scores, _auc_rows, _choice_rows,
-                            aggregate, auc_judd, auc_shuffled, cc,
-                            compare_per_video, evaluate_predictions, nss, sim)
+from salrec.metrics import (_SAMPLER_MAX_K, METRIC_NAMES, FixationMap,
+                            MetricReport, _auc_from_scores, _auc_rows,
+                            _choice_rows, aggregate, auc_judd, auc_shuffled,
+                            cc, compare_per_video, evaluate_predictions, nss,
+                            report_from_csv, report_to_csv, sim)
 
 
 def pairwise_auc(pos, neg):
@@ -530,6 +531,21 @@ class TestAggregate:
             rep = aggregate({"NSS": {"v0": [None], "v1": [4.0]}})
         assert rep.dataset_means["NSS"] == 4.0
         assert rep.video_means["NSS"]["v0"] is None
+
+    def test_csv_round_trip(self):
+        """`report_from_csv` reads back what `report_to_csv` wrote, and
+        takes the dataset means from the video means as `aggregate` does.
+        Frame values are quarters, so every video mean prints exactly."""
+        rng = np.random.default_rng(3)
+        per_frame = {m: {f"v{i}": list(rng.integers(-8, 8, 4) / 4)
+                         for i in range(3)} for m in METRIC_NAMES}
+        per_frame["CC"]["v1"] = [None, None]
+        with pytest.warns(UserWarning, match="CC: videos with zero valid"):
+            rep = aggregate(per_frame)
+        back = report_from_csv(report_to_csv(rep), "r.csv")
+        assert back.video_means == rep.video_means
+        assert back.valid_counts == rep.valid_counts
+        assert back.dataset_means == rep.dataset_means
 
 
 class TestComparePerVideo:

@@ -19,9 +19,9 @@ from salrec.model import ModelConfig, build
 from salrec.tensor import (ComputationTape, Tensor, add, add_const, backward,
                            clamp, log, mul, no_grad, scale, tmean)
 import salrec.training as training_mod
-from salrec.training import (BCE_CLAMP, Adam, TrainConfig, _read_blob_data,
-                             _read_blob_head, bce_loss, load_checkpoint,
-                             save_checkpoint, train, train_clip, train_epoch)
+from salrec.training import (BCE_CLAMP, Adam, TrainConfig, bce_loss,
+                             load_checkpoint, save_checkpoint, train,
+                             train_clip, train_epoch)
 
 LN2 = float(np.log(2.0))
 
@@ -485,29 +485,25 @@ class TestTrainEpoch:
         assert opt.t == 0
 
 
-def split_checkpoint(raw: bytes):
-    """Cut checkpoint bytes into the header, the parameter blobs, the Adam
-    moment blobs and the tail (RNG state and epoch counter)."""
-    f = io.BytesIO(raw)
-    (clen,) = struct.unpack("<I", raw[8:12])
-    f.seek(12 + clen)
-    sections = []
-    for _ in range(2):
-        (count,) = struct.unpack("<I", f.read(4))
-        blobs = []
-        for _ in range(count):
-            start = f.tell()
-            name, shape = _read_blob_head(f)
-            _read_blob_data(f, shape)
-            blobs.append((name, raw[start:f.tell()]))
-        sections.append(blobs)
-    return raw[:12 + clen], sections[0], sections[1], raw[f.tell():]
+def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's JSON header and the array bytes after it."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + hlen]), raw[12 + hlen:]
 
 
-def join_checkpoint(head: bytes, params, moments, tail: bytes) -> bytes:
-    return (head + struct.pack("<I", len(params)) + b"".join(b for _, b in params)
-            + struct.pack("<I", len(moments)) + b"".join(b for _, b in moments)
-            + tail)
+def join_checkpoint(header, arrays: bytes) -> bytes:
+    """Version 4 checkpoint bytes from a header, a JSON value or its bytes,
+    and the array bytes."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header, sort_keys=True).encode()
+    return b"SALR" + struct.pack("<II", 4, len(header)) + header + arrays
+
+
+def edit_header(raw: bytes, edit) -> bytes:
+    """`raw` with `edit` applied to its header in place."""
+    header, arrays = split_checkpoint(raw)
+    edit(header)
+    return join_checkpoint(header, arrays)
 
 
 class TestCheckpoint:
@@ -522,6 +518,33 @@ class TestCheckpoint:
         p2 = tmp_path / "b.salr"
         save_checkpoint(p2, m2, o2, r2, epoch, cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_layout(self, tmp_path):
+        """Magic, version 4, the header length, one JSON header that indexes
+        every array, then the arrays' float64 bytes and nothing else."""
+        model = small_model(recurrence="ema-trainable")
+        opt = Adam(model.registry)
+        opt.t = 5
+        rng = np.random.default_rng(9)
+        p = tmp_path / "l.salr"
+        save_checkpoint(p, model, opt, rng, 2, TrainConfig())
+        raw = p.read_bytes()
+        assert raw[:4] == b"SALR" and struct.unpack("<I", raw[4:8]) == (4,)
+        header, arrays = split_checkpoint(raw)
+        assert sorted(header) == ["adam", "arrays", "epoch", "model", "rng",
+                                  "train"]
+        assert header["adam"] == {"lr": opt.lr, "t": 5}
+        assert header["epoch"] == 2
+        assert header["rng"] == rng.bit_generator.state
+        names = model.registry.names()
+        assert [n for n, _ in header["arrays"]] == (
+            names + [f"adam.m.{n}" for n in names]
+            + [f"adam.v.{n}" for n in names])
+        values = [model.registry[n].data for n in names]
+        values += [opt.m[n] for n in names] + [opt.v[n] for n in names]
+        assert [s for _, s in header["arrays"]] == [list(v.shape)
+                                                    for v in values]
+        assert arrays == b"".join(v.astype("<f8").tobytes() for v in values)
 
     def test_magic_and_version_checked(self, tmp_path):
         p = tmp_path / "bad.salr"
@@ -545,22 +568,28 @@ class TestCheckpoint:
         save_checkpoint(p, model, Adam(model.registry),
                         np.random.default_rng(0), 0, TrainConfig())
         raw = bytearray(p.read_bytes())
-        assert struct.unpack("<I", raw[4:8]) == (3,)
+        assert struct.unpack("<I", raw[4:8]) == (4,)
         raw[4:8] = struct.pack("<I", version)
         p.write_bytes(bytes(raw))
         return p
 
     def test_version_1_rejected(self, tmp_path):
-        # v1 files hold the per-gate ConvLSTM parameters; v3 has no reader
+        # v1 files hold the per-gate ConvLSTM parameters; v4 has no reader
         # for them
-        with pytest.raises(ValueError, match="version 1, expected 3"):
+        with pytest.raises(ValueError, match="version 1, expected 4"):
             load_checkpoint(self.relabel_version(tmp_path, 1))
 
     def test_version_2_rejected(self, tmp_path):
         # v2 headers carry Adam's betas, eps and alpha_lr, and may carry the
         # model settings v3 dropped
-        with pytest.raises(ValueError, match="version 2, expected 3"):
+        with pytest.raises(ValueError, match="version 2, expected 4"):
             load_checkpoint(self.relabel_version(tmp_path, 2))
+
+    def test_version_3_rejected(self, tmp_path):
+        # v3 files name and size each array in a section of their own, and
+        # keep the rng and the epoch after the arrays
+        with pytest.raises(ValueError, match="version 3, expected 4"):
+            load_checkpoint(self.relabel_version(tmp_path, 3))
 
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model()
@@ -571,22 +600,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / "cut.salr")
 
+    @pytest.mark.parametrize("length", [0xFFFFFFFF, 1 << 30])
+    def test_header_length_checked_against_file_size(self, tmp_path, length):
+        """The header length is the one length the file supplies; a corrupt
+        one must not size a read (0xFFFFFFFF would allocate 4 GiB)."""
+        raw = bytearray(self.saved(tmp_path))
+        rest = len(raw) - 12
+        raw[8:12] = struct.pack("<I", length)
+        self.assert_rejected(
+            tmp_path, bytes(raw),
+            f"header length {length} exceeds the {rest} bytes left")
+
     def test_config_shape_mismatch_named(self, tmp_path):
         model = small_model()
         p = tmp_path / "c.salr"
         save_checkpoint(p, model, Adam(model.registry),
                         np.random.default_rng(0), 0, TrainConfig())
-        # tamper: rewrite the config block with different channel widths
-        raw = p.read_bytes()
-        (clen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + clen])
-        header["model"]["base_channels"] = 8
-        new_cfg = json.dumps(header, sort_keys=True).encode()
-        tampered = (raw[:8] + struct.pack("<I", len(new_cfg)) + new_cfg
-                    + raw[12 + clen:])
+        # tamper: different channel widths, the same array index
         bad = tmp_path / "tampered.salr"
-        bad.write_bytes(tampered)
-        with pytest.raises(ValueError, match=r"shape.*expects|expects.*shape"):
+        bad.write_bytes(edit_header(
+            p.read_bytes(),
+            lambda h: h["model"].update(base_channels=8)))
+        with pytest.raises(ValueError, match=re.escape(
+                "array index entry 0 (name, shape) is ['enc1.kernel', "
+                "[4, 1, 3, 3]], model expects ['enc1.kernel', [8, 1, 3, 3]]")):
             load_checkpoint(bad)
 
     def test_resume_equality(self, tmp_path):
@@ -630,20 +667,24 @@ class TestCheckpoint:
         save_checkpoint(p, model, Adam(model.registry), np.random.default_rng(0), 1,
                         TrainConfig())
         previous = p.read_bytes()
-        written = []
-        orig = training_mod._write_blob
 
-        def failing(f, name, arr):
-            if len(written) == 3:
-                raise OSError("disk full")
-            written.append(name)
-            orig(f, name, arr)
+        class DiskFull(io.BufferedWriter):
+            writes = 0
 
-        monkeypatch.setattr(training_mod, "_write_blob", failing)
+            def write(self, data):
+                DiskFull.writes += 1
+                if DiskFull.writes == 5:  # the second array, after the header
+                    raise OSError("disk full")
+                return super().write(data)
+
+        monkeypatch.setattr(training_mod, "open", raising=False,
+                            value=lambda file, mode: DiskFull(
+                                io.FileIO(file, mode)))
         other = small_model(seed=2)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(p, other, Adam(other.registry),
                             np.random.default_rng(0), 2, TrainConfig())
+        assert DiskFull.writes == 5
         assert p.read_bytes() == previous
         assert [q.name for q in tmp_path.iterdir()] == ["ck.salr"]
 
@@ -660,44 +701,57 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*" + message):
             load_checkpoint(bad)
 
+    def assert_index_rejected(self, tmp_path, edit, message):
+        """A forged array index is rejected before any array is read: the
+        file keeps no array bytes, which a read would report as a
+        truncation."""
+        header, _ = split_checkpoint(self.saved(tmp_path))
+        edit(header["arrays"])
+        self.assert_rejected(tmp_path, join_checkpoint(header, b""),
+                             "array index " + re.escape(message))
+
     @pytest.mark.parametrize("section,field", [
         ("model", "alpha"), ("model", "dropout"), ("model", "ema_points"),
         ("train", "lr"), ("train", "augment")])
     def test_header_missing_field_rejected(self, tmp_path, section, field):
         """A header section must name every config field: a missing one
         would otherwise load as its default, a different model or run."""
-        model = small_model()
-        p = tmp_path / "ok.salr"
-        save_checkpoint(p, model, Adam(model.registry),
-                        np.random.default_rng(0), 3, TrainConfig())
-        raw = p.read_bytes()
-        (clen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + clen])
-        del header[section][field]
-        new = json.dumps(header, sort_keys=True).encode()
         self.assert_rejected(
             tmp_path,
-            raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
+            edit_header(self.saved(tmp_path), lambda h: h[section].pop(field)),
             f"malformed checkpoint header .*lacks {field}")
 
-    @pytest.mark.parametrize("edit", ["unknown model key", "no adam",
-                                      "null train"])
+    @pytest.mark.parametrize("edit", [
+        "unknown model key", "no adam", "null train", "no rng", "no epoch",
+        "no arrays", "epoch -1", "epoch 1.5", "epoch true",
+        "ema_points not text"])
     def test_malformed_header_rejected(self, tmp_path, edit):
         """Every checkpoint records its training settings, so a header
-        without them, `"train": null`, is malformed too."""
-        raw = self.saved(tmp_path)
-        (clen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + clen])
-        if edit == "unknown model key":
-            header["model"]["frame_rate"] = 25
-        elif edit == "no adam":
-            del header["adam"]
-        else:
-            header["train"] = None
-        new = json.dumps(header, sort_keys=True).encode()
+        without them, `"train": null`, is malformed too; so is one without
+        the rng, the epoch or the array index, or with an epoch that is not
+        an integer >= 0."""
+        edits = {
+            "unknown model key": lambda h: h["model"].update(frame_rate=25),
+            "no adam": lambda h: h.pop("adam"),
+            "null train": lambda h: h.update(train=None),
+            "no rng": lambda h: h.pop("rng"),
+            "no epoch": lambda h: h.pop("epoch"),
+            "no arrays": lambda h: h.pop("arrays"),
+            "epoch -1": lambda h: h.update(epoch=-1),
+            "epoch 1.5": lambda h: h.update(epoch=1.5),
+            "epoch true": lambda h: h.update(epoch=True),
+            "ema_points not text": lambda h: h["model"].update(ema_points=[5])}
+        self.assert_rejected(
+            tmp_path, edit_header(self.saved(tmp_path), edits[edit]),
+            "malformed checkpoint header")
+
+    @pytest.mark.parametrize("state", [[1, 2], {"bit_generator": "PCG64"},
+                                       {"bit_generator": "MT19937"}],
+                             ids=["list", "no-state", "not-pcg64"])
+    def test_bad_rng_state_rejected(self, tmp_path, state):
         self.assert_rejected(
             tmp_path,
-            raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
+            edit_header(self.saved(tmp_path), lambda h: h.update(rng=state)),
             "malformed checkpoint header")
 
     @pytest.mark.parametrize("field, value", [
@@ -708,14 +762,10 @@ class TestCheckpoint:
         """Adam's step count is an integer >= 0 and its learning rate
         positive and finite, as `TrainConfig` requires; anything else
         would step with a wrong bias correction or turn the weights NaN."""
-        raw = self.saved(tmp_path)
-        (clen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + clen])
-        header["adam"][field] = value
-        new = json.dumps(header, sort_keys=True).encode()
         self.assert_rejected(
             tmp_path,
-            raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + clen:],
+            edit_header(self.saved(tmp_path),
+                        lambda h: h["adam"].update({field: value})),
             f"malformed checkpoint header .*adam.{field}")
 
     @pytest.mark.parametrize("header, error", [
@@ -728,61 +778,119 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("section", ["parameter", "moment"])
     def test_name_not_utf8_rejected(self, tmp_path, section):
-        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
-        blobs = params if section == "parameter" else moments
-        name, blob = blobs[0]
-        blobs[0] = (name, blob[:4] + b"\xff" + blob[5:])  # the name's first byte
+        raw = self.saved(tmp_path)
+        name = b'"enc1.kernel"' if section == "parameter" else b'"adam.m.'
+        at = raw.index(name, 12) + 1  # the name's first byte
         self.assert_rejected(
-            tmp_path, join_checkpoint(head, params, moments, tail),
-            f"{section} '.*' at position 0, expected '{name}'")
+            tmp_path, raw[:at] + b"\xff" + raw[at + 1:],
+            "malformed checkpoint header \\(UnicodeDecodeError")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         self.assert_rejected(tmp_path, self.saved(tmp_path) + b"garbage",
                              "trailing bytes")
 
     def test_repeated_parameter_rejected(self, tmp_path):
-        head, params, _, tail = split_checkpoint(self.saved(tmp_path))
-        assert [n for n, _ in params[:2]] == ["enc1.kernel", "enc1.bias"]
-        params[1] = params[0]  # enc1.kernel twice, enc1.bias never
-        self.assert_rejected(tmp_path, join_checkpoint(head, params, [], tail),
-                             "'enc1.kernel' at position 1, expected 'enc1.bias'")
+        def repeat(index):
+            assert [n for n, _ in index[:2]] == ["enc1.kernel", "enc1.bias"]
+            index[1] = index[0]  # enc1.kernel twice, enc1.bias never
+
+        self.assert_index_rejected(
+            tmp_path, repeat,
+            "entry 1 (name, shape) is ['enc1.kernel', [4, 1, 3, 3]], "
+            "model expects ['enc1.bias', [4]]")
 
     def test_moment_count_checked(self, tmp_path):
-        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
-        self.assert_rejected(
-            tmp_path, join_checkpoint(head, params, moments[:-1], tail),
-            f"{len(moments) - 1} Adam moments in file, expected {len(moments)}")
+        header, _ = split_checkpoint(self.saved(tmp_path))
+        n = len(header["arrays"])
+        self.assert_index_rejected(
+            tmp_path, lambda index: index.pop(),
+            f"entry {n - 1} (name, shape) is missing, "
+            "model expects ['adam.v.head.bias', [1]]")
+        self.assert_index_rejected(
+            tmp_path, lambda index: index.append(index[-1]),
+            f"has {n + 1} entries, model expects {n}")
+        self.assert_index_rejected(
+            tmp_path, lambda index: index.clear() or index.append(None),
+            "entry 0 (name, shape) is None")
+
+    def test_array_index_not_a_list_rejected(self, tmp_path):
+        header, arrays = split_checkpoint(self.saved(tmp_path))
+        header["arrays"] = dict(header["arrays"])
+        self.assert_rejected(tmp_path, join_checkpoint(header, arrays),
+                             "array index is dict, not a list")
 
     @pytest.mark.parametrize("dim", [0x7FFF, 0xFFFFFFFF])
     @pytest.mark.parametrize("section", ["parameter", "moment"])
     def test_corrupt_dims_rejected_before_reading(self, tmp_path, dim, section):
-        """Declared dims are checked against the model before they size a
+        """Declared dims are checked against the model before any array is
         read: 0x7FFF four times once asked for 9.2e18 bytes (MemoryError),
         0xFFFFFFFF overflowed to a negative length (a ValueError that did
         not name the file)."""
-        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
-        blobs = params if section == "parameter" else moments
-        name, blob = blobs[0]
-        (nlen,) = struct.unpack("<I", blob[:4])
-        assert struct.unpack("<I", blob[4 + nlen:8 + nlen]) == (4,)  # a kernel
-        dims = struct.pack("<5I", 4, dim, dim, dim, dim)
-        blobs[0] = (name, blob[:4 + nlen] + dims + blob[4 + nlen + 20:])
-        self.assert_rejected(
-            tmp_path, join_checkpoint(head, params, moments, tail),
-            f"{section} '{name}' (has shape|is unknown, repeated or of the wrong shape)")
+        header, _ = split_checkpoint(self.saved(tmp_path))
+        at = 0 if section == "parameter" else header["arrays"].index(
+            ["adam.m.enc1.kernel", [4, 1, 3, 3]])
+        name = header["arrays"][at][0]
+
+        def oversize(index):
+            index[at][1] = [4, dim, dim, dim]
+
+        self.assert_index_rejected(
+            tmp_path, oversize,
+            f"entry {at} (name, shape) is ['{name}', [4, {dim}, {dim}, "
+            f"{dim}]], model expects ['{name}', [4, 1, 3, 3]]")
 
     @pytest.mark.parametrize("forged", ["adam.m.head.bias", "adam.x.head.bias",
                                         "head.bias"])
     def test_moment_names_checked(self, tmp_path, forged):
-        head, params, moments, tail = split_checkpoint(self.saved(tmp_path))
-        assert moments[-1][0] == "adam.v.head.bias"
-        blob = moments[-1][1]
-        (nlen,) = struct.unpack("<I", blob[:4])
-        name = forged.encode()
-        moments[-1] = (forged, struct.pack("<I", len(name)) + name + blob[4 + nlen:])
-        self.assert_rejected(tmp_path, join_checkpoint(head, params, moments, tail),
-                             f"moment '{forged}' at position {len(moments) - 1}, "
-                             "expected 'adam.v.head.bias'")
+        header, _ = split_checkpoint(self.saved(tmp_path))
+        n = len(header["arrays"])
+        assert header["arrays"][-1] == ["adam.v.head.bias", [1]]
+
+        def forge(index):
+            index[-1][0] = forged
+
+        self.assert_index_rejected(
+            tmp_path, forge,
+            f"entry {n - 1} (name, shape) is ['{forged}', [1]], "
+            "model expects ['adam.v.head.bias', [1]]")
+
+    def test_seeded_corruption_raises_only_value_error(self, tmp_path):
+        """Bit flips, byte overwrites (the version and header-length fields
+        included) and truncations of a small checkpoint either load or
+        raise ValueError naming the file; nothing else escapes."""
+        model = small_model(recurrence="convlstm", size=8)
+        p = tmp_path / "ok.salr"
+        save_checkpoint(p, model, Adam(model.registry),
+                        np.random.default_rng(0), 3, TrainConfig())
+        raw = p.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        rng = np.random.default_rng(23)
+        mutants = []
+        # bit flips over the whole file, and again over the fields and header
+        for at in np.concatenate([rng.integers(0, len(raw), 60),
+                                  rng.integers(0, 12 + hlen, 240)]):
+            bit = 1 << int(rng.integers(0, 8))
+            mutants.append(raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:])
+        # byte overwrites: each byte of the version and length fields with
+        # 0x00, 0xff and a random byte, then random offsets in the header
+        offsets = [*range(4, 12)] * 3 + list(rng.integers(12, 12 + hlen, 100))
+        values = [0x00] * 8 + [0xFF] * 8 + list(rng.integers(0, 256, 108))
+        for at, value in zip(offsets, values):
+            mutants.append(raw[:at] + bytes([int(value)]) + raw[at + 1:])
+        mutants += [raw[:int(n)] for n in np.linspace(0, len(raw) - 1, 64)]
+        bad = tmp_path / "mutant.salr"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i, mutant in enumerate(mutants):
+            bad.write_bytes(mutant)
+            try:
+                load_checkpoint(bad)
+            except ValueError as exc:
+                assert str(bad) in str(exc), (i, exc)
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert sum(outcomes.values()) == 488
+        assert outcomes["rejected"] > 200, outcomes
 
 
 # one epoch of a default-geometry EMA and ConvLSTM model, whose checkpoints
