@@ -19,7 +19,7 @@ from .model import ModelConfig, build
 from .tensor import (Tensor, add, add_const, backward, bce, broadcast_mul,
                      clamp, concat, conv2d, log, lstm_cell, maxpool2d, mul,
                      no_grad, relu, scale, sigmoid, split, sub, tanh, tmean,
-                     tsum, upsample_nearest)
+                     tsum, upsample_conv3x3, upsample_nearest)
 from .training import bce_loss
 
 H = 1e-5  # central-difference step
@@ -137,6 +137,11 @@ OP_CASES = {
     # pooling over a frame stack, the shape training runs
     "maxpool2d": (maxpool2d, (_uniform(3, 2, 4, 4),)),
     "upsample_nearest": (upsample_nearest, (_uniform(3, 2, 3, 3),)),
+    # a positive kernel and input, as for conv2d; Cin != Cout on a
+    # non-square map. At most 1.2e-9 over seeds 0-199 (seed 156)
+    "upsample_conv3x3": (upsample_conv3x3,
+                         (_positive(2, 2, 3, 4), _positive(3, 2, 3, 3),
+                          _uniform(3))),
     "sigmoid": (sigmoid, (_MATRIX,)),
     "tanh": (tanh, (_MATRIX,)),
     "relu": (relu, (_away_from(0.0),)),

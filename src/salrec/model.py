@@ -9,6 +9,17 @@ gradients are bit for bit those of relu first. A window holding a NaN gives
 Decoder mirrors with upsampling. Head: 1x1 conv -> sigmoid producing a
 per-frame probability map.
 
+Each decoder conv after the first folds in the upsample in front of it
+(`ConvLayer.upsampled`, `upsample_conv3x3`): one conv over the
+low-resolution map by a phase kernel, whose four output phases interleave
+into the full-size map, in place of a conv over a nearest-neighbour copy
+that does four times the window work for the same information. Values
+and gradients change only in summation order: maps within 1e-14, states
+within 1e-13 of their largest element and gradients within 1e-13 of the
+model's largest of those over an explicit upsample. A recurrence at
+`decoder<k-1>`, and the dropout mask in front of it, need the full-size
+map, so there the upsample stays explicit in front of dec<k>.
+
 The head and the sigmoid run before the last upsample, on a quarter of the
 pixels: a 1x1 conv, its bias and a sigmoid act on each pixel alone, so they
 commute with a nearest-neighbour copy and the maps are bit for bit those of
@@ -161,15 +172,19 @@ class Model:
             self.enc_convs.append(
                 ConvLayer(self.registry, f"enc{k}", prev, c, 3, rng, padding=1))
             prev = c
+        self.points = () if cfg.recurrence == "none" else cfg.ema_points
         self.dec_convs = []
         dec_out = chans[-2::-1] + [cfg.base_channels]
         for k, c in enumerate(dec_out, start=1):
+            # dec<k> folds in the upsample after dec<k-1>, unless a
+            # recurrence at decoder<k-1> needs the full-size map
+            upsampled = k > 1 and f"decoder{k - 1}" not in self.points
             self.dec_convs.append(
-                ConvLayer(self.registry, f"dec{k}", prev, c, 3, rng, padding=1))
+                ConvLayer(self.registry, f"dec{k}", prev, c, 3, rng, padding=1,
+                          upsampled=upsampled))
             prev = c
         self.head = ConvLayer(self.registry, "head", prev, 1, 1, rng)
 
-        self.points = () if cfg.recurrence == "none" else cfg.ema_points
         self.ema_cfg: Optional[EmaConfig] = None
         self.convlstm: Optional[ConvLstmWeights] = None
         if cfg.recurrence == "convlstm":
@@ -230,13 +245,14 @@ class Model:
             x = relu(maxpool2d(conv(x)))  # pool first: see the module docstring
             x = self._recur(x, f"encoder{k}", states, training, rng)
         x = self._recur(x, "bottleneck", states, training, rng)
-        # the last upsample waits for the head, and for the sigmoid too
-        # unless the residual output EMA runs first: see the module docstring
-        stages = self.cfg.stages
-        late = f"decoder{stages}" not in self.points
-        for k, conv in enumerate(self.dec_convs, start=1):
+        # an explicit upsample follows dec<k> unless dec<k+1> folds it in;
+        # the last waits for the head, and for the sigmoid too unless the
+        # residual output EMA runs first: see the module docstring
+        late = f"decoder{self.cfg.stages}" not in self.points
+        explicit = [not conv.upsampled for conv in self.dec_convs[1:]] + [not late]
+        for k, (conv, up) in enumerate(zip(self.dec_convs, explicit), start=1):
             x = relu(conv(x))
-            if k < stages or not late:
+            if up:
                 x = upsample_nearest(x)
             x = self._recur(x, f"decoder{k}", states, training, rng)
         x = self.head(x)

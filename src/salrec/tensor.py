@@ -1,13 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Only the operations the saliency network needs are implemented:
-2d convolution, 2x2 max pooling, nearest-neighbour upsampling,
-sigmoid/tanh/relu, elementwise arithmetic, log/clamp, reductions,
-concatenation/splitting along the frame or channel axis, the gate
-arithmetic of a peephole ConvLSTM cell, and the binary cross entropy. No
-broadcasting except the conv bias over the channel axis, the cell's
-peepholes over the batch, and the broadcast-multiply used by the trainable
-alpha.
+2d convolution, 2x2 max pooling, nearest-neighbour upsampling, a 3x3
+convolution over a nearest-upsampled map folded into one convolution of
+the low-resolution map, sigmoid/tanh/relu, elementwise arithmetic,
+log/clamp, reductions, concatenation/splitting along the frame or channel
+axis, the gate arithmetic of a peephole ConvLSTM cell, and the binary
+cross entropy. No broadcasting except the conv bias over the channel axis,
+the cell's peepholes over the batch, and the broadcast-multiply used by
+the trainable alpha.
 
 Each op computes its value and gives `_node` one (parent, vjp) edge per
 input; a vjp maps the upstream gradient to that parent's gradient. `_node`
@@ -34,6 +35,7 @@ __all__ = [
     "split",
     "maxpool2d",
     "upsample_nearest",
+    "upsample_conv3x3",
     "sigmoid",
     "tanh",
     "relu",
@@ -452,6 +454,67 @@ def upsample_nearest(input: Tensor) -> Tensor:
     return _node(input.data.repeat(2, axis=2).repeat(2, axis=3),
                  (input, lambda g: (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
                   + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2])))
+
+
+def _phase_fold() -> np.ndarray:
+    """(4, 9, 9) 0/1 matrices: a row-major flattened 3x3 kernel times matrix
+    2a + b is the kernel of output phase (a, b) of `upsample_conv3x3`.
+
+    Output row 2i + a of a 3x3, padding-1 conv over a nearest-upsampled map
+    reads input rows i-1, i, i (a = 0) or i, i, i+1 (a = 1), so kernel row
+    r moves to phase kernel row rows[a][r]; the same holds for columns.
+    """
+    rows = ((0, 1, 1), (1, 1, 2))
+    fold = np.zeros((4, 9, 9))
+    for a, b, r, s in np.ndindex(2, 2, 3, 3):
+        fold[2 * a + b, 3 * r + s, 3 * rows[a][r] + rows[b][s]] = 1.0
+    return fold
+
+
+_PHASE_FOLD = _phase_fold()
+_PHASE_UNFOLD = np.ascontiguousarray(_PHASE_FOLD.transpose(0, 2, 1))
+
+
+def upsample_conv3x3(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """conv2d(upsample_nearest(input), kernel, bias, padding=1) for a 3x3
+    kernel, as one conv over the low-resolution input: each of the four
+    output phases (a, b), the pixels (2i + a, 2j + b), is a 3x3 conv of
+    the input whose kernel sums the taps that read the same input pixel.
+
+    Three tape nodes: the fold of the (Cout, Cin, 3, 3) kernel into the
+    (4*Cout, Cin, 3, 3) phase kernel (one batched matmul by 0/1 matrices),
+    the `conv2d` of the input by the phase kernel, and the interleave of
+    its four phase channel blocks into (N, Cout, 2H, 2W), with the bias
+    added after it. Contract, against the conv over the upsampled map:
+    the bias gradient is bit for bit; values and the input and kernel
+    gradients match up to summation order, within the bounds the tests
+    state.
+    """
+    if (input.data.ndim != 4 or kernel.data.ndim != 4
+            or kernel.shape[1:] != (input.shape[1], 3, 3)
+            or bias.shape != kernel.shape[:1]):
+        raise ValueError(
+            f"upsample_conv3x3: input {input.shape}, kernel {kernel.shape} "
+            f"and bias {bias.shape} do not agree as (N, Cin, H, W), "
+            f"(Cout, Cin, 3, 3) and (Cout,)")
+    n, _, h, w = input.shape
+    cout, cin = kernel.shape[:2]
+    m = cout * cin
+    phases = _node(
+        np.matmul(kernel.data.reshape(m, 9), _PHASE_FOLD).reshape(4 * cout, cin, 3, 3),
+        (kernel, lambda g: np.matmul(g.reshape(4, m, 9), _PHASE_UNFOLD)
+         .sum(axis=0).reshape(kernel.shape)))
+    z = conv2d(input, phases, padding=1)  # (N, 4*Cout, H, W), phase-major
+    # copy first: for a 1x1 map the reshape alone can be a view of z, and
+    # the += would write into it
+    out = z.data.reshape(n, 2, 2, cout, h, w).transpose(0, 3, 4, 1, 5, 2).copy()
+    out = out.reshape(n, cout, 2 * h, 2 * w)
+    out += bias.data[:, None, None]
+    return _node(
+        out,
+        (z, lambda g: g.reshape(n, cout, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4)
+         .reshape(n, 4 * cout, h, w)),
+        (bias, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 # ---------------------------------------------------------------------------

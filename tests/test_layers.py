@@ -84,6 +84,16 @@ class TestRegistry:
         assert sum(p.size for _, p in reg.items()) == 4 * 2 * 3 * 3 + 4
         assert layer.kernel.requires_grad and layer.bias.requires_grad
 
+    @pytest.mark.parametrize("ksize,padding", [(1, 0), (1, 1), (3, 0),
+                                                (3, 2), (5, 1)])
+    def test_upsampled_conv_needs_3x3_at_padding_1(self, ksize, padding):
+        # the folded upsample equals conv over upsample only at this geometry
+        with pytest.raises(ValueError, match=f"{ksize}x{ksize} at padding {padding}"):
+            ConvLayer(ParameterRegistry(), "c1", 2, 4, ksize,
+                      np.random.default_rng(0), padding=padding, upsampled=True)
+        ConvLayer(ParameterRegistry(), "c1", 2, 4, ksize,
+                  np.random.default_rng(0), padding=padding)
+
     def test_iteration_order_deterministic(self):
         reg = ParameterRegistry()
         for name in ("b", "a", "c"):

@@ -418,14 +418,17 @@ class TestFrameStack:
 
 def full_size_tail(model, frames, states, training=False, rng=None):
     """Oracle: `forward_frame` in the old tail order, where every decoder
-    stage upsamples and the head and sigmoid run at full size."""
+    stage upsamples and the head and sigmoid run at full size. An upsample
+    that the next conv folds in (`ConvLayer.upsampled`) is left to it."""
     x = frames
     for k, conv in enumerate(model.enc_convs, start=1):
         x = model._recur(relu(maxpool2d(conv(x))), f"encoder{k}", states,
                          training, rng)
     x = model._recur(x, "bottleneck", states, training, rng)
-    for k, conv in enumerate(model.dec_convs, start=1):
-        x = model._recur(upsample_nearest(relu(conv(x))), f"decoder{k}",
+    folded = [conv.upsampled for conv in model.dec_convs[1:]] + [False]
+    for k, (conv, fold) in enumerate(zip(model.dec_convs, folded), start=1):
+        x = relu(conv(x))
+        x = model._recur(x if fold else upsample_nearest(x), f"decoder{k}",
                          states, training, rng)
     x = model.head(x)
     residual = model.ema_cfg is not None and model.ema_cfg.residual
@@ -491,6 +494,64 @@ class TestLowResolutionTail:
         (values, reg), (ref_values, ref_reg) = runs
         assert len(values) == len(ref_values)
         assert all(np.array_equal(a, b) for a, b in zip(values, ref_values))
+        bound = self.GRAD_RTOL * max(np.abs(p.grad).max()
+                                     for _, p in ref_reg.items())
+        for name, p in reg.items():
+            assert np.abs(p.grad - ref_reg[name].grad).max() <= bound, name
+
+
+class TestFoldedUpsample:
+    """Each decoder conv after the first folds the upsample in front of it
+    (`upsample_conv3x3`) unless a recurrence sits at the `decoderK` point
+    in between. `forward_frame` against the same model with every fold
+    turned off, so that each decoder conv runs over an explicit
+    `upsample_nearest`. The values sum the same products in another order:
+    over 1,500 drawn cases, maps moved by at most 3.3e-16, states by
+    1.2e-15 of each state's largest element, and gradients by 1.5e-15 of
+    the model's largest."""
+
+    MAP_ATOL = 1e-14  # maps lie in [0, 1]
+    STATE_RTOL = 1e-13
+    GRAD_RTOL = 1e-13
+
+    @staticmethod
+    def unfolded(cfg):
+        model = build(cfg)
+        for conv in model.dec_convs:
+            conv.upsampled = False
+        return model
+
+    @pytest.mark.parametrize("recurrence,folds", [
+        ("none", [False, True, True]), ("ema", [False, False, True])])
+    def test_folds_where_no_decoder_recurrence_intervenes(self, recurrence,
+                                                          folds):
+        model = build(ModelConfig(input_size=(16, 16), stages=3,
+                                  base_channels=2, recurrence=recurrence,
+                                  ema_points=("decoder1",)))
+        assert [conv.upsampled for conv in model.dec_convs] == folds
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail_configs(), st.integers(1, 3), st.booleans(),
+           st.integers(0, 2 ** 16))
+    def test_matches_explicit_upsample(self, cfg, n_frames, training, seed):
+        h, w = cfg.input_size
+        data = np.random.default_rng(seed).uniform(size=(2, n_frames, 1, h, w))
+        runs = []
+        for model in (build(cfg), self.unfolded(cfg)):
+            states, drop = model.fresh_states(), np.random.default_rng(seed)
+            # a second clip folds in the state that the first carries
+            maps = [model.forward_frame(Tensor(clip), states, training, drop)
+                    for clip in data]
+            backward(add(*(bce_loss(m, Tensor(g))
+                           for m, g in zip(maps, data[::-1]))))
+            runs.append(([m.data for m in maps], state_values(states),
+                         model.registry))
+        (maps, state, reg), (ref_maps, ref_state, ref_reg) = runs
+        for a, b in zip(maps, ref_maps):
+            assert np.abs(a - b).max() <= self.MAP_ATOL
+        assert len(state) == len(ref_state)
+        for a, b in zip(state, ref_state):
+            assert np.abs(a - b).max() <= self.STATE_RTOL * np.abs(b).max()
         bound = self.GRAD_RTOL * max(np.abs(p.grad).max()
                                      for _, p in ref_reg.items())
         for name, p in reg.items():

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from salrec.data import SynthConfig, generate
 from salrec.model import ModelConfig, build
 from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
                            concat, conv2d, maxpool2d, mul, relu, scale,
-                           sigmoid, split, sub, tanh, tsum, upsample_nearest)
+                           sigmoid, split, sub, tanh, tsum, upsample_conv3x3,
+                           upsample_nearest)
 from salrec.gradcheck import OP_CASES, check_op, max_rel_error
 from salrec.training import Adam, TrainConfig, train
 
@@ -373,6 +375,83 @@ class TestPoolReference:
         ref = one_epoch_params("ema")
         assert {k: v.tobytes() for k, v in ref.items()} == \
             {k: v.tobytes() for k, v in strided.items()}
+
+
+@st.composite
+def upsample_conv_cases(draw):
+    return dict(n=draw(st.integers(1, 10)), cin=draw(st.integers(1, 4)),
+                cout=draw(st.integers(1, 4)), h=draw(st.integers(1, 5)),
+                w=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestUpsampleConv:
+    """upsample_conv3x3 against conv2d over an explicit upsample_nearest.
+    Both sum the same products in another order, the fold with up to three
+    more additions for the taps a phase kernel sums in advance. So each
+    value and gradient is within 2 * terms * eps of the sum of its terms'
+    magnitudes, where `terms` is the larger summand count of the two; the
+    bias gradient is the same full-size sum, bit for bit. Over 3,000
+    random cases up to 16 input channels, no error passed 7.3% of its
+    bound, nor 2.1e-15 of its tensor's largest element."""
+
+    @staticmethod
+    def run(op, x, kern, b, g):
+        xt, kt, bt = t(x, grad=True), t(kern, grad=True), t(b, grad=True)
+        y = op(xt, kt, bt)
+        backward(tsum(mul(y, t(g))))  # upstream gradient of y is g
+        return y.data, xt.grad, kt.grad, bt.grad
+
+    @staticmethod
+    def oracle(x, k, b):
+        return conv2d(upsample_nearest(x), k, b, padding=1)
+
+    def check(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, cin, cout, h, w = (case[key] for key in ("n", "cin", "cout", "h", "w"))
+        x = rng.normal(size=(n, cin, h, w))
+        kern = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        g = rng.normal(size=(n, cout, 2 * h, 2 * w))
+        y, dx, dk, db = self.run(upsample_conv3x3, x, kern, b, g)
+        y_ref, dx_ref, dk_ref, db_ref = self.run(self.oracle, x, kern, b, g)
+        assert np.array_equal(db, db_ref)
+        # each element's sum of term magnitudes: the oracle on |x|, |k|, |g|
+        products, dx_abs, dk_abs, _ = self.run(
+            self.oracle, np.abs(x), np.abs(kern), np.zeros(cout), np.abs(g))
+        eps = np.finfo(np.float64).eps
+        for got, ref, terms, magnitude in (
+                (y, y_ref, 9 * cin + 3, products + np.abs(y_ref)),
+                (dx, dx_ref, 36 * cout, dx_abs),
+                (dk, dk_ref, 4 * n * h * w + 12, dk_abs)):
+            assert np.all(np.abs(got - ref) <= 2 * terms * eps * magnitude)
+
+    @given(upsample_conv_cases())
+    def test_matches_conv_over_upsample(self, case):
+        self.check(case)
+
+    # the default model's dec2 and dec3 inputs, and the thinnest maps
+    @pytest.mark.parametrize("n,cin,cout,h,w", [
+        (10, 16, 8, 4, 4), (10, 8, 8, 8, 8), (1, 16, 8, 4, 4),
+        (1, 2, 3, 1, 1), (10, 3, 2, 1, 3), (4, 1, 2, 3, 1)])
+    def test_shapes(self, n, cin, cout, h, w):
+        self.check(dict(n=n, cin=cin, cout=cout, h=h, w=w, seed=17))
+
+    def test_planted_phase_swap_fails(self, monkeypatch):
+        """Phases (0, 0) and (0, 1) trade fold columns, forward and back."""
+        for name in ("_PHASE_FOLD", "_PHASE_UNFOLD"):
+            monkeypatch.setattr(salrec.tensor, name,
+                                getattr(salrec.tensor, name)[[1, 0, 2, 3]])
+        with pytest.raises(AssertionError):
+            self.check(dict(n=2, cin=2, cout=3, h=3, w=4, seed=5))
+
+    @pytest.mark.parametrize("kshape,bshape", [
+        ((2, 3, 1, 1), (2,)), ((2, 4, 3, 3), (2,)), ((2, 3, 3), (2,)),
+        ((2, 3, 3, 3), (3,)), ((2, 3, 3, 3), (2, 1))])
+    def test_bad_shapes_name_them(self, kshape, bshape):
+        x, k, b = t(np.zeros((1, 3, 4, 4))), t(np.zeros(kshape)), t(np.zeros(bshape))
+        with pytest.raises(ValueError, match=re.escape(str(kshape)) + ".*"
+                           + re.escape(str(bshape))):
+            upsample_conv3x3(x, k, b)
 
 
 def relu_first(monkeypatch):
