@@ -39,7 +39,8 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
+# a "#" comment runs to the line end and counts as whitespace, except after maxval
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
 def _read_bytes(path) -> bytes:
@@ -88,11 +89,11 @@ def _read_maps(vdir: Path, n: int, shape: tuple[int, int]) -> list[np.ndarray]:
 
 
 def read_utf8(path: Path) -> str:
-    """The text of a UTF-8 file, with "\\r\\n" and a lone "\\r" read as "\\n"
-    (as `Path.read_text` reads them); other bytes raise ValueError naming
-    it."""
+    """The text of a UTF-8 file without a leading byte-order mark, with
+    "\\r\\n" and a lone "\\r" read as "\\n" (as `Path.read_text` reads
+    them); other bytes raise ValueError naming it."""
     try:
-        text = _read_bytes(path).decode("utf-8")
+        text = _read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")

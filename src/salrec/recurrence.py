@@ -2,9 +2,9 @@
 alpha, residual skip) and a peephole ConvLSTM cell.
 
 EMA update: e_t = alpha * s_t + (1 - alpha) * e_{t-1}, with e_0 = s_0 so the
-first frame behaves like a static predictor. A trainable alpha is
-sigmoid(p) for a scalar parameter p, which keeps the combination convex;
-the model registers p as `ema.p`, and a config that holds one learns alpha.
+first frame behaves like a static predictor; every later update, with a
+fixed or a trainable alpha, is one tape node. A trainable alpha is sigmoid(p)
+for the scalar `ema.p` the model registers, which keeps the blend convex.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .layers import ParameterRegistry, xavier_init
-from .tensor import (Tensor, add, add_const, broadcast_mul, concat, conv2d,
-                     lstm_cell, scale, sigmoid)
+from .tensor import (Tensor, _node, _sigmoid, _unbroadcast, add, concat,
+                     conv2d, lstm_cell)
 
 
 @dataclass
@@ -45,22 +45,21 @@ def ema_step(s_t: Tensor, state: EmaState,
     With residual enabled the returned value is s_t + e_t while the
     accumulator still stores e_t.
     """
-    if state.accumulator is None:
-        e_t = s_t
+    prev = state.accumulator
+    if prev is not None and prev.shape != s_t.shape:
+        raise ValueError(
+            f"ema_step: input shape {s_t.shape} does not match "
+            f"accumulator shape {prev.shape}")
+    if prev is None or (cfg.p is None and cfg.alpha == 1.0):
+        e_t = s_t  # first frame, or alpha 1.0: a bit-exact identity
     else:
-        prev = state.accumulator
-        if prev.shape != s_t.shape:
-            raise ValueError(
-                f"ema_step: input shape {s_t.shape} does not match "
-                f"accumulator shape {prev.shape}")
-        if cfg.p is not None:
-            a = sigmoid(cfg.p)
-            one_minus = add_const(scale(a, -1.0), 1.0)
-            e_t = add(broadcast_mul(s_t, a), broadcast_mul(prev, one_minus))
-        elif cfg.alpha == 1.0:
-            e_t = s_t  # bit-exact identity
-        else:
-            e_t = add(scale(s_t, cfg.alpha), scale(prev, 1.0 - cfg.alpha))
+        a = cfg.alpha if cfg.p is None else _sigmoid(cfg.p.data)
+        b = 1.0 - a
+        edges = [(s_t, lambda g: g * a), (prev, lambda g: g * b)]
+        if cfg.p is not None:  # d alpha / d p = a * (1 - a)
+            edges.append((cfg.p, lambda g: (_unbroadcast(g * s_t.data, ())
+                          - _unbroadcast(g * prev.data, ())) * a * b))
+        e_t = _node(s_t.data * a + prev.data * b, *edges)
     new_state = EmaState(accumulator=e_t)
     out = add(s_t, e_t) if cfg.residual else e_t
     return out, new_state

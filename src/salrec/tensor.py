@@ -7,8 +7,9 @@ the low-resolution map, sigmoid/tanh/relu, elementwise arithmetic,
 log/clamp, reductions, concatenation/splitting along the frame or channel
 axis, the gate arithmetic of a peephole ConvLSTM cell, and the binary
 cross entropy. No broadcasting except the conv bias over the channel axis,
-the cell's peepholes over the batch, and the broadcast-multiply used by
-the trainable alpha.
+the cell's peepholes over the batch, and `broadcast_mul`. It, `scale` and
+`add_const` serve only test oracles and perfbench's tracer; `ema_step`
+builds its one node per update with `_node`.
 
 Each op computes its value and gives `_node` one (parent, vjp) edge per
 input; a vjp maps the upstream gradient to that parent's gradient. `_node`
@@ -219,11 +220,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def broadcast_mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting.
-
-    Used where broadcasting is intentional: the scalar trainable alpha
-    against a feature map.
-    """
+    """Elementwise product with numpy broadcasting, as of a scalar and a map."""
     return _node(a.data * b.data,
                  (a, lambda g: _unbroadcast(g * b.data, a.shape)),
                  (b, lambda g: _unbroadcast(g * a.data, b.shape)))

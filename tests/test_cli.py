@@ -678,6 +678,19 @@ class TestCompare:
         with pytest.raises(ValueError, match="line 3 is not a report row"):
             cli.read_report_csv(report)
 
+    def test_report_byte_order_mark_dropped(self, tmp_path, capsys):
+        """A report saved with a UTF-8 byte-order mark, as Excel saves a
+        CSV, reads as without it."""
+        rows = ["video_id,metric,mean,valid_frames", "video000,NSS,0.5,3", ""]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("\r\n".join(rows), encoding="utf-8")
+        marked.write_text("\r\n".join(rows), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        parsed = cli.read_report_csv(marked)
+        assert parsed.video_means == {"NSS": {"video000": 0.5}}
+        assert parsed.valid_counts == {"NSS": {"video000": 3}}
+        assert run("compare", marked, plain) == 0
+
     def test_eval_writes_crlf_report(self, small_ds, tmp_path):
         samples = read_dataset(small_ds)
         pred_dir = tmp_path / "preds"

@@ -51,6 +51,31 @@ class TestPgm:
         with pytest.raises(ValueError, match="short.pgm"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n# CREATOR: GIMP PNM Filter Version 1.1\n2 2\n255\n",
+        b"P5#a\n 2#b\r#c\n2\t# d 9 9\n\n255\r"],
+        ids=["GIMP", "everywhere"])
+    def test_header_comments_skipped(self, tmp_path, header):
+        """A "#" comment runs to the end of its line wherever the header
+        allows whitespace; one whitespace byte after maxval ends it, so a
+        raster may start with a newline or a "#"."""
+        p = tmp_path / "c.pgm"
+        p.write_bytes(header + b"\n#\x00\xff")
+        assert np.array_equal(read_pgm(p) * 255, [[10, 35], [0, 255]])
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n# CREATOR: GIMP PNM Filter", "malformed PGM header"),
+        (b"P5\n# c\n2 2\n# c\n", "malformed PGM header"),
+        (b"P5\n2 2\n255 # c\n\x00\x00\x00\x00", "expected 4 pixels, got 8"),
+        (b"P5\n# c\n2 2\n255\n\x00\x00\x00", "expected 4 pixels, got 3")],
+        ids=["truncated-comment", "no-maxval", "comment-after-maxval",
+             "short-raster"])
+    def test_bad_commented_header_names_file(self, tmp_path, raw, message):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"bad.pgm: {message}"):
+            read_pgm(p)
+
 
 class TestGenerate:
     def test_static_scene(self):
@@ -199,6 +224,21 @@ class TestDatasetIO:
         number = 3 if newline == "\r\r\n" else 2  # "\\r\\r\\n" ends two lines
         with pytest.raises(ValueError, match=f"0000.txt:{number}: expected"):
             read_fixations(path, (8, 8))
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        """A fixation file or manifest saved with a UTF-8 byte-order mark
+        (as Notepad saves one) reads as without it."""
+        samples, root = self.make(tmp_path)
+        for path in (root / samples[0].video_id / "fix" / "0000.txt",
+                     root / MANIFEST_NAME):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for a, b in zip(samples, read_dataset(root)):
+            assert a.video_id == b.video_id
+            assert [f.points for f in a.fixations] == \
+                [f.points for f in b.fixations]
+        path = tmp_path / "0000.txt"
+        path.write_bytes(b"\xef\xbb\xbf5 3\n")
+        assert read_fixations(path, (8, 8)).points == [(5, 3)]
 
     def test_str_root_reads_and_names_paths_as_path(self, tmp_path):
         """A str root reads the same dataset as a Path, and an error names

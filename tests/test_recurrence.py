@@ -8,9 +8,9 @@ from salrec.layers import ParameterRegistry
 from salrec.model import ModelConfig, build
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, ema_step)
-from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
-                           broadcast_mul, concat, conv2d, lstm_cell, mul,
-                           sigmoid, split, tanh, tsum)
+from salrec.tensor import (ComputationTape, Tensor, _node, _sigmoid, add,
+                           add_const, backward, broadcast_mul, concat, conv2d,
+                           lstm_cell, mul, scale, sigmoid, split, tanh, tsum)
 from salrec.training import bce_loss
 
 
@@ -111,6 +111,137 @@ class TestEffectiveAlpha:
         # a registered p makes alpha trainable; the fixed one goes unused
         p = ParameterRegistry().register("ema.p", Tensor(np.asarray(0.0)))
         assert run_ema([[2.0], [0.0]], EmaConfig(alpha=0.0, p=p))[1][0] == 1.0
+
+
+def chain_ema(s_t, state, cfg):
+    """Oracle: the EMA update as a chain of single ops, 3 tape nodes for a
+    fixed alpha and 6 for a trainable one, where `ema_step` records one."""
+    prev = state.accumulator
+    if prev is None or (cfg.p is None and cfg.alpha == 1.0):
+        e_t = s_t
+    elif cfg.p is not None:
+        a = sigmoid(cfg.p)
+        one_minus = add_const(scale(a, -1.0), 1.0)
+        e_t = add(broadcast_mul(s_t, a), broadcast_mul(prev, one_minus))
+    else:
+        e_t = add(scale(s_t, cfg.alpha), scale(prev, 1.0 - cfg.alpha))
+    return (add(s_t, e_t) if cfg.residual else e_t), EmaState(accumulator=e_t)
+
+
+def ema_unroll(step_fn, data, upstream, alpha, p0, residual):
+    """Run `step_fn` over the frames, backpropagate the outputs projected
+    onto fixed upstream weights; returns the frames, outputs, accumulators
+    and p (None for a fixed alpha), whose grads backward filled."""
+    p = None if p0 is None else Tensor(np.asarray(p0), requires_grad=True)
+    cfg = EmaConfig(alpha=alpha, residual=residual, p=p)
+    frames = [Tensor(x, requires_grad=True) for x in data]
+    state, outs, accs, total = EmaState(), [], [], None
+    for s_t, up in zip(frames, upstream):
+        out, state = step_fn(s_t, state, cfg)
+        outs.append(out)
+        accs.append(state.accumulator)
+        term = tsum(mul(out, Tensor(up)))
+        total = term if total is None else add(total, term)
+    backward(total)
+    return frames, outs, accs, p
+
+
+def assert_bits_equal(got, want, name):
+    """array_equal with the sign bit of every zero compared too."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+class TestEmaNode:
+    """`ema_step` against the chains it replaces (`chain_ema`). Values and
+    the frame and accumulator gradients are the same products and sums, so
+    they are bit-equal. The p gradient adds the same per-step terms in
+    another order: the chain adds each step's sigmoid node into p.grad
+    where the tape reaches it, the node adds its term as it runs. So they
+    agree to P_RTOL of the sum of the terms' magnitudes."""
+
+    P_RTOL = 1e-14
+    SHAPES = [(), (3,), (2, 2, 3, 3)]  # a Tensor holds 0-d data as (1,)
+
+    def assert_matches_chain(self, shape, steps, alpha, p0, residual, seed):
+        rng = np.random.default_rng(seed)
+        data = [rng.uniform(-2, 2, size=shape) for _ in range(steps)]
+        upstream = [rng.normal(size=shape) for _ in range(steps)]
+        (frames, outs, accs, p), (frames_ref, outs_ref, accs_ref, p_ref) = (
+            ema_unroll(fn, data, upstream, alpha, p0, residual)
+            for fn in (ema_step, chain_ema))
+        for t in range(steps):
+            assert_bits_equal(outs[t].data, outs_ref[t].data, ("out", t))
+            assert_bits_equal(accs[t].data, accs_ref[t].data, ("e_t", t))
+            assert_bits_equal(frames[t].grad, frames_ref[t].grad, ("s_t", t))
+            assert_bits_equal(accs[t].grad, accs_ref[t].grad, ("e_t grad", t))
+        if p is None:
+            return
+        if steps == 1:  # alpha is not used on the first frame
+            assert p.grad is None and p_ref.grad is None
+            return
+        a = _sigmoid(p0)
+        magnitude = sum(
+            np.sum(np.abs(e.grad) * (np.abs(s.data) + np.abs(prev.data)))
+            for e, s, prev in zip(accs_ref[1:], frames_ref[1:], accs_ref))
+        bound = self.P_RTOL * magnitude * a * (1 - a)
+        assert abs(p.grad - p_ref.grad) <= bound, (p.grad, p_ref.grad, bound)
+
+    @given(shape=st.sampled_from(SHAPES), steps=st.integers(1, 6),
+           alpha=st.floats(0, 1, exclude_min=True, exclude_max=True)
+           | st.just(1.0),
+           p0=st.none() | st.floats(-4, 4), residual=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_chain(self, shape, steps, alpha, p0, residual, seed):
+        self.assert_matches_chain(shape, steps, alpha, p0, residual, seed)
+
+    @pytest.mark.parametrize("fault", ["p edge without a(1-a)",
+                                       "accumulator edge one ulp high"])
+    def test_planted_fault_fails(self, monkeypatch, fault):
+        def planted(data, *edges):
+            (s_t, to_s), (prev, to_prev), *p_edge = edges
+            if fault == "p edge without a(1-a)" and p_edge:
+                (p, to_p), = p_edge
+                a = _sigmoid(p.data)
+                p_edge = [(p, lambda g: to_p(g) / (a * (1 - a)))]
+            elif fault == "accumulator edge one ulp high":
+                to_prev_ok = to_prev
+                to_prev = lambda g: np.nextafter(to_prev_ok(g), np.inf)
+            return _node(data, (s_t, to_s), (prev, to_prev), *p_edge)
+
+        monkeypatch.setattr(salrec.recurrence, "_node", planted)
+        p0 = 0.7 if fault == "p edge without a(1-a)" else None
+        with pytest.raises(AssertionError):
+            self.assert_matches_chain((2, 2, 3, 3), 4, 0.3, p0, False, 0)
+
+    @pytest.mark.parametrize("p0", [None, 0.2])
+    def test_one_node_per_update(self, p0):
+        p = None if p0 is None else Tensor(np.asarray(p0), requires_grad=True)
+        cfg = EmaConfig(alpha=0.3, p=p)
+        s_0, s_1 = (Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+                    for _ in range(2))
+        _, state = ema_step(s_0, EmaState(), cfg)
+        assert state.accumulator is s_0
+        e_1, _ = ema_step(s_1, state, cfg)
+        assert e_1._parents == (s_1, s_0) + (() if p is None else (p,))
+        assert ComputationTape(e_1).ops == [e_1]
+
+    @pytest.mark.parametrize("kind, nodes", [
+        ("ema", 43), ("ema-trainable", 43), ("ema-residual", 53),
+        ("convlstm", 73)])
+    def test_default_clip_tape_nodes(self, kind, nodes):
+        """A default-config 10-frame clip: 23 nodes without a recurrence,
+        11 for the EMA's split into frames and concat back, and one node
+        per update after the first frame (plus a residual add per frame).
+        The chains recorded 61 for `ema` and 88 for `ema-trainable`; the
+        ConvLSTM runs no EMA."""
+        rng = np.random.default_rng(26)
+        model = build(ModelConfig(recurrence=kind))
+        frames, gts = (Tensor(rng.uniform(size=(10, 1, 32, 32)))
+                       for _ in range(2))
+        pred = model.forward_frame(frames, model.fresh_states(),
+                                   training=True, rng=rng)
+        assert len(ComputationTape(bce_loss(pred, gts)).ops) == nodes
 
 
 def make_weights(seed=0, in_ch=2, ch=2, spatial=(3, 3)):
