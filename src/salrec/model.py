@@ -203,21 +203,22 @@ class Model:
 
     def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
                training: bool, rng):
-        """The recurrence at `point` folded over the frame stack x, in frame
-        order; x itself when no recurrence sits there. An empty slot starts
-        from a fresh state."""
+        """The recurrence at `point` folded over the frame stack x, whose
+        axis 0 is time; x itself when no recurrence sits there. An empty
+        slot starts from a fresh state: the ConvLSTM's is batch 1, as it
+        scans the whole stack in one call."""
         if point not in states.states:
             return x
         if self.cfg.dropout:
             x = dropout_forward(x, DROPOUT_P, training, rng)
         st = states.states[point]
+        if self.convlstm is not None:
+            out, states.states[point] = convlstm_step(
+                x, st or ConvLstmState.zeros(1, *x.shape[1:]), self.convlstm)
+            return out
         outs = []
         for s_t in split(x, x.shape[0], axis=0):
-            if self.convlstm is None:
-                out, st = ema_step(s_t, st or EmaState(), self.ema_cfg)
-            else:
-                out, st = convlstm_step(
-                    s_t, st or ConvLstmState.zeros(*s_t.shape), self.convlstm)
+            out, st = ema_step(s_t, st or EmaState(), self.ema_cfg)
             outs.append(out)
         states.states[point] = st
         return concat(*outs, axis=0)

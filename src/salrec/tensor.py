@@ -5,18 +5,19 @@ Only the operations the saliency network needs are implemented:
 convolution over a nearest-upsampled map folded into one convolution of
 the low-resolution map, sigmoid/tanh/relu, elementwise arithmetic,
 log/clamp, reductions, concatenation/splitting along the frame or channel
-axis, the gate arithmetic of a peephole ConvLSTM cell, and the binary
-cross entropy. No broadcasting except the conv bias over the channel axis,
-the cell's peepholes over the batch, and `broadcast_mul`. It, `scale` and
-`add_const` serve only test oracles and perfbench's tracer; `ema_step`
-builds its one node per update with `_node`.
+axis, and the binary cross entropy. No broadcasting except the conv bias
+over the channel axis and `broadcast_mul`. It, `scale` and `add_const`
+serve only test oracles and perfbench's tracer; `ema_step` builds its one
+node per update, and `convlstm_step` its one node per frame stack, with
+`_node`.
 
 Each op computes its value and gives `_node` one (parent, vjp) edge per
 input; a vjp maps the upstream gradient to that parent's gradient. `_node`
 keeps only the edges whose parent requires grad, and records the op only
 if grad is on and an edge is left, so no op tests `requires_grad` itself.
-An op whose vjps share work on the upstream gradient (the LSTM gates)
-gives `_node` a `prepare` step that does it once per backward call.
+An op whose vjps share work on the upstream gradient (the ConvLSTM
+scan's reverse loop) gives `_node` a `prepare` step that does it once per
+backward call.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "clamp",
     "tsum",
     "tmean",
-    "lstm_cell",
     "bce",
 ]
 
@@ -287,6 +287,29 @@ def tmean(a: Tensor) -> Tensor:
 # spatial ops
 
 
+def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The stride-1 kH x kW windows of the contiguous NCHW array xp, as a
+    (C, kH, kW, N, H', W') view of it."""
+    n, c, hp, wp = xp.shape
+    sn, sc, sh, sw = xp.strides
+    return np.ndarray((c, kh, kw, n, hp - kh + 1, wp - kw + 1), np.float64,
+                      xp, 0, (sc, sh, sw, sn, sh, sw))
+
+
+def _unwindow(dcols: np.ndarray, padding: int) -> np.ndarray:
+    """The input gradient of a stride-1 conv from the gradient at its
+    windows, shaped (N, H', W', C, kH, kW): the taps added in row-major
+    order into a zeroed padded buffer, which is then cropped; returns
+    (N, C, H, W)."""
+    n, ho, wo, c, kh, kw = dcols.shape
+    dxp = np.zeros((n, ho + kh - 1, wo + kw - 1, c))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
+    h, w = ho + kh - 1 - 2 * padding, wo + kw - 1 - 2 * padding
+    return dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+
+
 def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
            padding: int = 0) -> Tensor:
     """2d cross-correlation of NCHW input with an OIHW kernel, at stride 1.
@@ -330,11 +353,7 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     else:
         xp = input.data
     ho, wo = hp - kh + 1, wp - kw + 1
-    sn, sc, sh, sw = xp.strides
-    windows = np.ndarray(  # (Cin, kH, kW, N, H', W'), a view of xp
-        (cin, kh, kw, n, ho, wo), np.float64, xp, 0,
-        (sc, sh, sw, sn, sh, sw))
-    cols = windows.reshape(cin * kh * kw, n * ho * wo)
+    cols = _windows(xp, kh, kw).reshape(cin * kh * kw, n * ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
     out = kmat @ cols  # (Cout, N*H'*W')
     if bias is not None:
@@ -342,13 +361,8 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     out = out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
 
     def dinput(g):
-        dcols = (g.reshape(n, cout, ho * wo).transpose(0, 2, 1) @ kmat
-                 ).reshape(n, ho, wo, cin, kh, kw)
-        dxp = np.zeros((n, hp, wp, cin))
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
-        return dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+        dcols = g.reshape(n, cout, ho * wo).transpose(0, 2, 1) @ kmat
+        return _unwindow(dcols.reshape(n, ho, wo, cin, kh, kw), padding)
 
     def dkernel(g):
         gk = g.reshape(n, cout, ho * wo).transpose(1, 0, 2).reshape(cout, n * ho * wo)
@@ -512,64 +526,6 @@ def upsample_conv3x3(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         (z, lambda g: g.reshape(n, cout, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4)
          .reshape(n, 4 * cout, h, w)),
         (bias, lambda g: g.sum(axis=(0, 2, 3))))
-
-
-# ---------------------------------------------------------------------------
-# recurrent cells
-
-
-def lstm_cell(pre: Tensor, cell: Tensor,
-              peepholes: tuple[Tensor, Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """The pointwise half of a peephole ConvLSTM step: (C_t, H_t) from the
-    (N, 4C, H, W) conv pre-activations, in u/f/o/c channel blocks, the
-    previous cell state C_{t-1} of shape (N, C, H, W), and the u/f/o
-    peepholes of shape (C, H, W):
-
-        g = sigmoid(a_g + p_g * C_{t-1})  for the gates g = u, f, o
-        C_t = f * C_{t-1} + u * tanh(a_c)
-        H_t = o * tanh(C_t)
-
-    Contract: the values are bit for bit those of the split, broadcast_mul,
-    add, sigmoid, tanh and mul chain kept as the test oracle; the gradients
-    match it up to summation order. Two tape nodes: C_t with edges (pre,
-    C_{t-1}, p_u, p_f), and H_t with edges (pre, C_{t-1}, p_o, C_t).
-    """
-    shape = cell.shape
-    if (len(shape) != 4 or pre.shape != (shape[0], 4 * shape[1]) + shape[2:]
-            or len(peepholes) != 3
-            or any(p.shape != shape[1:] for p in peepholes)):
-        raise ValueError(
-            f"lstm_cell: pre-activations {pre.shape}, cell {shape} and "
-            f"peepholes {[p.shape for p in peepholes]} do not agree")
-    a, c, ch = pre.data, cell.data, shape[1]
-    p_u, p_f, p_o = peepholes
-    u, f, o = (_sigmoid(a[:, k * ch:(k + 1) * ch] + p.data * c)
-               for k, p in enumerate(peepholes))
-    tc = np.tanh(a[:, 3 * ch:])
-    c_t = f * c + u * tc
-    t_ct = np.tanh(c_t)
-
-    def blocks(*parts):  # the gradient at pre from its u/f/o/c blocks
-        zero = np.zeros(c.shape)
-        return np.concatenate(
-            [zero if part is None else part for part in parts], axis=1)
-
-    # each node prepares (g, the gradients at its gates' sigmoid inputs)
-    c_node = _node(
-        c_t,
-        (pre, lambda d: blocks(d[1], d[2], None, d[0] * u * (1.0 - tc * tc))),
-        (cell, lambda d: d[0] * f + d[1] * p_u.data + d[2] * p_f.data),
-        (p_u, lambda d: (d[1] * c).sum(axis=0)),
-        (p_f, lambda d: (d[2] * c).sum(axis=0)),
-        prepare=lambda g: (g, g * tc * u * (1.0 - u), g * c * f * (1.0 - f)))
-    h_node = _node(
-        o * t_ct,
-        (pre, lambda d: blocks(None, None, d[1], None)),
-        (cell, lambda d: d[1] * p_o.data),
-        (p_o, lambda d: (d[1] * c).sum(axis=0)),
-        (c_node, lambda d: d[0] * o * (1.0 - t_ct * t_ct)),
-        prepare=lambda g: (g, g * t_ct * o * (1.0 - o)))
-    return c_node, h_node
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, ema_step)
 from salrec.tensor import (ComputationTape, Tensor, _node, _sigmoid, add,
                            add_const, backward, broadcast_mul, concat, conv2d,
-                           lstm_cell, mul, scale, sigmoid, split, tanh, tsum)
+                           mul, scale, sigmoid, split, tanh, tsum)
 from salrec.training import bce_loss
 
 
@@ -228,13 +228,15 @@ class TestEmaNode:
 
     @pytest.mark.parametrize("kind, nodes", [
         ("ema", 43), ("ema-trainable", 43), ("ema-residual", 53),
-        ("convlstm", 73)])
+        ("convlstm", 25)])
     def test_default_clip_tape_nodes(self, kind, nodes):
         """A default-config 10-frame clip: 23 nodes without a recurrence,
         11 for the EMA's split into frames and concat back, and one node
         per update after the first frame (plus a residual add per frame).
-        The chains recorded 61 for `ema` and 88 for `ema-trainable`; the
-        ConvLSTM runs no EMA."""
+        The chains recorded 61 for `ema` and 88 for `ema-trainable`. The
+        ConvLSTM scans the clip in one node, plus the slice of its C_t
+        stack; stepped frame by frame with a conv and a two-node cell, it
+        recorded 73."""
         rng = np.random.default_rng(26)
         model = build(ModelConfig(recurrence=kind))
         frames, gts = (Tensor(rng.uniform(size=(10, 1, 32, 32)))
@@ -366,30 +368,38 @@ class TestBpttGradients:
 
     @pytest.mark.sweep
     def test_probes_pass_at_every_seed(self):
-        # the bound above, over seeds 0-199: the ConvLSTM probe reads
-        # 1.5e-8 at worst (seed 115), the EMA probe 4.5e-8 (seed 164)
+        # the bound above, over seeds 0-199: the frame-by-frame ConvLSTM
+        # probe reads 1.5e-8 at worst (seed 115), the 5-frame stack 2.6e-8
+        # (seed 96), the EMA probe 4.5e-8 (seed 164)
         for seed in range(200):
             for result in check_recurrence(seed=seed):
                 assert result.max_rel_err <= 1e-5, (
                     seed, result.name, result.max_rel_err)
 
     def test_planted_cell_error_fails(self, monkeypatch):
-        """A cell state whose vjp is 1e-5 too large reads above the bound:
-        the error compounds over the steps the gradient flows back, to
-        2.1e-5 at least over seeds 0-39."""
-        def planted(pre, cell, peepholes):
-            c_t, h_t = lstm_cell(pre, cell, peepholes)
-            return _node(c_t.data, (c_t, lambda g: g * (1 + 1e-5))), h_t
+        """A cell state whose gradient from downstream is 1e-5 too large,
+        planted in the scan's reverse loop, reads above the bound in both
+        ConvLSTM probes: the error compounds over the steps the gradient
+        flows back, to 2.0e-5 at least over seeds 0-39 frame by frame and
+        2.3e-5 over the stack."""
+        cell_vjp = salrec.recurrence._cell_vjp
 
-        monkeypatch.setattr(salrec.recurrence, "lstm_cell", planted)
+        def planted(dc, *args):
+            return cell_vjp(dc * (1 + 1e-5), *args)
+
+        monkeypatch.setattr(salrec.recurrence, "_cell_vjp", planted)
         for seed in range(5):
-            result = check_recurrence(seed=seed)[-1]
-            assert result.max_rel_err > 1e-5, (seed, result.max_rel_err)
+            probes = [r for r in check_recurrence(seed=seed)
+                      if r.name.startswith("convlstm_step")]
+            assert len(probes) == 2
+            for result in probes:
+                assert result.max_rel_err > 1e-5, (
+                    seed, result.name, result.max_rel_err)
 
 
 def chain_cell(pre, cell, peepholes):
-    """Oracle: the gate arithmetic of `lstm_cell` as a chain of single ops,
-    21 tape nodes per step with the concat and the conv."""
+    """Oracle: the gate arithmetic of one ConvLSTM step as a chain of
+    single ops, 21 tape nodes per step with the concat and the conv."""
     *gates, pre_c = split(pre, 4, axis=1)
     u_t, f_t, o_t = (sigmoid(add(g, broadcast_mul(p, cell)))
                      for g, p in zip(gates, peepholes))
@@ -397,71 +407,151 @@ def chain_cell(pre, cell, peepholes):
     return c_t, mul(o_t, tanh(c_t))
 
 
-def unroll(cell_fn, w, frames, upstream):
-    """A 5-frame cell unroll under `cell_fn`; returns the loss (C_t and
-    H_t projected onto fixed upstream weights) and every frame's pre, C_t
-    and H_t, whose grads backward fills."""
-    n, _, h, wd = frames[0].shape
-    state = ConvLstmState.zeros(n, w.peepholes[0].shape[0], h, wd)
-    steps, total = [], None
-    for s_t, (up_c, up_h) in zip(frames, upstream):
+def chain_step(s, state, w):
+    """Oracle: `convlstm_step` as the chain it replaces, a concat, a conv2d
+    and `chain_cell` per frame of the stack s."""
+    outs = []
+    for s_t in split(s, s.shape[0], axis=0):
         pre = conv2d(concat(s_t, state.hidden, axis=1), w.kernel, w.bias,
                      padding=1)
-        c_t, h_t = cell_fn(pre, state.cell, w.peepholes)
+        c_t, h_t = chain_cell(pre, state.cell, w.peepholes)
         state = ConvLstmState(cell=c_t, hidden=h_t)
-        steps.append((pre, c_t, h_t))
-        s = add(tsum(mul(c_t, up_c)), tsum(mul(h_t, up_h)))
-        total = s if total is None else add(total, s)
-    return total, steps
+        outs.append(c_t)
+    return concat(*outs, axis=0), state
+
+
+def run_calls(step_fn, w, data, state0, upstream, sizes, loss_from=0):
+    """`step_fn` over the frames `data` in consecutive calls of `sizes`
+    frames, in one graph from the initial state `state0` = (C_0, H_0).
+    Backpropagates the C_t stack and H of each call from `loss_from` on,
+    projected onto the fixed `upstream` weights (on C_t, on H). Returns
+    the calls' frame stacks, C_0 and H_0, whose grads backward filled,
+    the C_t stack and the final state."""
+    c0, h0 = (Tensor(x, requires_grad=True) for x in state0)
+    state, up_c, up_h = ConvLstmState(cell=c0, hidden=h0), *upstream
+    stacks, outs, total, lo = [], [], None, 0
+    for k, size in enumerate(sizes):
+        s = Tensor(data[lo:lo + size], requires_grad=True)
+        out, state = step_fn(s, state, w)
+        if k >= loss_from:
+            term = add(tsum(mul(out, Tensor(up_c[lo:lo + size]))),
+                       tsum(mul(state.hidden, Tensor(up_h))))
+            total = term if total is None else add(total, term)
+        stacks.append(s)
+        outs.append(out.data)
+        lo += size
+    backward(total)
+    return stacks, (c0, h0), np.concatenate(outs), state
 
 
 class TestLstmCell:
-    """`lstm_cell` against the single-op chain it replaces (`chain_cell`).
+    """`convlstm_step`'s scan against the chain it replaces (`chain_step`:
+    a concat, a conv2d and the single-op cell `chain_cell` per frame).
     Values are bit-equal. Gradients sum the same terms in another order:
-    the chain adds each peephole and forget term into a gradient buffer on
-    its own, the op adds their sum. So they agree to GRAD_RTOL of the
-    largest gradient of each tensor."""
+    the chain adds each step's kernel, bias, peephole and forget terms
+    into a gradient buffer on its own, the scan adds their sums. So they
+    agree to GRAD_RTOL of the largest gradient of each tensor."""
 
     GRAD_RTOL = 1e-13
+    # the default bottleneck, 32 channels at 4x4; a 1x1 one; a non-square one
+    BOTTLENECKS = {"4x4": (32, 32), "1x1": (8, 8), "2x4": (16, 32)}
+    WEIGHTS = ("kernel", "bias", "u.peephole", "f.peephole", "o.peephole")
 
     def assert_grads_close(self, got, want, name):
+        assert want is not None and got is not None, name
         bound = self.GRAD_RTOL * np.abs(want).max()
         assert np.abs(got - want).max() <= bound, name
 
+    def problem(self, input_size, frames, seed):
+        """The ConvLSTM weights of a default-width model at `input_size`,
+        with a random bias; frames in [0, 2), a random initial state and
+        fixed upstream weights at its bottleneck."""
+        w = build(ModelConfig(input_size=input_size, recurrence="convlstm",
+                              seed=seed)).convlstm
+        rng = np.random.default_rng(seed + 1)
+        w.bias.data[...] = rng.uniform(-1, 1, w.bias.shape)
+        shape = (1,) + w.peepholes[0].shape
+        data = rng.uniform(0, 2, size=(frames,) + shape[1:])
+        state0 = (rng.normal(size=shape), rng.uniform(-1, 1, size=shape))
+        upstream = (rng.normal(size=data.shape), rng.normal(size=shape))
+        return w, data, state0, upstream
+
+    def assert_runs_match(self, run, run_ref, calls):
+        """Values of two `run_calls` results bit-equal, gradients close."""
+        (stacks, init, cs, state), grads = run
+        (stacks_ref, init_ref, cs_ref, state_ref), grads_ref = run_ref
+        assert np.array_equal(cs, cs_ref)
+        assert np.array_equal(state.cell.data, state_ref.cell.data)
+        assert np.array_equal(state.hidden.data, state_ref.hidden.data)
+        for k in calls:
+            self.assert_grads_close(stacks[k].grad, stacks_ref[k].grad,
+                                    ("frames", k))
+        for part, got, want in zip(("C_0", "H_0"), init, init_ref):
+            self.assert_grads_close(got.grad, want.grad, part)
+        for name, got, want in zip(self.WEIGHTS, grads, grads_ref):
+            self.assert_grads_close(got, want, name)
+
+    @staticmethod
+    def run(step_fn, w, *args, **kwargs):
+        """`run_calls`, and the weights' gradients, which it then zeroes."""
+        result = run_calls(step_fn, w, *args, **kwargs)
+        weights = (w.kernel, w.bias, *w.peepholes)
+        grads = [p.grad for p in weights]
+        for p in weights:
+            p.zero_grad()
+        return result, grads
+
+    @pytest.mark.parametrize("bottleneck", BOTTLENECKS)
+    def test_scan_matches_frame_calls_and_chain(self, bottleneck):
+        """One call over a 6-frame stack gives the C_t stack, C_T and H_T
+        of six one-frame calls and of the chain, and gradients at the
+        frames, C_0, H_0 and every weight within the bound of the chain's."""
+        problem = self.problem(self.BOTTLENECKS[bottleneck], 6, 30)
+        scan = self.run(convlstm_step, *problem, sizes=[6])
+        chain = self.run(chain_step, *problem, sizes=[6])
+        self.assert_runs_match(scan, chain, calls=[0])
+        (_, _, cs, state), _ = self.run(convlstm_step, *problem, sizes=[1] * 6)
+        (_, _, cs_ref, state_ref), _ = scan
+        assert np.array_equal(cs, cs_ref)
+        assert np.array_equal(state.cell.data, state_ref.cell.data)
+        assert np.array_equal(state.hidden.data, state_ref.hidden.data)
+
+    @pytest.mark.parametrize("bottleneck", BOTTLENECKS)
+    def test_second_call_reaches_first_input(self, bottleneck):
+        """Two calls chained in one graph, with no detach between them: a
+        loss on the second call's outputs alone backpropagates into the
+        first call's frames and the initial state, as through the chain."""
+        problem = self.problem(self.BOTTLENECKS[bottleneck], 7, 31)
+        scan = self.run(convlstm_step, *problem, sizes=[3, 4], loss_from=1)
+        chain = self.run(chain_step, *problem, sizes=[3, 4], loss_from=1)
+        self.assert_runs_match(scan, chain, calls=[0, 1])
+        ((first, _), *_), _ = scan
+        assert np.abs(first.grad).max() > 0
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_unroll_matches_chain(self, n):
+        """Six frames in calls of n frames, every call's C_t and H in the
+        loss, on small weights: 3 input and 2 state channels at 3x3."""
+        _, w = make_weights(seed=19, in_ch=3, ch=2)
+        w.bias.data[...] = np.random.default_rng(22).uniform(-1, 1, 8)
         rng = np.random.default_rng(20 + n)
-        data = [rng.uniform(-2, 2, size=(n, 3, 3, 3)) for _ in range(5)]
-        upstream = [tuple(Tensor(rng.normal(size=(n, 2, 3, 3)))
-                          for _ in range(2)) for _ in range(5)]
-        runs = []
-        for cell_fn in (lstm_cell, chain_cell):
-            reg, w = make_weights(seed=19, in_ch=3, ch=2)
-            w.bias.data[...] = np.random.default_rng(22).uniform(-1, 1, 8)
-            frames = [Tensor(x, requires_grad=True) for x in data]
-            loss, steps = unroll(cell_fn, w, frames, upstream)
-            backward(loss)
-            runs.append((reg, frames, steps))
-        (reg, frames, steps), (reg_ref, frames_ref, steps_ref) = runs
-        for t, (step, ref) in enumerate(zip(steps, steps_ref)):
-            for part, got, want in zip(("pre", "C_t", "H_t"), step, ref):
-                assert np.array_equal(got.data, want.data), (t, part)
-            for part, got, want in zip(("pre", "C_t"), step, ref):
-                self.assert_grads_close(got.grad, want.grad, (t, part))
-        for t, (got, want) in enumerate(zip(frames, frames_ref)):
-            self.assert_grads_close(got.grad, want.grad, ("s_t", t))
-        for name in reg.names():
-            self.assert_grads_close(reg[name].grad, reg_ref[name].grad, name)
+        data = rng.uniform(-2, 2, size=(6, 3, 3, 3))
+        state0 = (rng.normal(size=(1, 2, 3, 3)), np.zeros((1, 2, 3, 3)))
+        upstream = (rng.normal(size=(6, 2, 3, 3)), rng.normal(size=(1, 2, 3, 3)))
+        sizes = [n] * (6 // n)
+        runs = [self.run(fn, w, data, state0, upstream, sizes)
+                for fn in (convlstm_step, chain_step)]
+        self.assert_runs_match(*runs, calls=range(len(sizes)))
 
     def test_default_clip_matches_chain(self, monkeypatch):
         """One default-shape ConvLSTM clip, `forward_frame` and backward,
-        with the cell's gate arithmetic as the op and as the chain."""
+        with the recurrence as the scan and as the chain."""
         rng = np.random.default_rng(23)
         frames = Tensor(rng.uniform(size=(4, 1, 32, 32)))
         gts = Tensor(rng.uniform(size=(4, 1, 32, 32)))
         runs = []
-        for cell_fn in (lstm_cell, chain_cell):
-            monkeypatch.setattr(salrec.recurrence, "lstm_cell", cell_fn)
+        for step_fn in (convlstm_step, chain_step):
+            monkeypatch.setattr(salrec.model, "convlstm_step", step_fn)
             model = build(ModelConfig(recurrence="convlstm", seed=3))
             maps = model.forward_frame(frames, model.fresh_states())
             backward(bce_loss(maps, gts))
@@ -471,24 +561,34 @@ class TestLstmCell:
         for name in reg.names():
             self.assert_grads_close(reg[name].grad, reg_ref[name].grad, name)
 
-    def test_records_two_nodes(self):
+    def test_records_one_node(self):
+        """The stack is one node with an edge per input, and each output
+        a slice of it: C_1..C_T, then C_T and H_T in the state."""
         _, w = make_weights(seed=24)
-        pre = Tensor(np.random.default_rng(25).normal(size=(1, 8, 3, 3)),
-                     requires_grad=True)
-        cell = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
-        p_u, p_f, p_o = w.peepholes
-        c_t, h_t = lstm_cell(pre, cell, w.peepholes)
-        assert c_t._parents == (pre, cell, p_u, p_f)
-        assert h_t._parents == (pre, cell, p_o, c_t)
-        assert ComputationTape(h_t).ops == [c_t, h_t]
+        s = Tensor(np.random.default_rng(25).normal(size=(4, 2, 3, 3)),
+                   requires_grad=True)
+        cell, hidden = (Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+                        for _ in range(2))
+        out, state = convlstm_step(s, ConvLstmState(cell, hidden), w)
+        scan, = out._parents
+        assert scan._parents == (s, cell, hidden, w.kernel, w.bias,
+                                 *w.peepholes)
+        assert state.cell._parents == state.hidden._parents == (scan,)
+        assert np.array_equal(state.cell.data, out.data[3:])
+        assert ComputationTape(tsum(out)).ops[:2] == [scan, out]
 
-    @pytest.mark.parametrize("pre, cell, peep", [
-        ((1, 7, 3, 3), (1, 2, 3, 3), (2, 3, 3)),
-        ((1, 8, 3, 3), (2, 2, 3, 3), (2, 3, 3)),
-        ((1, 8, 3, 3), (1, 2, 3, 2), (2, 3, 3)),
-        ((1, 8, 3, 3), (1, 2, 3, 3), (1, 3, 3)),
-        ((8, 3, 3), (2, 3, 3), (2, 3, 3))])
-    def test_shape_mismatch_rejected(self, pre, cell, peep):
-        with pytest.raises(ValueError, match="lstm_cell"):
-            lstm_cell(Tensor(np.zeros(pre)), Tensor(np.zeros(cell)),
-                      tuple(Tensor(np.zeros(peep)) for _ in range(3)))
+    @pytest.mark.parametrize("s, cell, in_ch, ch, spatial", [
+        ((2, 3, 3), (1, 2, 3, 3), 3, 2, (3, 3)),  # not a stack
+        ((0, 3, 3, 3), (1, 2, 3, 3), 3, 2, (3, 3)),  # no frame
+        ((2, 3, 3, 3), (2, 2, 3, 3), 3, 2, (3, 3)),  # state batch 2
+        ((2, 4, 3, 3), (1, 2, 3, 3), 3, 2, (3, 3)),  # input channels
+        ((2, 3, 3, 3), (1, 3, 3, 3), 3, 2, (3, 3)),  # state channels
+        ((2, 3, 3, 4), (1, 2, 3, 3), 3, 2, (3, 3)),  # input spatial dims
+        ((2, 3, 3, 4), (1, 2, 3, 4), 3, 2, (3, 3))],  # peephole spatial dims
+        ids=["3d-input", "empty-stack", "batch", "input-channels", "state-channels",
+             "input-spatial", "peephole-spatial"])
+    def test_shape_mismatch_rejected(self, s, cell, in_ch, ch, spatial):
+        _, w = make_weights(in_ch=in_ch, ch=ch, spatial=spatial)
+        state = ConvLstmState(Tensor(np.zeros(cell)), Tensor(np.zeros(cell)))
+        with pytest.raises(ValueError, match="convlstm_step"):
+            convlstm_step(Tensor(np.zeros(s)), state, w)
