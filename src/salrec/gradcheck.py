@@ -17,9 +17,9 @@ from . import recurrence as rec
 from .layers import ParameterRegistry
 from .model import ModelConfig, build
 from .tensor import (Tensor, add, add_const, backward, bce, broadcast_mul,
-                     clamp, concat, conv2d, log, maxpool2d, mul, no_grad, relu,
-                     scale, sigmoid, split, sub, tanh, tmean, tsum,
-                     upsample_conv3x3, upsample_nearest)
+                     clamp, conv2d, log, maxpool2d, mul, no_grad, relu, scale,
+                     sigmoid, sub, tanh, tmean, tsum, upsample_conv3x3,
+                     upsample_nearest)
 from .training import bce_loss
 
 H = 1e-5  # central-difference step
@@ -125,15 +125,6 @@ OP_CASES = {
     "conv2d-padding2": (lambda x, k, b: conv2d(x, k, b, padding=2),
                         (_positive(1, 2, 4, 4), _positive(2, 2, 3, 3),
                          _uniform(2))),
-    "concat-channels": (lambda a, b: concat(a, b, axis=1),
-                        (_uniform(1, 2, 3, 3), _uniform(1, 3, 3, 3))),
-    "concat-frames": (lambda a, b, c: concat(a, b, c, axis=0),
-                      (_uniform(1, 2, 2, 3), _uniform(2, 2, 2, 3),
-                       _uniform(1, 2, 2, 3))),
-    # the last channel group goes unused: its gradient is zero
-    "split-channels": (lambda x: split(x, 4, axis=1)[:3],
-                       (_uniform(2, 4, 3, 3),)),
-    "split-frames": (lambda x: split(x, 3, axis=0), (_uniform(3, 2, 2, 2),)),
     # pooling over a frame stack, the shape training runs
     "maxpool2d": (maxpool2d, (_uniform(3, 2, 4, 4),)),
     "upsample_nearest": (upsample_nearest, (_uniform(3, 2, 3, 3),)),
@@ -208,6 +199,23 @@ def check_recurrence(seed: int = 0) -> list[GradCheckResult]:
     tcfg = rec.EmaConfig(p=Tensor(np.asarray(0.0)))  # alpha = sigmoid(p)
     results.append(GradCheckResult(
         "trainable alpha", max_rel_error(lambda: ema_unroll(tcfg), [tcfg.p])))
+
+    # the same frames as one stack, the final accumulator in the loss too.
+    # Over seeds 0-199 at most 8.0e-8 (fixed alpha, seed 191), 1.5e-7
+    # (trainable, seed 197) and 2.4e-7 (residual, seed 74)
+    stack = Tensor(np.concatenate([f.data for f in frames]))
+
+    def ema_scan(cfg):
+        out, state = rec.ema_step(stack, rec.EmaState(), cfg, frames=5)
+        acc = state.accumulator
+        return add(tsum(mul(out, out)), tsum(mul(acc, acc)))
+
+    p = Tensor(np.asarray(-0.8))  # alpha = 0.31, unlike 1 - alpha
+    for name, c in (("ema_step", cfg), ("trainable alpha", rec.EmaConfig(p=p)),
+                    ("ema-residual", rec.EmaConfig(alpha=0.3, residual=True))):
+        wrt = [stack] if c.p is None else [c.p, stack]
+        results.append(GradCheckResult(
+            f"{name} (5-frame stack)", max_rel_error(lambda: ema_scan(c), wrt)))
 
     reg2 = ParameterRegistry()
     w = rec.ConvLstmWeights(reg2, "clstm", 2, 2, (3, 3),

@@ -31,7 +31,7 @@ recurrence at `decoder<stages>` it stays where it is. A recurrence at
 `output` runs after the upsample, at full size, so a dropout mask keeps its
 shape and draws.
 
-The recurrence (EMA variants or a ConvLSTM at the bottleneck) wraps the
+The recurrence (EMA variants or a ConvLSTM at the bottleneck) scans the
 activations at the configured insertion points.
 """
 
@@ -46,7 +46,7 @@ import numpy as np
 from .layers import ConvLayer, ParameterRegistry, dropout_forward
 from .recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig, EmaState,
                          convlstm_step, ema_step)
-from .tensor import (Tensor, concat, maxpool2d, no_grad, relu, sigmoid, split,
+from .tensor import (Tensor, maxpool2d, no_grad, relu, sigmoid,
                      upsample_nearest)
 
 EMA_KINDS = ("ema", "ema-trainable", "ema-residual")
@@ -203,10 +203,10 @@ class Model:
 
     def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
                training: bool, rng):
-        """The recurrence at `point` folded over the frame stack x, whose
-        axis 0 is time; x itself when no recurrence sits there. An empty
-        slot starts from a fresh state: the ConvLSTM's is batch 1, as it
-        scans the whole stack in one call."""
+        """The recurrence at `point` scanned over the frame stack x, whose
+        axis 0 is time, in one call; x itself when no recurrence sits
+        there. An empty slot starts from a fresh state: the ConvLSTM's is
+        batch 1, the EMA's takes its first frame."""
         if point not in states.states:
             return x
         if self.cfg.dropout:
@@ -215,24 +215,21 @@ class Model:
         if self.convlstm is not None:
             out, states.states[point] = convlstm_step(
                 x, st or ConvLstmState.zeros(1, *x.shape[1:]), self.convlstm)
-            return out
-        outs = []
-        for s_t in split(x, x.shape[0], axis=0):
-            out, st = ema_step(s_t, st or EmaState(), self.ema_cfg)
-            outs.append(out)
-        states.states[point] = st
-        return concat(*outs, axis=0)
+        else:
+            out, states.states[point] = ema_step(
+                x, st or EmaState(), self.ema_cfg, frames=x.shape[0])
+        return out
 
     def forward_frame(self, frames: Tensor, states: RecurrenceStates,
                       training: bool = False, rng=None) -> Tensor:
         """A stack of T >= 1 consecutive frames of one video, shaped
         [T, 1, H, W], in; their saliency maps, shaped [T, 1, H, W], out.
 
-        Every layer runs once over the whole stack. Only the recurrence at
-        each configured insertion point steps frame by frame, in order, and
-        leaves the state advanced past the last frame. So one call over T
-        frames gives the maps of T calls over one frame each; a dropout
-        mask is drawn once per insertion point for the whole stack.
+        Every layer runs once over the whole stack, and the recurrence at
+        each configured insertion point scans it in order, which leaves the
+        state advanced past the last frame. So one call over T frames gives
+        the maps of T calls over one frame each; a dropout mask is drawn
+        once per insertion point for the whole stack.
         """
         if states.model is not self:
             raise ValueError("recurrence states belong to a different model")

@@ -1,14 +1,15 @@
 """Temporal recurrences: exponential moving average (fixed alpha, trainable
 alpha, residual skip) and a peephole ConvLSTM cell.
 
-`convlstm_step` scans the cell over a stack of consecutive frames of one
-video, whose axis 0 is time, from a batch-1 state; the whole stack is one
-tape node.
+Each scans a stack of consecutive frames of one video in one call and
+records one tape node, whose backward is the reverse scan: `convlstm_step`
+a stack whose axis 0 is time, from a batch-1 state; `ema_step` a stack of
+`frames` equal blocks along axis 0, one frame by default.
 
 EMA update: e_t = alpha * s_t + (1 - alpha) * e_{t-1}, with e_0 = s_0 so the
-first frame behaves like a static predictor; every later update, with a
-fixed or a trainable alpha, is one tape node. A trainable alpha is sigmoid(p)
-for the scalar `ema.p` the model registers, which keeps the blend convex.
+first frame behaves like a static predictor. A trainable alpha is
+sigmoid(p) for the scalar `ema.p` the model registers, which keeps the
+blend convex.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .layers import ParameterRegistry, xavier_init
 from .tensor import (Tensor, _node, _sigmoid, _unbroadcast, _unwindow,
-                     _windows, add)
+                     _windows)
 
 
 @dataclass
@@ -42,31 +43,66 @@ class EmaState:
     accumulator: Optional[Tensor] = None
 
 
-def ema_step(s_t: Tensor, state: EmaState,
-             cfg: EmaConfig) -> tuple[Tensor, EmaState]:
-    """One EMA update; returns (output, advanced state).
-
-    With residual enabled the returned value is s_t + e_t while the
-    accumulator still stores e_t.
+def ema_step(s: Tensor, state: EmaState, cfg: EmaConfig,
+             frames: int = 1) -> tuple[Tensor, EmaState]:
+    """The EMA scanned over s, `frames` consecutive frames stacked in equal
+    blocks along axis 0 (by default one frame, s whole, of any shape), as
+    one tape node whose backward runs the updates in reverse; returns
+    (outputs, advanced state). Each update runs the numpy expressions of
+    the single-op chain in its order, so outputs and the gradients to the
+    frames and to a carried-in accumulator are bit for bit those of
+    `frames` one-frame calls. With residual enabled the outputs are
+    s_t + e_t, sliced out of the node; the accumulator still stores e_t.
     """
-    prev = state.accumulator
-    if prev is not None and prev.shape != s_t.shape:
+    prev, m = state.accumulator, s.shape[0]
+    n = m // frames if frames > 0 else 0
+    block = (n,) + s.shape[1:]
+    if not n or n * frames != m or prev is not None and prev.shape != block:
         raise ValueError(
-            f"ema_step: input shape {s_t.shape} does not match "
-            f"accumulator shape {prev.shape}")
-    if prev is None or (cfg.p is None and cfg.alpha == 1.0):
-        e_t = s_t  # first frame, or alpha 1.0: a bit-exact identity
-    else:
-        a = cfg.alpha if cfg.p is None else _sigmoid(cfg.p.data)
-        b = 1.0 - a
-        edges = [(s_t, lambda g: g * a), (prev, lambda g: g * b)]
-        if cfg.p is not None:  # d alpha / d p = a * (1 - a)
-            edges.append((cfg.p, lambda g: (_unbroadcast(g * s_t.data, ())
-                          - _unbroadcast(g * prev.data, ())) * a * b))
-        e_t = _node(s_t.data * a + prev.data * b, *edges)
-    new_state = EmaState(accumulator=e_t)
-    out = add(s_t, e_t) if cfg.residual else e_t
-    return out, new_state
+            f"ema_step: input shape {s.shape} does not split along axis 0 "
+            f"into {frames} frame(s) of shape "
+            f"{block if prev is None else prev.shape}")
+    xs = s.data.reshape((frames,) + block)
+    # updates before `first` are e_t = s_t: the first frame of a fresh
+    # state, or every frame at a fixed alpha of 1.0, a bit-exact identity
+    first = frames if cfg.p is None and cfg.alpha == 1.0 else int(prev is None)
+    if first == frames and not cfg.residual:
+        return s, EmaState(accumulator=_rows(s, m - n, m))
+    a = cfg.alpha if cfg.p is None else _sigmoid(cfg.p.data)
+    b = 1.0 - a
+    # row t + 1 holds e_t, row 0 the carried-in accumulator if any
+    es = np.concatenate([xs[:1] if prev is None else prev.data[None], xs])
+    for t in range(first, frames):
+        es[t + 1] = xs[t] * a + es[t] * b
+
+    def reverse(g):
+        """From g at the node: the gradients at s, at prev and at p."""
+        g = g.reshape((-1,) + block)
+        ds = np.empty_like(xs)
+        # e_t's gradient from later: the next update's or the accumulator's
+        carry, dp = g[frames] if cfg.residual else 0.0, 0.0
+        for t in reversed(range(frames)):
+            ge = g[t] + carry
+            if t < first:  # s_t is e_t; under residual, both addends of g
+                ds[t] = (g[t] + g[t]) + carry if cfg.residual else ge
+                carry = 0.0
+                continue
+            ds[t] = g[t] + ge * a if cfg.residual else ge * a
+            if cfg.p is not None:  # d alpha / d p = a * (1 - a)
+                dp = dp + (_unbroadcast(ge * xs[t], ())
+                           - _unbroadcast(ge * es[t], ())) * a * b
+            carry = ge * b
+        return ds.reshape(s.shape), carry, dp
+
+    edges = [(s, lambda d: d[0])]
+    if first == 0:
+        edges.append((prev, lambda d: d[1]))
+    if cfg.p is not None and first < frames:
+        edges.append((cfg.p, lambda d: d[2]))
+    out = np.concatenate([xs + es[1:], es[-1:]]) if cfg.residual else es[1:]
+    node = _node(out.reshape((-1,) + s.shape[1:]), *edges, prepare=reverse)
+    e_rows = (m, m + n) if cfg.residual else (m - n, m)
+    return _rows(node, 0, m), EmaState(accumulator=_rows(node, *e_rows))
 
 
 @dataclass
@@ -123,7 +159,11 @@ def _cell_vjp(dc, dh, c_prev, gates, peepholes, dz):
 
 
 def _rows(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows lo:hi of x along axis 0; their gradient flows into those rows."""
+    """Rows lo:hi of x along axis 0, x itself when that is all of them;
+    their gradient flows into those rows."""
+    if lo == 0 and hi == x.shape[0]:
+        return x
+
     def dx(g):
         full = np.zeros_like(x.data)
         full[lo:hi] = g

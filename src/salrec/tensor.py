@@ -3,21 +3,23 @@
 Only the operations the saliency network needs are implemented:
 2d convolution, 2x2 max pooling, nearest-neighbour upsampling, a 3x3
 convolution over a nearest-upsampled map folded into one convolution of
-the low-resolution map, sigmoid/tanh/relu, elementwise arithmetic,
-log/clamp, reductions, concatenation/splitting along the frame or channel
-axis, and the binary cross entropy. No broadcasting except the conv bias
-over the channel axis and `broadcast_mul`. It, `scale` and `add_const`
-serve only test oracles and perfbench's tracer; `ema_step` builds its one
-node per update, and `convlstm_step` its one node per frame stack, with
+the low-resolution map, sigmoid/relu, the elementwise product of the
+dropout mask and the binary cross entropy; `add`, `mul` and `tsum` also
+build the gradcheck's losses. No broadcasting except the conv bias over
+the channel axis and `broadcast_mul`. Eight ops serve only test oracles
+and perfbench's tracer: `sub`, `tanh`, `broadcast_mul`, `scale`,
+`add_const`, `log`, `clamp` and `tmean`. They stay because the tracer's
+`ELEMENTWISE` list looks each of them up by name (ROADMAP item 11).
+`ema_step` and `convlstm_step` each build one node per frame stack with
 `_node`.
 
 Each op computes its value and gives `_node` one (parent, vjp) edge per
 input; a vjp maps the upstream gradient to that parent's gradient. `_node`
 keeps only the edges whose parent requires grad, and records the op only
 if grad is on and an edge is left, so no op tests `requires_grad` itself.
-An op whose vjps share work on the upstream gradient (the ConvLSTM
-scan's reverse loop) gives `_node` a `prepare` step that does it once per
-backward call.
+An op whose vjps share work on the upstream gradient (the reverse loop
+of a recurrence's scan) gives `_node` a `prepare` step that does it once
+per backward call.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "no_grad",
     "backward",
     "conv2d",
-    "concat",
-    "split",
     "maxpool2d",
     "upsample_nearest",
     "upsample_conv3x3",
@@ -372,52 +372,6 @@ def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     if bias is not None:
         edges.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
     return _node(out, *edges)
-
-
-def _along(axis: int, lo: int, hi: int) -> tuple:
-    """Index of the slice lo:hi along `axis`."""
-    return (slice(None),) * axis + (slice(lo, hi),)
-
-
-def concat(*xs: Tensor, axis: int) -> Tensor:
-    """Concatenate NCHW tensors along `axis` (0 frames, 1 channels); the
-    other dims must agree. A single tensor is returned as it is: no copy
-    and no tape node."""
-    shapes = [x.shape for x in xs]
-    if (not 0 <= axis < 4 or any(len(s) != 4 for s in shapes)
-            or len({s[:axis] + s[axis + 1:] for s in shapes}) != 1):
-        raise ValueError(f"concat: incompatible shapes {shapes} on axis {axis}")
-    if len(xs) == 1:
-        return xs[0]
-    bounds = np.cumsum([0] + [s[axis] for s in shapes])
-    return _node(np.concatenate([x.data for x in xs], axis=axis),
-                 *((x, lambda g, i=_along(axis, lo, hi): g[i])
-                   for x, lo, hi in zip(xs, bounds[:-1], bounds[1:])))
-
-
-def split(input: Tensor, k: int, axis: int) -> list[Tensor]:
-    """Split an NCHW tensor into k equal consecutive groups along `axis`
-    (0 frames, 1 channels). With k = 1 the input is the one group: no copy
-    and no tape node."""
-    if (input.data.ndim != 4 or not 0 <= axis < 4 or k < 1
-            or input.shape[axis] % k):
-        raise ValueError(
-            f"split: cannot split {input.shape} into {k} groups on axis {axis}")
-    if k == 1:
-        return [input]
-    c = input.shape[axis] // k
-
-    def part(lo):
-        i = _along(axis, lo, lo + c)
-
-        def dinput(g):
-            full = np.zeros_like(input.data)
-            full[i] = g
-            return full
-
-        return _node(input.data[i], (input, dinput))
-
-    return [part(lo) for lo in range(0, k * c, c)]
 
 
 def maxpool2d(input: Tensor) -> Tensor:

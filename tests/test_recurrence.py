@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import salrec.recurrence
+from chain_ops import concat, split
 from salrec.gradcheck import check_recurrence
 from salrec.layers import ParameterRegistry
-from salrec.model import ModelConfig, build
+from salrec.model import EMA_KINDS, ModelConfig, build
 from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, ema_step)
 from salrec.tensor import (ComputationTape, Tensor, _node, _sigmoid, add,
-                           add_const, backward, broadcast_mul, concat, conv2d,
-                           mul, scale, sigmoid, split, tanh, tsum)
+                           add_const, backward, broadcast_mul, conv2d, mul,
+                           scale, sigmoid, tanh, tsum)
 from salrec.training import bce_loss
 
 
@@ -129,9 +130,10 @@ def chain_ema(s_t, state, cfg):
 
 
 def ema_unroll(step_fn, data, upstream, alpha, p0, residual):
-    """Run `step_fn` over the frames, backpropagate the outputs projected
-    onto fixed upstream weights; returns the frames, outputs, accumulators
-    and p (None for a fixed alpha), whose grads backward filled."""
+    """Run `step_fn` over the frames, backpropagate the outputs and the
+    final accumulator projected onto fixed upstream weights (the last for
+    the accumulator); returns the frames, outputs, accumulators and p (None
+    for a fixed alpha), whose grads backward filled."""
     p = None if p0 is None else Tensor(np.asarray(p0), requires_grad=True)
     cfg = EmaConfig(alpha=alpha, residual=residual, p=p)
     frames = [Tensor(x, requires_grad=True) for x in data]
@@ -142,8 +144,24 @@ def ema_unroll(step_fn, data, upstream, alpha, p0, residual):
         accs.append(state.accumulator)
         term = tsum(mul(out, Tensor(up)))
         total = term if total is None else add(total, term)
-    backward(total)
+    backward(add(total, tsum(mul(state.accumulator, Tensor(upstream[-1])))))
     return frames, outs, accs, p
+
+
+def ema_scan(data, upstream, alpha, p0, residual):
+    """`ema_unroll`'s problem as one `ema_step` call over the stack of the
+    frames; returns the blocks of the outputs and of the stack's gradient,
+    the final accumulator and p."""
+    p = None if p0 is None else Tensor(np.asarray(p0), requires_grad=True)
+    cfg = EmaConfig(alpha=alpha, residual=residual, p=p)
+    stack = Tensor(np.concatenate([Tensor(x).data for x in data]),
+                   requires_grad=True)
+    out, state = ema_step(stack, EmaState(), cfg, frames=len(data))
+    up = np.concatenate([Tensor(u).data for u in upstream[:-1]])
+    backward(add(tsum(mul(out, Tensor(up))),
+                 tsum(mul(state.accumulator, Tensor(upstream[-1])))))
+    return (np.split(out.data, len(data)), np.split(stack.grad, len(data)),
+            state.accumulator, p)
 
 
 def assert_bits_equal(got, want, name):
@@ -153,12 +171,15 @@ def assert_bits_equal(got, want, name):
 
 
 class TestEmaNode:
-    """`ema_step` against the chains it replaces (`chain_ema`). Values and
-    the frame and accumulator gradients are the same products and sums, so
-    they are bit-equal. The p gradient adds the same per-step terms in
-    another order: the chain adds each step's sigmoid node into p.grad
-    where the tape reaches it, the node adds its term as it runs. So they
-    agree to P_RTOL of the sum of the terms' magnitudes."""
+    """`ema_step` against the chains it replaces (`chain_ema`), one frame
+    per call and as one call over the stack. Values and the frame and
+    accumulator gradients are the same products and sums, so they are
+    bit-equal. The p gradient adds the same per-step terms in another
+    order: the chain adds each step's sigmoid node into p.grad where the
+    tape reaches it, `ema_step` adds its terms as its reverse scan runs. So
+    they agree to P_RTOL of the sum of the terms' magnitudes. One-frame
+    calls and the stack both add them from the last update back, so their
+    p gradients are bit-equal."""
 
     P_RTOL = 1e-14
     SHAPES = [(), (3,), (2, 2, 3, 3)]  # a Tensor holds 0-d data as (1,)
@@ -166,19 +187,32 @@ class TestEmaNode:
     def assert_matches_chain(self, shape, steps, alpha, p0, residual, seed):
         rng = np.random.default_rng(seed)
         data = [rng.uniform(-2, 2, size=shape) for _ in range(steps)]
-        upstream = [rng.normal(size=shape) for _ in range(steps)]
+        upstream = [rng.normal(size=shape) for _ in range(steps + 1)]
         (frames, outs, accs, p), (frames_ref, outs_ref, accs_ref, p_ref) = (
             ema_unroll(fn, data, upstream, alpha, p0, residual)
             for fn in (ema_step, chain_ema))
+        stack_outs, stack_grads, acc, p_stack = ema_scan(
+            data, upstream, alpha, p0, residual)
         for t in range(steps):
             assert_bits_equal(outs[t].data, outs_ref[t].data, ("out", t))
+            assert_bits_equal(stack_outs[t], outs_ref[t].data,
+                              ("stack out", t))
             assert_bits_equal(accs[t].data, accs_ref[t].data, ("e_t", t))
             assert_bits_equal(frames[t].grad, frames_ref[t].grad, ("s_t", t))
-            assert_bits_equal(accs[t].grad, accs_ref[t].grad, ("e_t grad", t))
+            assert_bits_equal(stack_grads[t], frames_ref[t].grad,
+                              ("stack s_t", t))
+            # under residual the accumulator is a slice of the node and
+            # gets only what later updates send; the frames' gradients
+            # above include that
+            if not residual:
+                assert_bits_equal(accs[t].grad, accs_ref[t].grad,
+                                  ("e_t grad", t))
+        assert_bits_equal(acc.data, accs_ref[-1].data, "stack e_T")
         if p is None:
             return
         if steps == 1:  # alpha is not used on the first frame
             assert p.grad is None and p_ref.grad is None
+            assert p_stack.grad is None
             return
         a = _sigmoid(p0)
         magnitude = sum(
@@ -186,6 +220,7 @@ class TestEmaNode:
             for e, s, prev in zip(accs_ref[1:], frames_ref[1:], accs_ref))
         bound = self.P_RTOL * magnitude * a * (1 - a)
         assert abs(p.grad - p_ref.grad) <= bound, (p.grad, p_ref.grad, bound)
+        assert_bits_equal(p_stack.grad, p.grad, "stack p")
 
     @given(shape=st.sampled_from(SHAPES), steps=st.integers(1, 6),
            alpha=st.floats(0, 1, exclude_min=True, exclude_max=True)
@@ -198,16 +233,19 @@ class TestEmaNode:
     @pytest.mark.parametrize("fault", ["p edge without a(1-a)",
                                        "accumulator edge one ulp high"])
     def test_planted_fault_fails(self, monkeypatch, fault):
-        def planted(data, *edges):
-            (s_t, to_s), (prev, to_prev), *p_edge = edges
-            if fault == "p edge without a(1-a)" and p_edge:
-                (p, to_p), = p_edge
-                a = _sigmoid(p.data)
-                p_edge = [(p, lambda g: to_p(g) / (a * (1 - a)))]
-            elif fault == "accumulator edge one ulp high":
-                to_prev_ok = to_prev
-                to_prev = lambda g: np.nextafter(to_prev_ok(g), np.inf)
-            return _node(data, (s_t, to_s), (prev, to_prev), *p_edge)
+        """Each fault planted in the last edge of the scan's node: p's, or
+        the accumulator's, which follows the frames' on a call that
+        continues a state."""
+        def planted(data, *edges, prepare=None):
+            *edges, (last, vjp) = edges
+            if fault == "p edge without a(1-a)":
+                a = _sigmoid(last.data)
+                edges.append((last, lambda d: vjp(d) / (a * (1 - a))))
+            elif edges:
+                edges.append((last, lambda d: np.nextafter(vjp(d), np.inf)))
+            else:  # the frames' edge alone
+                edges.append((last, vjp))
+            return _node(data, *edges, prepare=prepare)
 
         monkeypatch.setattr(salrec.recurrence, "_node", planted)
         p0 = 0.7 if fault == "p edge without a(1-a)" else None
@@ -226,17 +264,80 @@ class TestEmaNode:
         assert e_1._parents == (s_1, s_0) + (() if p is None else (p,))
         assert ComputationTape(e_1).ops == [e_1]
 
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_one_node_per_stack(self, residual):
+        """A 4-frame stack is one node; its accumulator, and under residual
+        its outputs too, are slices of it."""
+        p = Tensor(np.asarray(0.2), requires_grad=True)
+        s = Tensor(np.ones((4, 2, 3, 3)), requires_grad=True)
+        out, state = ema_step(s, EmaState(), EmaConfig(residual=residual, p=p),
+                              frames=4)
+        scan = out._parents[0] if residual else out
+        assert scan._parents == (s, p)
+        assert state.accumulator._parents == (scan,)
+        assert np.array_equal(state.accumulator.data, scan.data[-1:])
+        assert len(ComputationTape(tsum(out)).ops) == 2 + residual
+
+    @pytest.mark.parametrize("s, acc, frames", [
+        ((4, 2), None, 0),  # no frame
+        ((4, 2), None, -1),
+        ((5, 2), None, 2),  # axis 0 does not split into the frames
+        ((4, 2), (1, 2), 2)],  # accumulator shape
+        ids=["zero-frames", "negative-frames", "uneven", "accumulator"])
+    def test_stack_shape_rejected(self, s, acc, frames):
+        state = EmaState(None if acc is None else Tensor(np.zeros(acc)))
+        with pytest.raises(ValueError, match="ema_step"):
+            ema_step(Tensor(np.zeros(s)), state, EmaConfig(), frames=frames)
+
+    @pytest.mark.parametrize("kind", EMA_KINDS)
+    def test_two_point_clip_matches_chain(self, monkeypatch, kind):
+        """A default-shape 6-frame clip with dropout and the EMA at
+        `encoder1` and `decoder2`, `forward_frame` and backward, with each
+        point scanned and as `chain_ema` frame by frame: maps and every
+        gradient bit-equal, but p's. The chain adds the per-step terms of
+        both points into p.grad one by one, each scan adds its point's sum,
+        so they agree to 1e-15 (1.2e-16 here, at seed 1)."""
+        def chain_scan(s, state, cfg, frames=1):
+            outs = []
+            for s_t in split(s, frames, axis=0):
+                out, state = chain_ema(s_t, state, cfg)
+                outs.append(out)
+            return concat(*outs, axis=0), state
+
+        rng = np.random.default_rng(1)
+        frames, gts = (Tensor(rng.uniform(size=(6, 1, 32, 32)))
+                       for _ in range(2))
+        runs = []
+        for step_fn in (ema_step, chain_scan):
+            monkeypatch.setattr(salrec.model, "ema_step", step_fn)
+            model = build(ModelConfig(recurrence=kind, dropout=True, seed=1,
+                                      ema_points=("encoder1", "decoder2")))
+            maps = model.forward_frame(frames, model.fresh_states(),
+                                       training=True,
+                                       rng=np.random.default_rng(1))
+            backward(bce_loss(maps, gts))
+            runs.append((maps.data, model.registry))
+        (maps, reg), (maps_ref, reg_ref) = runs
+        assert_bits_equal(maps, maps_ref, "maps")
+        for name in reg.names():
+            if name == "ema.p":
+                np.testing.assert_allclose(reg[name].grad, reg_ref[name].grad,
+                                           rtol=1e-15, atol=0)
+            else:
+                assert_bits_equal(reg[name].grad, reg_ref[name].grad, name)
+
     @pytest.mark.parametrize("kind, nodes", [
-        ("ema", 43), ("ema-trainable", 43), ("ema-residual", 53),
+        ("ema", 24), ("ema-trainable", 24), ("ema-residual", 25),
         ("convlstm", 25)])
     def test_default_clip_tape_nodes(self, kind, nodes):
         """A default-config 10-frame clip: 23 nodes without a recurrence,
-        11 for the EMA's split into frames and concat back, and one node
-        per update after the first frame (plus a residual add per frame).
-        The chains recorded 61 for `ema` and 88 for `ema-trainable`. The
-        ConvLSTM scans the clip in one node, plus the slice of its C_t
-        stack; stepped frame by frame with a conv and a two-node cell, it
-        recorded 73."""
+        and one for the EMA's scan over the clip, plus the slice of its
+        outputs under residual. Split into frames, one node per update
+        after the first frame and a concat back recorded 43 (53 with the
+        residual adds); the single-op chains 61 for `ema` and 88 for
+        `ema-trainable`. The ConvLSTM scans the clip in one node, plus the
+        slice of its C_t stack; stepped frame by frame with a conv and a
+        two-node cell, it recorded 73."""
         rng = np.random.default_rng(26)
         model = build(ModelConfig(recurrence=kind))
         frames, gts = (Tensor(rng.uniform(size=(10, 1, 32, 32)))
@@ -370,7 +471,9 @@ class TestBpttGradients:
     def test_probes_pass_at_every_seed(self):
         # the bound above, over seeds 0-199: the frame-by-frame ConvLSTM
         # probe reads 1.5e-8 at worst (seed 115), the 5-frame stack 2.6e-8
-        # (seed 96), the EMA probe 4.5e-8 (seed 164)
+        # (seed 96), the EMA probe 4.5e-8 (seed 164); the EMA stack probes
+        # 8.0e-8 (seed 191), 1.5e-7 trainable (seed 197) and 2.4e-7
+        # residual (seed 74)
         for seed in range(200):
             for result in check_recurrence(seed=seed):
                 assert result.max_rel_err <= 1e-5, (

@@ -14,9 +14,8 @@ import salrec.training
 from salrec.data import SynthConfig, generate
 from salrec.model import ModelConfig, build
 from salrec.tensor import (ComputationTape, Tensor, _node, add, backward,
-                           concat, conv2d, maxpool2d, mul, relu, scale,
-                           sigmoid, split, sub, tanh, tsum, upsample_conv3x3,
-                           upsample_nearest)
+                           conv2d, maxpool2d, mul, relu, scale, sigmoid, sub,
+                           tanh, tsum, upsample_conv3x3, upsample_nearest)
 from salrec.gradcheck import OP_CASES, check_op, max_rel_error
 from salrec.training import Adam, TrainConfig, train
 
@@ -588,49 +587,6 @@ class TestElementwise:
             add(t(np.zeros((2, 2))), t(np.zeros((2, 3))))
 
 
-class TestChannels:
-    def test_split_inverts_concat_bit_exact(self):
-        rng = np.random.default_rng(5)
-        a, b = t(rng.normal(size=(2, 3, 4, 5))), t(rng.normal(size=(2, 3, 4, 5)))
-        for axis, shape in ((0, (4, 3, 4, 5)), (1, (2, 6, 4, 5))):
-            cat = concat(a, b, axis=axis)
-            assert cat.shape == shape
-            back = split(cat, 2, axis=axis)
-            assert np.array_equal(back[0].data, a.data)
-            assert np.array_equal(back[1].data, b.data)
-
-    def test_gradients_route_to_their_channels(self):
-        a = t(np.zeros((1, 1, 2, 2)), grad=True)
-        b = t(np.zeros((1, 2, 2, 2)), grad=True)
-        parts = split(concat(a, b, axis=1), 3, axis=1)
-        backward(tsum(add(scale(parts[0], 2.0), scale(parts[2], 3.0))))
-        assert np.all(a.grad == 2.0)
-        assert np.all(b.grad[:, 0] == 0.0) and np.all(b.grad[:, 1] == 3.0)
-
-    def test_gradients_route_to_their_frames(self):
-        x = t(np.zeros((3, 2, 2, 2)), grad=True)
-        parts = split(x, 3, axis=0)
-        backward(tsum(concat(scale(parts[2], 3.0), parts[0], axis=0)))
-        np.testing.assert_array_equal(x.grad[:, 0, 0, 0], [1.0, 0.0, 3.0])
-
-    def test_one_part_is_the_input(self):
-        x = t(np.zeros((1, 2, 3, 3)), grad=True)
-        assert split(x, 1, axis=0) == [x]
-        assert concat(x, axis=0) is x
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError, match="concat"):
-            concat(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 2))), axis=1)
-        with pytest.raises(ValueError, match="concat"):
-            concat(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 2, 2, 2))), axis=0)
-        with pytest.raises(ValueError, match="split"):
-            split(t(np.zeros((1, 3, 2, 2))), 2, axis=1)
-        with pytest.raises(ValueError, match="split"):
-            split(t(np.zeros((3, 2, 2, 2))), 2, axis=0)
-        with pytest.raises(ValueError, match="split"):
-            split(t(np.zeros((2, 2, 2, 2))), 2, axis=-1)
-
-
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = t(np.zeros((2, 3)), grad=True)
@@ -816,7 +772,8 @@ class TestTracerContract:
 
     def test_traced_ema_clip_names_every_layer(self):
         """At the default shape, a clip's one `forward_frame` call records
-        each layer span the tracer names once, and the EMA step per frame."""
+        each layer span the tracer names once, and one EMA scan over the
+        clip."""
         tracer_mod = _load_tracer()
         tracer = tracer_mod.Tracer()
         cfg = ModelConfig(recurrence="ema", seed=3)
@@ -826,7 +783,7 @@ class TestTracerContract:
         for layer in tracer_mod.LAYER_NAMES:
             assert tracer.calls[f"layers.{layer}"] == 1, layer
             assert tracer.bwd[f"layers.{layer}"] > 0, layer
-        assert tracer.calls["recurrence.ema_step"] == 3
+        assert tracer.calls["recurrence.ema_step"] == 1
         self.assert_bit_equal(traced, self.trained_clip(cfg=cfg, n_frames=3))
 
     def test_traced_convlstm_clip_steps_each_frame(self):
