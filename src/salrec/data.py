@@ -148,8 +148,11 @@ class SynthConfig:
         # blob centres start in [2, size - 3]; the float checks fail for NaN
         if not (self.height >= 5 and self.width >= 5):
             raise ValueError("height and width must be >= 5")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        # a blob's nearest pixel lies within sqrt(0.5) of its centre, so the
+        # map's max is at least exp(-0.25 / sigma^2): 3.7e-272 at 0.02, but
+        # 0.0 at 0.018, where the max-normalised ground truth reads 0/0
+        if not self.sigma >= 0.02:
+            raise ValueError(f"sigma must be >= 0.02, got {self.sigma}")
         if not 0 <= self.max_speed < math.inf:
             raise ValueError("max_speed must be finite and >= 0")
         if not 0 <= self.noise < math.inf:

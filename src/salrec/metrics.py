@@ -357,9 +357,10 @@ def report_to_csv(report: MetricReport) -> str:
 
 def report_from_csv(text: str, source) -> MetricReport:
     """The report in a `report_to_csv` text, dataset means as `aggregate`
-    takes them. A missing column, or a row whose mean is neither empty nor
-    a finite number or whose frame count is not an integer >= 0, raises
-    ValueError naming `source` and the line."""
+    takes them. A missing column, a row whose mean is neither empty nor a
+    finite number or whose frame count is not an integer >= 0, or a second
+    row for a (video_id, metric) pair raises ValueError naming `source` and
+    the line."""
     report = MetricReport(per_frame={})
     reader = csv.DictReader(text.splitlines(keepends=True))
     for column in REPORT_COLUMNS:
@@ -375,6 +376,9 @@ def report_from_csv(text: str, source) -> MetricReport:
         except (TypeError, ValueError):
             raise ValueError(f"{source}: line {reader.line_num} is not a "
                              f"report row") from None
+        if vid in report.video_means.get(m, {}):
+            raise ValueError(f"{source}: line {reader.line_num} repeats the "
+                             f"{m} row of video {vid!r}")
         report.video_means.setdefault(m, {})[vid] = mean
         report.valid_counts.setdefault(m, {})[vid] = count
     report.dataset_means = {m: _dataset_mean(vm)

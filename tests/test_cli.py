@@ -81,9 +81,9 @@ class TestSynth:
     @pytest.mark.parametrize("flags, ini", [
         (["--size", 4], ""), ([], "noise = -1"), ([], "noise = nan"),
         ([], "sigma = nan"), ([], "fixations_per_frame = -1"),
-        (["--speed", "inf"], "")], ids=["size-4", "noise-negative",
-                                         "noise-nan", "sigma-nan",
-                                         "fixations-negative", "speed-inf"])
+        (["--speed", "inf"], ""), ([], "sigma = 0.001")],
+        ids=["size-4", "noise-negative", "noise-nan", "sigma-nan",
+             "fixations-negative", "speed-inf", "sigma-tiny"])
     def test_settings_numpy_rejects_exit_1(self, tmp_path, flags, ini):
         cfg = tmp_path / "synth.ini"
         cfg.write_text(f"[synth]\n{ini}\n")
@@ -647,9 +647,12 @@ class TestCompare:
         ("video_id,metric,mean,valid_frames\nv1,NSS,-inf,3\n",
          "line 2 is not a report row"),
         ("video_id,metric,mean,valid_frames\nv1,NSS,,-1\n",
-         "line 2 is not a report row")],
+         "line 2 is not a report row"),
+        ("video_id,metric,mean,valid_frames\nv0,NSS,0.5,3\nv0,NSS,0.25,3\n",
+         "line 3 repeats the NSS row of video 'v0'")],
         ids=["empty", "no-metric", "no-valid-frames", "short-row",
-             "bad-mean", "nan-mean", "infinite-mean", "negative-frames"])
+             "bad-mean", "nan-mean", "infinite-mean", "negative-frames",
+             "repeated-row"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.csv"
         report.write_text(text)
@@ -765,8 +768,13 @@ class TestSweepAlpha:
 
 class TestGradcheck:
     def test_passes_with_exit_0(self, capsys):
-        assert run("gradcheck", "--module", "loss") == 0
+        assert run("gradcheck", "--module", "recurrence") == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_loss_module_is_a_usage_error(self, capsys):
+        # `bce` is checked as a tensor op; no `loss` module remains
+        assert run("gradcheck", "--module", "loss") == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_seeds_0_to_12_pass(self, capsys):
         # zero biases once left pre-activations on a ReLU kink, where the
@@ -789,9 +797,9 @@ class TestGradcheck:
         assert failed == [], capsys.readouterr().out
 
     def test_failure_exits_3(self, monkeypatch, capsys):
-        fake = [GradCheckResult(name="loss.bce", max_rel_err=0.5)]
+        fake = [GradCheckResult(name="ema_step", max_rel_err=0.5)]
         monkeypatch.setattr(cli, "run_checks", lambda mods, seed=0: fake)
-        assert run("gradcheck", "--module", "loss") == 3
+        assert run("gradcheck", "--module", "recurrence") == 3
         assert "FAIL" in capsys.readouterr().out
 
 
