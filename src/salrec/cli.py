@@ -42,9 +42,7 @@ def _split(value: str) -> tuple[str, ...]:
 
 # INI value parsers, keyed by the exact (string) annotation of the field
 _PARSERS = {"bool": lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
-            "int": int, "float": float, "str": str,
-            "tuple[int, int]": lambda v: tuple(int(p) for p in _split(v)),
-            "tuple[str, ...]": _split}
+            "int": int, "float": float, "str": str, "tuple[str, ...]": _split}
 
 
 def _coerce(value: str, annotation: str) -> object:
@@ -128,22 +126,24 @@ def cmd_synth(args) -> int:
 
 
 def _parse_model_flags(args, ini: dict) -> ModelConfig:
-    """Resolve [model] and the model flags. The EMA points and alpha in
-    effect (a flag's value, else the INI file's) must suit the recurrence
-    in effect; alpha defaults to 0.1, or 0.3 for two EMA points, and 0.1
-    is recorded where no fixed alpha is read (`ema-trainable` learns its
-    own). The input size is left (0, 0), which divides by any 2^stages,
-    for the caller to set from the dataset."""
+    """Resolve [model] and the model flags. The EMA points, alpha and true
+    dropout in effect (a flag's, else the INI file's) must suit the
+    recurrence in effect; alpha defaults to 0.1, or 0.3 for two EMA points,
+    and 0.1 is recorded where no fixed alpha is read (`ema-trainable`
+    learns its own). The input size is left (0, 0), which divides by any
+    2^stages, for the caller to set from the dataset."""
     kind = args.recurrence or ini.get("recurrence", "none")
     if kind not in RECURRENCE_KINDS:  # an INI value; the flag has choices
         raise UsageError(f"unknown recurrence {kind!r}")
     ema_at = ini.get("ema_points") if args.ema_at is None else _split(args.ema_at)
     alpha = ini.get("alpha") if args.alpha is None else args.alpha
+    dropout = args.dropout or ini.get("dropout") or None  # checked only if true
     has_ema = kind in EMA_KINDS
     reads_alpha = has_ema and kind != "ema-trainable"
     for flag, key, value, applies in (
             ("--ema-at", "ema_points", ema_at, has_ema),
-            ("--alpha", "alpha", alpha, reads_alpha)):
+            ("--alpha", "alpha", alpha, reads_alpha),
+            ("--dropout", "dropout", dropout, kind != "none")):
         if value is not None and not applies:
             raise UsageError(f"{flag} (or [model] {key}) does not apply to "
                              f"recurrence {kind}")

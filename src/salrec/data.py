@@ -153,8 +153,10 @@ class SynthConfig:
         # 0.0 at 0.018, where the max-normalised ground truth reads 0/0
         if not self.sigma >= 0.02:
             raise ValueError(f"sigma must be >= 0.02, got {self.sigma}")
-        if not 0 <= self.max_speed < math.inf:
-            raise ValueError("max_speed must be finite and >= 0")
+        span = min(self.height, self.width) - 1  # one reflection lands inside
+        if not 0 <= self.max_speed <= span:
+            raise ValueError(f"max_speed must be in [0, {span}], got "
+                             f"{self.max_speed}")
         if not 0 <= self.noise < math.inf:
             raise ValueError("noise must be finite and >= 0")
         if not 1 <= self.n_blobs <= 3:
@@ -187,14 +189,11 @@ def _render_blobs(centers: np.ndarray, h: int, w: int, sigma: float) -> np.ndarr
 
 
 def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
-    """Advance one step with elastic reflection at [lo, hi]."""
+    """Advance one step with elastic reflection at [lo, hi]; a step no
+    longer than hi - lo (`SynthConfig.max_speed`) needs one reflection."""
     pos += vel
-    while pos < lo or pos > hi:
-        if pos < lo:
-            pos = 2 * lo - pos
-        else:
-            pos = 2 * hi - pos
-        vel = -vel
+    if pos < lo or pos > hi:
+        pos, vel = 2 * (lo if pos < lo else hi) - pos, -vel
     return pos, vel
 
 

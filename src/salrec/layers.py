@@ -86,18 +86,18 @@ class ConvLayer:
         return conv2d(x, self.kernel, self.bias, padding=self.padding)
 
 
-def dropout_forward(x: Tensor, p: float, training: bool,
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
+DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
 
-    Identity (bit-exact) when not training or p == 0. A fresh mask is drawn
-    per call, over the whole input: in training, over a clip's frame stack.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+
+def dropout_forward(x: Tensor, training: bool,
+                    rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: zero with probability DROPOUT_P, scale survivors
+    by 1/(1 - DROPOUT_P); identity (bit-exact) when not training. A fresh
+    mask is drawn per call, over the whole input: in training, over a
+    clip's frame stack."""
+    if not training:
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = (rng.random(x.shape) >= DROPOUT_P) / (1.0 - DROPOUT_P)
     return mul(x, Tensor(mask))

@@ -221,9 +221,9 @@ class MetricReport:
     dataset_means: dict[str, Optional[float]] = field(default_factory=dict)
 
     def video_ids(self) -> list[str]:
-        for frames in self.per_frame.values():
-            return list(frames)
-        return []
+        """The videos with a mean, in first-seen order."""
+        return list(dict.fromkeys(vid for means in self.video_means.values()
+                                  for vid in means))
 
 
 def aggregate(per_frame: dict[str, dict[str, list[Optional[float]]]]) -> MetricReport:

@@ -51,7 +51,6 @@ from .tensor import (Tensor, maxpool2d, no_grad, relu, sigmoid,
 
 EMA_KINDS = ("ema", "ema-trainable", "ema-residual")
 RECURRENCE_KINDS = ("none", *EMA_KINDS, "convlstm")
-DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
 ALPHA_PARAM = "ema.p"  # registry name of the trainable EMA alpha's logit
 
 
@@ -141,13 +140,13 @@ class ModelConfig:
 
 
 class RecurrenceStates:
-    """Per-video recurrence state bundle, tagged with its owning model and
-    the video it belongs to: one slot per insertion point, None until the
-    point's first frame."""
+    """Per-video recurrence state bundle, tagged with its owning model and,
+    once `train_clip` first trains on it, the video it belongs to: one slot
+    per insertion point, None until the point's first frame."""
 
-    def __init__(self, model: "Model", video_id: Optional[str] = None):
+    def __init__(self, model: "Model"):
         self.model = model
-        self.video_id = video_id
+        self.video_id: Optional[str] = None
         self.states: dict[str, object] = dict.fromkeys(model.points)
 
     def detach(self) -> None:
@@ -198,8 +197,8 @@ class Model:
             self.ema_cfg = EmaConfig(
                 alpha=cfg.alpha, residual=cfg.recurrence == "ema-residual", p=p)
 
-    def fresh_states(self, video_id: Optional[str] = None) -> RecurrenceStates:
-        return RecurrenceStates(self, video_id)
+    def fresh_states(self) -> RecurrenceStates:
+        return RecurrenceStates(self)
 
     def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
                training: bool, rng):
@@ -210,7 +209,7 @@ class Model:
         if point not in states.states:
             return x
         if self.cfg.dropout:
-            x = dropout_forward(x, DROPOUT_P, training, rng)
+            x = dropout_forward(x, training, rng)
         st = states.states[point]
         if self.convlstm is not None:
             out, states.states[point] = convlstm_step(

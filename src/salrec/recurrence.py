@@ -186,9 +186,9 @@ def convlstm_step(s: Tensor, state: ConvLstmState,
     tape node, with edges to the frames, the initial C and H and every
     weight, plus a slice per output. Its backward steps in reverse; only
     each step's gradient at H_{t-1} is sequential. The kernel gradient is
-    then one GEMM over all steps, the frame gradient one batched GEMM and
-    scatter, and the bias and peephole gradients one sum each. They match
-    the chain's up to summation order.
+    then one GEMM over all steps' windows, the frame gradient one batched
+    GEMM and scatter, and the bias and peephole gradients one sum each.
+    They match the chain's up to summation order.
     """
     cell, hidden = state.cell, state.hidden
     if (s.data.ndim != 4 or not s.shape[0] or cell.data.ndim != 4
@@ -211,18 +211,17 @@ def convlstm_step(s: Tensor, state: ConvLstmState,
     kmat = w.kernel.data.reshape(4 * ch, k * 9)
     peep = [p.data for p in w.peepholes]
     # the padded [s_t, H_{t-1}] of every step, and its channel-major
-    # window matrix, (k, 3, 3) rows by (T, H, W) columns, as `conv2d`'s
+    # window matrix, (k, 3, 3) rows by (T, H, W) columns, as `conv2d`'s: a
+    # view, of which step t fills only its own columns
     xp = np.zeros((t_len, k, h + 2, wd + 2))
     xp[:, :cin, 1:h + 1, 1:wd + 1] = s.data
     windows = _windows(xp, 3, 3)
-    cols = np.empty(windows.shape)
     out = np.empty((t_len + 1, ch, h, wd))  # C_1..C_T, then H_T
     gates = []
     c, hid = cell.data[0], hidden.data[0]
     for t in range(t_len):
         xp[t, cin:, 1:h + 1, 1:wd + 1] = hid
-        cols[:, :, :, t] = windows[:, :, :, t]
-        a = kmat @ cols[:, :, :, t].reshape(k * 9, h * wd)
+        a = kmat @ windows[:, :, :, t].reshape(k * 9, h * wd)
         a += w.bias.data[:, None]
         a = a.reshape(4, ch, h, wd)
         u, f, o = (_sigmoid(a[g] + peep[g] * c) for g in range(3))
@@ -257,7 +256,7 @@ def convlstm_step(s: Tensor, state: ConvLstmState,
         (s, dframes),
         (cell, lambda d: d[2][None]),
         (hidden, lambda d: d[3][None]),
-        (w.kernel, lambda d: (d[0] @ cols.reshape(k * 9, -1).T)
+        (w.kernel, lambda d: (d[0] @ windows.reshape(k * 9, -1).T)
          .reshape(w.kernel.shape)),
         (w.bias, lambda d: d[1].sum(axis=(2, 3, 4)).reshape(-1)),
         *((p, lambda d, g=g: (d[1][g] * d[4].transpose(1, 0, 2, 3))

@@ -486,10 +486,13 @@ def upsample_conv3x3(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 # loss
 
 
-def bce(pred: Tensor, target: Tensor, eps: float) -> Tensor:
+BCE_CLAMP = 1e-7  # `bce` clips the prediction to [BCE_CLAMP, 1 - BCE_CLAMP]
+
+
+def bce(pred: Tensor, target: Tensor) -> Tensor:
     """Mean binary cross entropy of `pred` against `target`, with pred
-    clipped to [eps, 1 - eps] before the logs. No gradient reaches the
-    target. Shapes must agree; the caller checks them.
+    clipped to [BCE_CLAMP, 1 - BCE_CLAMP] before the logs. No gradient
+    reaches the target. Shapes must agree; the caller checks them.
 
     Contract: one tape node, where the clamp, scale, add_const, log, mul,
     add and tmean chain kept as the test oracle records ten, with its value
@@ -500,7 +503,7 @@ def bce(pred: Tensor, target: Tensor, eps: float) -> Tensor:
     the first fill of the prediction's own buffer clears in both.
     """
     x, q = pred.data, target.data
-    p = np.clip(x, eps, 1.0 - eps)
+    p = np.clip(x, BCE_CLAMP, 1.0 - BCE_CLAMP)
     one_minus_q = q * -1.0 + 1.0
     one_minus_p = p * -1.0 + 1.0
     ll = q * np.log(p) + one_minus_q * np.log(one_minus_p)
@@ -509,7 +512,7 @@ def bce(pred: Tensor, target: Tensor, eps: float) -> Tensor:
         d = g.reshape(-1)[0] * -1.0 / x.size  # the sign's, then the mean's
         dp = d * q / p  # through log(p)
         dp -= d * one_minus_q / one_minus_p  # through log(1 - p)
-        dp *= (x >= eps) & (x <= 1.0 - eps)
+        dp *= (x >= BCE_CLAMP) & (x <= 1.0 - BCE_CLAMP)
         return dp
 
     return _node(np.asarray(ll.mean()) * -1.0, (pred, dpred))

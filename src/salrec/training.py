@@ -23,7 +23,6 @@ from .tensor import Tensor, backward, bce
 
 CHECKPOINT_MAGIC = b"SALR"
 CHECKPOINT_VERSION = 4
-BCE_CLAMP = 1e-7
 # Adam hyper-parameters: the defaults of Kingma & Ba 2014 (arXiv 1412.6980)
 BETA1 = 0.9
 BETA2 = 0.999
@@ -53,15 +52,16 @@ class TrainConfig:
 
 def bce_loss(pred: Tensor, gt: Tensor) -> Tensor:
     """Mean binary cross entropy over pixels, target-weighted logs, with the
-    prediction clamped to [1e-7, 1 - 1e-7] before the logs. It records one
-    tape node (`tensor.bce`), whose value and gradient are bit for bit
-    those of the chain of clamp, scale, add_const, log, mul, add and tmean
-    ops that it replaces. A NaN prediction gives a NaN loss."""
+    prediction clamped to [1e-7, 1 - 1e-7] (`tensor.BCE_CLAMP`) before the
+    logs. It records one tape node (`tensor.bce`), whose value and gradient
+    are bit for bit those of the chain of clamp, scale, add_const, log,
+    mul, add and tmean ops that it replaces. A NaN prediction gives a NaN
+    loss."""
     if pred.shape != gt.shape:
         raise ValueError(f"bce_loss: shape mismatch {pred.shape} vs {gt.shape}")
     if not (gt.data.min() >= 0.0 and gt.data.max() <= 1.0):  # NaN fails too
         raise ValueError("bce_loss: ground truth must lie in [0, 1]")
-    return bce(pred, gt, BCE_CLAMP)
+    return bce(pred, gt)
 
 
 class Adam:
@@ -103,10 +103,10 @@ class Adam:
 
 def train_clip(model: Model, frames: Tensor, gts: Tensor,
                state: RecurrenceStates, optimizer: Adam,
-               video_id: str, rng=None, first_frame: int = 0,
-               epoch: int = 0) -> tuple[float, RecurrenceStates]:
+               video_id: str, rng=None) -> tuple[float, RecurrenceStates]:
     """One optimizer step over an unrolled clip; returns (mean BCE, carried
-    state). The state must come from the same video or be fresh.
+    state). The state must come from the same video or be fresh; a fresh
+    one is tagged with `video_id`.
 
     The clip's T frames and ground-truth maps come as [T, 1, H, W] stacks.
     The frames run through a single `forward_frame` call, and the loss is
@@ -114,24 +114,17 @@ def train_clip(model: Model, frames: Tensor, gts: Tensor,
     frame has H*W pixels.
 
     A non-finite map or clip loss raises RuntimeError before any gradient
-    or optimizer update, naming the video, the clip's frames (counted from
-    `first_frame`) and the epoch (`epoch` is 0-based, the message 1-based).
+    or optimizer update.
     """
     if state.video_id is None:
         state.video_id = video_id
     elif state.video_id != video_id:
         raise ValueError(f"state carries video {state.video_id!r} but clip is "
                          f"from {video_id!r}; reset at video boundaries")
-    try:
-        pred = model.forward_frame(frames, state, training=True, rng=rng)
-        loss = bce_loss(pred, gts)
-        if not np.isfinite(loss.item()):
-            raise RuntimeError(f"non-finite training loss {loss.item()}")
-    except RuntimeError as exc:  # this check or the forward pass's map guard
-        raise RuntimeError(
-            f"{exc}: video {video_id!r}, "
-            f"frames {first_frame}-{first_frame + frames.shape[0] - 1}, "
-            f"epoch {epoch + 1}") from exc
+    pred = model.forward_frame(frames, state, training=True, rng=rng)
+    loss = bce_loss(pred, gts)
+    if not np.isfinite(loss.item()):
+        raise RuntimeError(f"non-finite training loss {loss.item()}")
     model.registry.zero_grad()
     backward(loss)
     optimizer.step()
@@ -147,7 +140,9 @@ class EpochReport:
 def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
                 rng: np.random.Generator, epoch: int = 0) -> EpochReport:
     """One pass over the dataset: videos in shuffled order, consecutive
-    clips within a video carry state, augmentation drawn per video."""
+    clips within a video carry state, augmentation drawn per video. A
+    clip's RuntimeError (a non-finite map or loss) is raised again naming
+    the video, its frames and the epoch (0-based; the message's 1-based)."""
     if not samples:
         raise ValueError("empty dataset")
     order = rng.permutation(len(samples))
@@ -163,14 +158,18 @@ def train_epoch(model: Model, samples, cfg: TrainConfig, optimizer: Adam,
                 frames, gts = frames[..., ::-1], gts[..., ::-1]
             frames = np.rot90(frames, rot_k, axes=(2, 3))
             gts = np.rot90(gts, rot_k, axes=(2, 3))
-        state = model.fresh_states(s.video_id)
+        state = model.fresh_states()
         clip_losses = []
         for start in range(0, len(frames), cfg.clip_length):
             clip = slice(start, start + cfg.clip_length)
-            loss, state = train_clip(model, Tensor(frames[clip]),
-                                     Tensor(gts[clip]), state, optimizer,
-                                     s.video_id, rng=rng, first_frame=start,
-                                     epoch=epoch)
+            try:
+                loss, state = train_clip(model, Tensor(frames[clip]),
+                                         Tensor(gts[clip]), state, optimizer,
+                                         s.video_id, rng=rng)
+            except RuntimeError as exc:
+                last = start + len(frames[clip]) - 1
+                raise RuntimeError(f"{exc}: video {s.video_id!r}, frames "
+                                   f"{start}-{last}, epoch {epoch + 1}") from exc
             clip_losses.append(loss)
         video_losses.append(float(np.mean(clip_losses)))
     return EpochReport(mean_loss=float(np.mean(video_losses)))

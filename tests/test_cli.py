@@ -81,9 +81,10 @@ class TestSynth:
     @pytest.mark.parametrize("flags, ini", [
         (["--size", 4], ""), ([], "noise = -1"), ([], "noise = nan"),
         ([], "sigma = nan"), ([], "fixations_per_frame = -1"),
-        (["--speed", "inf"], ""), ([], "sigma = 0.001")],
+        (["--speed", "inf"], ""), (["--speed", "1e300"], ""),
+        ([], "sigma = 0.001")],
         ids=["size-4", "noise-negative", "noise-nan", "sigma-nan",
-             "fixations-negative", "speed-inf", "sigma-tiny"])
+             "fixations-negative", "speed-inf", "speed-huge", "sigma-tiny"])
     def test_settings_numpy_rejects_exit_1(self, tmp_path, flags, ini):
         cfg = tmp_path / "synth.ini"
         cfg.write_text(f"[synth]\n{ini}\n")
@@ -499,9 +500,12 @@ class TestConfigPrecedence:
         ("recurrence = convlstm\nalpha = 0.7", []),
         ("ema_points = output", []),
         ("recurrence = ema\nalpha = 0.5", ["--recurrence", "convlstm"]),
-        ("recurrence = ema\nema_points = output", ["--recurrence", "none"])],
+        ("recurrence = ema\nema_points = output", ["--recurrence", "none"]),
+        ("dropout = true", []),
+        ("recurrence = none", ["--dropout"])],
         ids=["alpha-trainable", "alpha-convlstm", "points-none",
-             "alpha-flag-convlstm", "points-flag-none"])
+             "alpha-flag-convlstm", "points-flag-none", "dropout-none",
+             "dropout-flag-none"])
     def test_ini_value_checked_against_recurrence(self, small_ds, tmp_path,
                                                   capsys, text, flags):
         # these were once accepted and recorded, or dropped for alpha 0.1
@@ -512,6 +516,14 @@ class TestConfigPrecedence:
                    *flags) == 1
         assert "does not apply to recurrence" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_false_dropout_applies_to_none(self, small_ds, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\ndropout = false\n")
+        out = tmp_path / "run"
+        assert run("train", small_ds, out, "--config", ini, "--epochs", 1) == 0
+        assert json.loads((out / "config.json").read_text())["model"][
+            "dropout"] is False
 
     @pytest.mark.parametrize("text", [
         b"[model]\nstages = x\n", b"[model]\nema_points = 1\n",
@@ -530,7 +542,8 @@ class TestConfigPrecedence:
 
     def test_ini_booleans_recorded_without_flags(self, small_ds, tmp_path):
         ini = tmp_path / "run.ini"
-        ini.write_text("[model]\ndropout = yes\n\n[train]\naugment = on\n")
+        ini.write_text("[model]\nrecurrence = ema\ndropout = yes\n\n"
+                       "[train]\naugment = on\n")
         out = tmp_path / "run"
         assert run("train", small_ds, out, "--config", ini, "--epochs", 1) == 0
         cfg = self.resolved(out)
@@ -627,7 +640,8 @@ class TestCompare:
         write_predictions({s.video_id: [np.full((16, 16), 0.5)] * 6
                            for s in samples}, flat)
         out = tmp_path / "eval"
-        run("eval", small_ds, out, "--pred-dir", flat, "--n-splits", 3)
+        with pytest.warns(UserWarning, match="zero valid frames"):
+            run("eval", small_ds, out, "--pred-dir", flat, "--n-splits", 3)
         capsys.readouterr()
         assert run("compare", out / "report.csv", out / "report.csv",
                    "--metric", "CC") == 2

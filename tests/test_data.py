@@ -86,6 +86,17 @@ class TestGenerate:
             np.testing.assert_array_equal(f, s.frames[0])
             np.testing.assert_array_equal(g, s.gt_maps[0])
 
+    def test_speed_limited_to_the_span_of_a_centre(self):
+        """A centre travels [0, size - 1]; a faster blob once reflected
+        between +-1e300 for ever."""
+        for speed in (7.5, 1e300):
+            with pytest.raises(ValueError, match=r"max_speed must be in \[0, 7\]"):
+                SynthConfig(height=8, width=16, max_speed=speed)
+        cfg = SynthConfig(n_videos=2, frames_per_video=20, height=8, width=16,
+                          max_speed=7.0, seed=5)
+        for s in generate(cfg):
+            assert all(f.shape == (8, 16) for f in s.frames)
+
     def test_gt_peak_is_one_at_blob_center(self):
         cfg = SynthConfig(n_videos=2, frames_per_video=3, height=16, width=16,
                           n_blobs=1, seed=2)
@@ -301,7 +312,8 @@ class TestPredictions:
     def test_constant_half_predictions(self, tmp_path):
         samples, _ = self.setup_ds(tmp_path)
         preds = {s.video_id: [np.full((16, 16), 0.5)] * 3 for s in samples}
-        rep = evaluate_predictions(samples, preds, n_splits=5, seed=0)
+        with pytest.warns(UserWarning, match="zero valid frames"):
+            rep = evaluate_predictions(samples, preds, n_splits=5, seed=0)
         assert rep.dataset_means["NSS"] is None  # all frames invalid
         assert rep.dataset_means["AUC-J"] == pytest.approx(0.5)
         assert rep.dataset_means["s-AUC"] == pytest.approx(0.5)

@@ -10,7 +10,8 @@ from salrec.metrics import (_SAMPLER_MAX_K, METRIC_NAMES, FixationMap,
                             MetricReport, _auc_from_scores, _auc_rows,
                             _choice_rows, aggregate, auc_judd, auc_shuffled,
                             cc, compare_per_video, evaluate_predictions, nss,
-                            report_from_csv, report_to_csv, sim)
+                            report_from_csv, report_to_csv, report_to_text,
+                            sim)
 
 
 def pairwise_auc(pos, neg):
@@ -546,6 +547,17 @@ class TestAggregate:
         assert back.video_means == rep.video_means
         assert back.valid_counts == rep.valid_counts
         assert back.dataset_means == rep.dataset_means
+
+    def test_text_survives_csv_round_trip(self):
+        """A report read back from CSV has no frame values; its text still
+        has a row per video, in the order they were written."""
+        per_frame = {m: {v: [0.25, 0.5] for v in ("v2", "v0", "v1")}
+                     for m in METRIC_NAMES}
+        text = report_to_text(aggregate(per_frame))
+        back = report_from_csv(report_to_csv(aggregate(per_frame)), "r.csv")
+        assert report_to_text(back) == text
+        assert [line.split()[0] for line in text.splitlines()[1:]] == [
+            "v2", "v0", "v1", "MEAN"]
 
 
 class TestComparePerVideo:

@@ -745,7 +745,7 @@ class TestTracerContract:
         if tracer is not None:
             tracer.install()
         try:
-            salrec.training.train_clip(net, frames, gts, net.fresh_states("v"),
+            salrec.training.train_clip(net, frames, gts, net.fresh_states(),
                                        optimizer, "v")
         finally:
             if tracer is not None:

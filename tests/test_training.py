@@ -16,12 +16,11 @@ from hypothesis.extra import numpy as hnp
 from salrec.data import SynthConfig, generate
 from salrec.layers import ParameterRegistry
 from salrec.model import ModelConfig, build
-from salrec.tensor import (ComputationTape, Tensor, add, add_const, backward,
-                           clamp, log, mul, no_grad, scale, tmean)
+from salrec.tensor import (BCE_CLAMP, ComputationTape, Tensor, add, add_const,
+                           backward, clamp, log, mul, no_grad, scale, tmean)
 import salrec.training as training_mod
-from salrec.training import (BCE_CLAMP, Adam, TrainConfig, bce_loss,
-                             load_checkpoint, save_checkpoint, train,
-                             train_clip, train_epoch)
+from salrec.training import (Adam, TrainConfig, bce_loss, load_checkpoint,
+                             save_checkpoint, train, train_clip, train_epoch)
 
 LN2 = float(np.log(2.0))
 
@@ -343,7 +342,7 @@ class TestTrainClip:
         opt = Adam(model.registry, lr=0.0)  # keep parameters fixed
         opt.lr = 0.0
         _, carried = train_clip(model, f1, g1, model.fresh_states(), opt, "v")
-        frozen = model.fresh_states("v")
+        frozen = model.fresh_states()
         for point, st in carried.states.items():
             frozen.states[point] = type(st)(Tensor(st.accumulator.data.copy()))
         grads_carried = clip2_grads(carried)
