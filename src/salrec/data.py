@@ -259,8 +259,8 @@ _ENTRY_FIELDS = {"video_id": str, "path": str, "frames": int, "height": int,
 
 def _load_manifest(root: Path) -> list[dict]:
     """The manifest's video entries, checked before any frame is read: each
-    has every field at its type, a video_id no other entry has, at least
-    one frame, and the frame size of the first video."""
+    has every field at its type, a unique video_id that is one directory
+    name, at least one frame, and the frame size of the first video."""
     path = Path(root) / MANIFEST_NAME
     try:
         manifest = json.loads(read_utf8(path))
@@ -284,6 +284,9 @@ def _load_manifest(root: Path) -> list[dict]:
             if type(entry[key]) is not kind:  # rejects true/false as ints
                 raise ValueError(f"{path}: video entry {i} has {key} "
                                  f"{entry[key]!r}, expected {kind.__name__}")
+        vid = entry["video_id"]  # a directory under `--dump-maps`, `--pred-dir`
+        if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+            raise ValueError(f"{path}: video_id {vid!r} is not a directory name")
         if entry["video_id"] in seen:
             raise ValueError(f"{path}: video_id {entry['video_id']!r} repeats")
         seen.add(entry["video_id"])

@@ -52,7 +52,7 @@ def xavier_init(shape: tuple, fan_in: int, fan_out: int,
 
 
 class ConvLayer:
-    """Conv2d with registered Glorot-initialized kernel and zero bias.
+    """Same-size conv2d with a registered Glorot-uniform kernel and zero bias.
 
     An `upsampled` layer convolves the 2x nearest-neighbour upsample of its
     input, folded into the conv (`upsample_conv3x3`): one conv over the
@@ -60,44 +60,39 @@ class ConvLayer:
     the input and kernel gradients then match those of an explicit
     `upsample_nearest` up to summation order, within 2.1e-15 of their
     largest element over 3,000 random shapes; the bias gradient is bit for
-    bit. The fold holds only for a 3x3 kernel at padding 1.
+    bit. The fold holds only for a 3x3 kernel.
     """
 
     def __init__(self, registry: ParameterRegistry, name: str,
                  in_ch: int, out_ch: int, ksize: int,
-                 rng: np.random.Generator, padding: int = 0,
-                 upsampled: bool = False):
-        if upsampled and (ksize, padding) != (3, 1):
+                 rng: np.random.Generator, upsampled: bool = False):
+        if upsampled and ksize != 3:
             raise ValueError(
-                f"{name}: an upsampled conv needs a 3x3 kernel at padding 1, "
-                f"got {ksize}x{ksize} at padding {padding}")
+                f"{name}: an upsampled conv needs a 3x3 kernel, "
+                f"got {ksize}x{ksize}")
         fan_in = in_ch * ksize * ksize
         fan_out = out_ch * ksize * ksize
         self.kernel = registry.register(
             f"{name}.kernel", xavier_init((out_ch, in_ch, ksize, ksize),
                                           fan_in, fan_out, rng))
         self.bias = registry.register(f"{name}.bias", Tensor(np.zeros(out_ch)))
-        self.padding = padding
         self.upsampled = upsampled
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.upsampled:
             return upsample_conv3x3(x, self.kernel, self.bias)
-        return conv2d(x, self.kernel, self.bias, padding=self.padding)
+        return conv2d(x, self.kernel, self.bias)
 
 
 DROPOUT_P = 0.5  # drop probability of the dropout in front of each recurrence
 
 
-def dropout_forward(x: Tensor, training: bool,
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability DROPOUT_P, scale survivors
-    by 1/(1 - DROPOUT_P); identity (bit-exact) when not training. A fresh
-    mask is drawn per call, over the whole input: in training, over a
-    clip's frame stack."""
-    if not training:
-        return x
+def dropout_forward(x: Tensor, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout: given a generator, zero with probability
+    DROPOUT_P and scale survivors by 1/(1 - DROPOUT_P), with a fresh mask
+    drawn from `rng` per call over the whole input (in training, a clip's
+    frame stack); without one (rng None, as in prediction), x itself."""
     if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
+        return x
     mask = (rng.random(x.shape) >= DROPOUT_P) / (1.0 - DROPOUT_P)
     return mul(x, Tensor(mask))

@@ -169,7 +169,7 @@ class Model:
         prev = 1  # frames are single-channel luminance
         for k, c in enumerate(chans, start=1):
             self.enc_convs.append(
-                ConvLayer(self.registry, f"enc{k}", prev, c, 3, rng, padding=1))
+                ConvLayer(self.registry, f"enc{k}", prev, c, 3, rng))
             prev = c
         self.points = () if cfg.recurrence == "none" else cfg.ema_points
         self.dec_convs = []
@@ -179,7 +179,7 @@ class Model:
             # recurrence at decoder<k-1> needs the full-size map
             upsampled = k > 1 and f"decoder{k - 1}" not in self.points
             self.dec_convs.append(
-                ConvLayer(self.registry, f"dec{k}", prev, c, 3, rng, padding=1,
+                ConvLayer(self.registry, f"dec{k}", prev, c, 3, rng,
                           upsampled=upsampled))
             prev = c
         self.head = ConvLayer(self.registry, "head", prev, 1, 1, rng)
@@ -200,8 +200,7 @@ class Model:
     def fresh_states(self) -> RecurrenceStates:
         return RecurrenceStates(self)
 
-    def _recur(self, x: Tensor, point: str, states: RecurrenceStates,
-               training: bool, rng):
+    def _recur(self, x: Tensor, point: str, states: RecurrenceStates, rng):
         """The recurrence at `point` scanned over the frame stack x, whose
         axis 0 is time, in one call; x itself when no recurrence sits
         there. An empty slot starts from a fresh state: the ConvLSTM's is
@@ -209,7 +208,7 @@ class Model:
         if point not in states.states:
             return x
         if self.cfg.dropout:
-            x = dropout_forward(x, training, rng)
+            x = dropout_forward(x, rng)
         st = states.states[point]
         if self.convlstm is not None:
             out, states.states[point] = convlstm_step(
@@ -220,15 +219,16 @@ class Model:
         return out
 
     def forward_frame(self, frames: Tensor, states: RecurrenceStates,
-                      training: bool = False, rng=None) -> Tensor:
+                      rng: Optional[np.random.Generator] = None) -> Tensor:
         """A stack of T >= 1 consecutive frames of one video, shaped
         [T, 1, H, W], in; their saliency maps, shaped [T, 1, H, W], out.
 
         Every layer runs once over the whole stack, and the recurrence at
         each configured insertion point scans it in order, which leaves the
         state advanced past the last frame. So one call over T frames gives
-        the maps of T calls over one frame each; a dropout mask is drawn
-        once per insertion point for the whole stack.
+        the maps of T calls over one frame each. Dropout draws one mask per
+        insertion point for the whole stack from `rng`, which training
+        passes; without one, as in prediction, it passes x through.
         """
         if states.model is not self:
             raise ValueError("recurrence states belong to a different model")
@@ -240,8 +240,8 @@ class Model:
         x = frames
         for k, conv in enumerate(self.enc_convs, start=1):
             x = relu(maxpool2d(conv(x)))  # pool first: see the module docstring
-            x = self._recur(x, f"encoder{k}", states, training, rng)
-        x = self._recur(x, "bottleneck", states, training, rng)
+            x = self._recur(x, f"encoder{k}", states, rng)
+        x = self._recur(x, "bottleneck", states, rng)
         # an explicit upsample follows dec<k> unless dec<k+1> folds it in;
         # the last waits for the head, and for the sigmoid too unless the
         # residual output EMA runs first: see the module docstring
@@ -251,15 +251,15 @@ class Model:
             x = relu(conv(x))
             if up:
                 x = upsample_nearest(x)
-            x = self._recur(x, f"decoder{k}", states, training, rng)
+            x = self._recur(x, f"decoder{k}", states, rng)
         x = self.head(x)
         up = upsample_nearest if late else (lambda t: t)
         # the output EMA averages maps after the sigmoid; the residual one
         # stays before it so the map keeps to [0, 1]
         if "output" in self.points and self.ema_cfg.residual:
-            x = sigmoid(self._recur(up(x), "output", states, training, rng))
+            x = sigmoid(self._recur(up(x), "output", states, rng))
         else:
-            x = self._recur(up(sigmoid(x)), "output", states, training, rng)
+            x = self._recur(up(sigmoid(x)), "output", states, rng)
         vals = x.data
         if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # False for NaN
             raise RuntimeError("saliency map left [0, 1] or went non-finite")

@@ -215,7 +215,7 @@ def convlstm_step(s: Tensor, state: ConvLstmState,
     # view, of which step t fills only its own columns
     xp = np.zeros((t_len, k, h + 2, wd + 2))
     xp[:, :cin, 1:h + 1, 1:wd + 1] = s.data
-    windows = _windows(xp, 3, 3)
+    windows = _windows(xp, 3)
     out = np.empty((t_len + 1, ch, h, wd))  # C_1..C_T, then H_T
     gates = []
     c, hid = cell.data[0], hidden.data[0]
@@ -244,12 +244,12 @@ def convlstm_step(s: Tensor, state: ConvLstmState,
             dz = dpre[:, :, t]
             dc = _cell_vjp(g[t] + dc, dh, c_prev[t], gates[t], peep, dz)
             dcols = dz.reshape(4 * ch, h * wd).T @ kmat[:, cin * 9:]
-            dh = _unwindow(dcols.reshape(1, h, wd, ch, 3, 3), 1)[0]
+            dh = _unwindow(dcols.reshape(1, h, wd, ch, 3, 3))[0]
         return dpre.reshape(4 * ch, t_len * h * wd), dpre, dc, dh, c_prev
 
     def dframes(d):
         dcols = d[0].T @ kmat[:, :cin * 9]
-        return _unwindow(dcols.reshape(t_len, h, wd, cin, 3, 3), 1)
+        return _unwindow(dcols.reshape(t_len, h, wd, cin, 3, 3))
 
     packed = _node(
         out,

@@ -287,85 +287,79 @@ def tmean(a: Tensor) -> Tensor:
 # spatial ops
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """The stride-1 kH x kW windows of the contiguous NCHW array xp, as a
-    (C, kH, kW, N, H', W') view of it."""
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """The stride-1 k x k windows of the contiguous NCHW array xp, as a
+    (C, k, k, N, H', W') view of it."""
     n, c, hp, wp = xp.shape
     sn, sc, sh, sw = xp.strides
-    return np.ndarray((c, kh, kw, n, hp - kh + 1, wp - kw + 1), np.float64,
+    return np.ndarray((c, k, k, n, hp - k + 1, wp - k + 1), np.float64,
                       xp, 0, (sc, sh, sw, sn, sh, sw))
 
 
-def _unwindow(dcols: np.ndarray, padding: int) -> np.ndarray:
-    """The input gradient of a stride-1 conv from the gradient at its
-    windows, shaped (N, H', W', C, kH, kW): the taps added in row-major
-    order into a zeroed padded buffer, which is then cropped; returns
-    (N, C, H, W)."""
-    n, ho, wo, c, kh, kw = dcols.shape
-    dxp = np.zeros((n, ho + kh - 1, wo + kw - 1, c))
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
-    h, w = ho + kh - 1 - 2 * padding, wo + kw - 1 - 2 * padding
-    return dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+def _unwindow(dcols: np.ndarray) -> np.ndarray:
+    """The input gradient of a same-size stride-1 conv from the gradient at
+    its windows, shaped (N, H, W, C, k, k): the taps added in row-major
+    order into a zeroed padded buffer, which is then cropped by k // 2;
+    returns (N, C, H, W)."""
+    n, h, w, c, k, _ = dcols.shape
+    dxp = np.zeros((n, h + k - 1, w + k - 1, c))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i:i + h, j:j + w] += dcols[..., i, j]
+    p = k // 2
+    return dxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
 
-def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0) -> Tensor:
-    """2d cross-correlation of NCHW input with an OIHW kernel, at stride 1.
+def conv2d(input: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Same-size 2d cross-correlation of NCHW input with an OIHW kernel, at
+    stride 1: the kernel is square, k x k with k odd, and the input is
+    zero-padded by k // 2 on each side, so the output keeps its H x W.
+    Any other kernel raises ValueError. Bias, when given, is added per
+    output channel (the one sanctioned broadcast).
 
-    Output spatial size is H + 2*padding - kH + 1. Bias, when given, is
-    added per output channel (the one sanctioned broadcast).
-
-    Layout: the input windows form a channel-major (Cin*kH*kW, N*H'*W')
+    Layout: the input windows form a channel-major (Cin*k*k, N*H*W)
     matrix, rows in (Cin, kH, kW) order to match the kernel viewed as a
-    (Cout, Cin*kH*kW) matrix, so building it copies whole output rows.
-    The forward output is one (Cout, Cin*kH*kW) x (Cin*kH*kW, N*H'*W')
-    GEMM, and the kernel gradient one (Cout, N*H'*W') x (N*H'*W',
-    Cin*kH*kW) GEMM. Contract, against the np.pad + sliding_window_view
-    formulation kept as the test oracle: the input gradient (kernel taps
-    (i, j) added in row-major order into a zeroed buffer) is exact, bit for
-    bit; the forward output and the kernel gradient match it up to
-    summation order, within the bounds the tests state.
+    (Cout, Cin*k*k) matrix, so building it copies whole output rows.
+    The forward output is one (Cout, Cin*k*k) x (Cin*k*k, N*H*W) GEMM,
+    and the kernel gradient one (Cout, N*H*W) x (N*H*W, Cin*k*k) GEMM.
+    Contract, against the np.pad + sliding_window_view formulation kept
+    as the test oracle: the input gradient (kernel taps (i, j) added in
+    row-major order into a zeroed buffer) is exact, bit for bit; the
+    forward output and the kernel gradient match it up to summation
+    order, within the bounds the tests state.
     """
     if input.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(
             f"conv2d expects 4d input/kernel, got {input.shape} and {kernel.shape}")
-    if padding < 0:
-        raise ValueError(f"conv2d padding must be >= 0, got {padding}")
     n, cin, h, w = input.shape
-    cout, kcin, kh, kw = kernel.shape
+    cout, kcin, k, kw = kernel.shape
+    if k != kw or k % 2 == 0:
+        raise ValueError(
+            f"conv2d needs a square kernel of odd size, got {kernel.shape}")
     if cin != kcin:
         raise ValueError(
             f"conv2d channel mismatch: input {input.shape} has Cin={cin}, "
             f"kernel {kernel.shape} expects Cin={kcin}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kh > hp or kw > wp:
-        raise ValueError(
-            f"conv2d kernel {kernel.shape} larger than padded input "
-            f"({hp}x{wp} from {input.shape} with padding={padding})")
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv2d bias shape {bias.shape} != ({cout},)")
 
-    if padding:
-        xp = np.zeros((n, cin, hp, wp))
-        xp[:, :, padding:padding + h, padding:padding + w] = input.data
-    else:
-        xp = input.data
-    ho, wo = hp - kh + 1, wp - kw + 1
-    cols = _windows(xp, kh, kw).reshape(cin * kh * kw, n * ho * wo)
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = kmat @ cols  # (Cout, N*H'*W')
+    p, xp = k // 2, input.data  # a 1x1 kernel reads the input itself
+    if p:
+        xp = np.zeros((n, cin, h + 2 * p, w + 2 * p))
+        xp[:, :, p:p + h, p:p + w] = input.data
+    cols = _windows(xp, k).reshape(cin * k * k, n * h * w)
+    kmat = kernel.data.reshape(cout, cin * k * k)
+    out = kmat @ cols  # (Cout, N*H*W)
     if bias is not None:
         out += bias.data[:, None]
-    out = out.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+    out = out.reshape(cout, n, h, w).transpose(1, 0, 2, 3)
 
     def dinput(g):
-        dcols = g.reshape(n, cout, ho * wo).transpose(0, 2, 1) @ kmat
-        return _unwindow(dcols.reshape(n, ho, wo, cin, kh, kw), padding)
+        dcols = g.reshape(n, cout, h * w).transpose(0, 2, 1) @ kmat
+        return _unwindow(dcols.reshape(n, h, w, cin, k, k))
 
     def dkernel(g):
-        gk = g.reshape(n, cout, ho * wo).transpose(1, 0, 2).reshape(cout, n * ho * wo)
+        gk = g.reshape(n, cout, h * w).transpose(1, 0, 2).reshape(cout, n * h * w)
         return (gk @ cols.T).reshape(kernel.shape)
 
     edges = [(input, dinput), (kernel, dkernel)]
@@ -425,7 +419,7 @@ def _phase_fold() -> np.ndarray:
     """(4, 9, 9) 0/1 matrices: a row-major flattened 3x3 kernel times matrix
     2a + b is the kernel of output phase (a, b) of `upsample_conv3x3`.
 
-    Output row 2i + a of a 3x3, padding-1 conv over a nearest-upsampled map
+    Output row 2i + a of a same-size 3x3 conv over a nearest-upsampled map
     reads input rows i-1, i, i (a = 0) or i, i, i+1 (a = 1), so kernel row
     r moves to phase kernel row rows[a][r]; the same holds for columns.
     """
@@ -441,10 +435,10 @@ _PHASE_UNFOLD = np.ascontiguousarray(_PHASE_FOLD.transpose(0, 2, 1))
 
 
 def upsample_conv3x3(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """conv2d(upsample_nearest(input), kernel, bias, padding=1) for a 3x3
-    kernel, as one conv over the low-resolution input: each of the four
-    output phases (a, b), the pixels (2i + a, 2j + b), is a 3x3 conv of
-    the input whose kernel sums the taps that read the same input pixel.
+    """conv2d(upsample_nearest(input), kernel, bias) for a 3x3 kernel, as
+    one conv over the low-resolution input: each of the four output phases
+    (a, b), the pixels (2i + a, 2j + b), is a 3x3 conv of the input whose
+    kernel sums the taps that read the same input pixel.
 
     Three tape nodes: the fold of the (Cout, Cin, 3, 3) kernel into the
     (4*Cout, Cin, 3, 3) phase kernel (one batched matmul by 0/1 matrices),
@@ -469,7 +463,7 @@ def upsample_conv3x3(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         np.matmul(kernel.data.reshape(m, 9), _PHASE_FOLD).reshape(4 * cout, cin, 3, 3),
         (kernel, lambda g: np.matmul(g.reshape(4, m, 9), _PHASE_UNFOLD)
          .sum(axis=0).reshape(kernel.shape)))
-    z = conv2d(input, phases, padding=1)  # (N, 4*Cout, H, W), phase-major
+    z = conv2d(input, phases)  # (N, 4*Cout, H, W), phase-major
     # copy first: for a 1x1 map the reshape alone can be a view of z, and
     # the += would write into it
     out = z.data.reshape(n, 2, 2, cout, h, w).transpose(0, 3, 4, 1, 5, 2).copy()

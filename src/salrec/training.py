@@ -103,7 +103,7 @@ class Adam:
 
 def train_clip(model: Model, frames: Tensor, gts: Tensor,
                state: RecurrenceStates, optimizer: Adam,
-               video_id: str, rng=None) -> tuple[float, RecurrenceStates]:
+               video_id: str, rng) -> tuple[float, RecurrenceStates]:
     """One optimizer step over an unrolled clip; returns (mean BCE, carried
     state). The state must come from the same video or be fresh; a fresh
     one is tagged with `video_id`.
@@ -121,7 +121,7 @@ def train_clip(model: Model, frames: Tensor, gts: Tensor,
     elif state.video_id != video_id:
         raise ValueError(f"state carries video {state.video_id!r} but clip is "
                          f"from {video_id!r}; reset at video boundaries")
-    pred = model.forward_frame(frames, state, training=True, rng=rng)
+    pred = model.forward_frame(frames, state, rng)
     loss = bce_loss(pred, gts)
     if not np.isfinite(loss.item()):
         raise RuntimeError(f"non-finite training loss {loss.item()}")
@@ -248,14 +248,24 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
 
 
 def _config(cls, section: dict):
-    """A config dataclass from a header section that names every field;
-    a missing field is an error, not its default."""
+    """A config dataclass from a header section that names every field at
+    its annotation's JSON type (a tuple as a list); a missing field is an
+    error, not its default."""
     if not isinstance(section, dict):
         raise ValueError(f"{cls.__name__} section is "
                          f"{type(section).__name__}, not an object")
     missing = [f.name for f in fields(cls) if f.name not in section]
     if missing:
         raise ValueError(f"{cls.__name__} lacks {', '.join(missing)}")
+    # the JSON types an annotation admits: a bool is no int, an int a float
+    json_types = dict(int=(int,), float=(int, float), bool=(bool,), str=(str,))
+    for f in fields(cls):  # annotations are strings: the __future__ import
+        value, seq = section[f.name], f.type.startswith("tuple[")
+        kinds = json_types[f.type[6:].split(",")[0] if seq else f.type]
+        items = (value if type(value) is list else [None]) if seq else [value]
+        if not all(type(v) in kinds for v in items):  # None is of no kind
+            raise ValueError(f"{cls.__name__}.{f.name} is {value!r}, "
+                             f"expected {f.type}")
     return cls(**section)
 
 
@@ -299,7 +309,7 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
             rng.bit_generator.state = header["rng"]
             index = header["arrays"]
         except (KeyError, TypeError, ValueError, AttributeError,
-                OverflowError) as exc:
+                OverflowError, MemoryError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header "
                              f"({type(exc).__name__}: {exc})") from exc
         arrays = _arrays(model, optimizer)

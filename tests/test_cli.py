@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -324,6 +327,29 @@ class TestEval:
                             + 0.5) / 255
             assert np.array_equal(np.stack(dumped[s.video_id]), want)
 
+    @pytest.mark.parametrize("video_id", ["../../escaped", "..", ".", "",
+                                          "a/b", "a\0b"])
+    def test_video_id_not_a_directory_name_exits_2(self, tmp_path, capsys,
+                                                   video_id):
+        """A video_id names the directory of its maps under `<out>/maps` and
+        `--pred-dir`; one that is not a single name is rejected before any
+        map is written (`../../escaped` once wrote two levels up)."""
+        root = tmp_path / "data" / "ds"
+        assert run("synth", root, "--videos", 1, "--frames", 3, "--size", 16) == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["videos"][0]["video_id"] = video_id
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        model = build(ModelConfig(input_size=(16, 16)))
+        ckpt = tmp_path / "init.salr"
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0, TrainConfig())
+        out = tmp_path / "data" / "run"
+        assert run("eval", root, out, "--checkpoint", ckpt, "--dump-maps",
+                   "--n-splits", 3) == 2
+        assert (f"{root / 'manifest.json'}: video_id {video_id!r} is not a "
+                f"directory name") in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*.pgm") if root not in p.parents]
+
     def test_requires_exactly_one_source(self, small_ds, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("eval", small_ds, out) == 1
@@ -383,6 +409,32 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"error: {ckpt}: malformed checkpoint header" in err
         assert "lacks alpha" in err
+
+    def test_header_too_large_to_allocate_exits_2(self, small_ds, tmp_path):
+        """A header whose model cannot be allocated is a malformed
+        checkpoint: exit 2 naming the file, not a traceback. The address
+        space is capped inside a child process, so the cap binds it alone."""
+        ckpt = tmp_path / "huge.salr"
+        model = build(ModelConfig(input_size=(16, 16)))
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0, TrainConfig())
+        # enc2's kernel alone would be (2e6, 1e6, 3, 3): 131 TiB
+        edit_header(ckpt, lambda h: h["model"].update(base_channels=10 ** 6))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from salrec import cli\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "eval", str(small_ds),
+             str(tmp_path / "e"), "--checkpoint", str(ckpt)],
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert (f"error: {ckpt}: malformed checkpoint header (MemoryError"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
 
     def test_checkpoint_dataset_size_mismatch(self, small_ds, tmp_path):
         out = tmp_path / "run"

@@ -261,15 +261,21 @@ class TestForwardSequence:
             assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_dropout_only_active_in_training(self):
+        """Dropout draws a mask only from a generator it is handed, as
+        training hands it one; without one the maps repeat."""
         cfg = ModelConfig(recurrence="ema", alpha=0.5, dropout=True, seed=12)
         model = build(cfg)
-        frame = Tensor(np.random.default_rng(10).uniform(0, 1, (1, 1, 32, 32)))
-        a = model.forward_frame(frame, model.fresh_states(), training=False)
-        b = model.forward_frame(frame, model.fresh_states(), training=False)
+        frames = np.random.default_rng(10).uniform(0, 1, (3, 32, 32))
+        frame = Tensor(frames[:1, None])
+        a = model.forward_frame(frame, model.fresh_states())
+        b = model.forward_frame(frame, model.fresh_states())
         assert np.array_equal(a.data, b.data)
+        maps = model.predict_sequence(list(frames))
+        assert np.array_equal(maps[0], a.data[0, 0])
+        assert all(np.array_equal(m, n) for m, n in
+                   zip(maps, model.predict_sequence(list(frames))))
         rng = np.random.default_rng(11)
-        c = model.forward_frame(frame, model.fresh_states(), training=True,
-                                rng=rng)
+        c = model.forward_frame(frame, model.fresh_states(), rng)
         assert not np.array_equal(a.data, c.data)
 
 
@@ -300,8 +306,7 @@ def per_frame_fold(model, frames, gts, states, rng):
     loss as the mean of the per-frame BCEs."""
     maps, total = [], None
     for f, g in zip(frames, gts):
-        pred = model.forward_frame(Tensor(f[None]), states, training=True,
-                                   rng=rng)
+        pred = model.forward_frame(Tensor(f[None]), states, rng)
         maps.append(pred.data[0])
         loss = bce_loss(pred, Tensor(g[None]))
         total = loss if total is None else add(total, loss)
@@ -309,7 +314,7 @@ def per_frame_fold(model, frames, gts, states, rng):
 
 
 def one_stack(model, frames, gts, states, rng):
-    pred = model.forward_frame(Tensor(frames), states, training=True, rng=rng)
+    pred = model.forward_frame(Tensor(frames), states, rng)
     return pred.data, bce_loss(pred, Tensor(gts))
 
 
@@ -327,7 +332,7 @@ def run_clip(fold, dropout, **kw):
     gts = rng.uniform(0, 1, size=(6, 1, 16, 16))
     drop = np.random.default_rng(1)
     states = model.fresh_states()
-    model.forward_frame(Tensor(frames[:1]), states, training=True, rng=drop)
+    model.forward_frame(Tensor(frames[:1]), states, drop)
     maps, loss = fold(model, frames[1:], gts[1:], states, drop)
     backward(loss)
     grads = {name: p.grad for name, p in model.registry.items()}
@@ -416,27 +421,27 @@ class TestFrameStack:
 
 # --- the output tail at low resolution ----------------------------------------
 
-def full_size_tail(model, frames, states, training=False, rng=None):
+def full_size_tail(model, frames, states, rng=None):
     """Oracle: `forward_frame` in the old tail order, where every decoder
     stage upsamples and the head and sigmoid run at full size. An upsample
     that the next conv folds in (`ConvLayer.upsampled`) is left to it."""
     x = frames
     for k, conv in enumerate(model.enc_convs, start=1):
         x = model._recur(relu(maxpool2d(conv(x))), f"encoder{k}", states,
-                         training, rng)
-    x = model._recur(x, "bottleneck", states, training, rng)
+                         rng)
+    x = model._recur(x, "bottleneck", states, rng)
     folded = [conv.upsampled for conv in model.dec_convs[1:]] + [False]
     for k, (conv, fold) in enumerate(zip(model.dec_convs, folded), start=1):
         x = relu(conv(x))
         x = model._recur(x if fold else upsample_nearest(x), f"decoder{k}",
-                         states, training, rng)
+                         states, rng)
     x = model.head(x)
     residual = model.ema_cfg is not None and model.ema_cfg.residual
     if residual:
-        x = model._recur(x, "output", states, training, rng)
+        x = model._recur(x, "output", states, rng)
     x = sigmoid(x)
     if not residual:
-        x = model._recur(x, "output", states, training, rng)
+        x = model._recur(x, "output", states, rng)
     return x
 
 
@@ -477,15 +482,16 @@ class TestLowResolutionTail:
     @settings(max_examples=60, deadline=None)
     @given(tail_configs(), st.integers(1, 3), st.booleans(),
            st.integers(0, 2 ** 16))
-    def test_matches_full_size_tail(self, cfg, n_frames, training, seed):
+    def test_matches_full_size_tail(self, cfg, n_frames, with_rng, seed):
         h, w = cfg.input_size
         data = np.random.default_rng(seed).uniform(size=(2, n_frames, 1, h, w))
         runs = []
         for forward in (Model.forward_frame, full_size_tail):
             model = build(cfg)
-            states, drop = model.fresh_states(), np.random.default_rng(seed)
+            states = model.fresh_states()
+            drop = np.random.default_rng(seed) if with_rng else None
             # a second clip folds in the state that the first carries
-            maps = [forward(model, Tensor(clip), states, training, drop)
+            maps = [forward(model, Tensor(clip), states, drop)
                     for clip in data]
             backward(add(*(bce_loss(m, Tensor(g))
                            for m, g in zip(maps, data[::-1]))))
@@ -533,14 +539,15 @@ class TestFoldedUpsample:
     @settings(max_examples=60, deadline=None)
     @given(tail_configs(), st.integers(1, 3), st.booleans(),
            st.integers(0, 2 ** 16))
-    def test_matches_explicit_upsample(self, cfg, n_frames, training, seed):
+    def test_matches_explicit_upsample(self, cfg, n_frames, with_rng, seed):
         h, w = cfg.input_size
         data = np.random.default_rng(seed).uniform(size=(2, n_frames, 1, h, w))
         runs = []
         for model in (build(cfg), self.unfolded(cfg)):
-            states, drop = model.fresh_states(), np.random.default_rng(seed)
+            states = model.fresh_states()
+            drop = np.random.default_rng(seed) if with_rng else None
             # a second clip folds in the state that the first carries
-            maps = [model.forward_frame(Tensor(clip), states, training, drop)
+            maps = [model.forward_frame(Tensor(clip), states, drop)
                     for clip in data]
             backward(add(*(bce_loss(m, Tensor(g))
                            for m, g in zip(maps, data[::-1]))))

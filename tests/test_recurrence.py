@@ -313,8 +313,7 @@ class TestEmaNode:
             model = build(ModelConfig(recurrence=kind, dropout=True, seed=1,
                                       ema_points=("encoder1", "decoder2")))
             maps = model.forward_frame(frames, model.fresh_states(),
-                                       training=True,
-                                       rng=np.random.default_rng(1))
+                                       np.random.default_rng(1))
             backward(bce_loss(maps, gts))
             runs.append((maps.data, model.registry))
         (maps, reg), (maps_ref, reg_ref) = runs
@@ -342,8 +341,7 @@ class TestEmaNode:
         model = build(ModelConfig(recurrence=kind))
         frames, gts = (Tensor(rng.uniform(size=(10, 1, 32, 32)))
                        for _ in range(2))
-        pred = model.forward_frame(frames, model.fresh_states(),
-                                   training=True, rng=rng)
+        pred = model.forward_frame(frames, model.fresh_states(), rng)
         assert len(ComputationTape(bce_loss(pred, gts)).ops) == nodes
 
 
@@ -422,9 +420,8 @@ def per_gate_step(s_t, state, w):
     def gate(k, g):
         rows = slice(k * c, (k + 1) * c)
         pre = add(conv2d(s_t, Tensor(w.kernel.data[rows, :cin]),
-                         Tensor(w.bias.data[rows]), padding=1),
-                  conv2d(state.hidden, Tensor(w.kernel.data[rows, cin:]),
-                         padding=1))
+                         Tensor(w.bias.data[rows])),
+                  conv2d(state.hidden, Tensor(w.kernel.data[rows, cin:])))
         if g == "c":
             return tanh(pre)
         return sigmoid(add(pre, broadcast_mul(peep[g], state.cell)))
@@ -590,8 +587,7 @@ def chain_step(s, state, w):
     and `chain_cell` per frame of the stack s."""
     outs = []
     for s_t in split(s, s.shape[0], axis=0):
-        pre = conv2d(concat(s_t, state.hidden, axis=1), w.kernel, w.bias,
-                     padding=1)
+        pre = conv2d(concat(s_t, state.hidden, axis=1), w.kernel, w.bias)
         c_t, h_t = chain_cell(pre, state.cell, w.peepholes)
         state = ConvLstmState(cell=c_t, hidden=h_t)
         outs.append(c_t)

@@ -142,10 +142,10 @@ class TestBceOp:
         data = small_dataset()[0]
         forward = model.forward_frame
 
-        def nan_forward(frames, states, **kw):
+        def nan_forward(frames, states, rng):
             poison = np.zeros(frames.shape)
             poison[1, 0, 2, 3] = np.nan
-            return add(forward(frames, states, **kw), Tensor(poison))
+            return add(forward(frames, states, rng), Tensor(poison))
 
         monkeypatch.setattr(model, "forward_frame", nan_forward)
         before = {n: p.data.copy() for n, p in model.registry.items()}
@@ -153,7 +153,7 @@ class TestBceOp:
         with pytest.raises(RuntimeError, match="non-finite training loss nan"):
             train_clip(model, to_stack(data.frames[:3]),
                        to_stack(data.gt_maps[:3]), model.fresh_states(), opt,
-                       "v0")
+                       "v0", np.random.default_rng(0))
         for name, p in model.registry.items():
             assert p.grad is None and np.array_equal(p.data, before[name])
         assert opt.t == 0
@@ -291,7 +291,8 @@ class TestTrainClip:
                 for f, g in zip(to_tensors(frames), to_tensors(gts))])
         opt = Adam(model.registry, lr=1e-3)
         loss, _ = train_clip(model, to_stack(frames), to_stack(gts),
-                             model.fresh_states(), opt, "v0")
+                             model.fresh_states(), opt, "v0",
+                             np.random.default_rng(0))
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_single_frame_clip_is_static_step(self):
@@ -301,9 +302,19 @@ class TestTrainClip:
         gts = to_stack(data.gt_maps[:1])
         opt = Adam(model.registry, lr=1e-3)
         loss, state = train_clip(model, frames, gts, model.fresh_states(), opt,
-                                 "v0")
+                                 "v0", np.random.default_rng(0))
         assert loss > 0.0
         assert state.video_id == "v0"
+
+    def test_rng_is_required(self):
+        """Training hands dropout its generator; a clip without one is an
+        error, not a clip trained without dropout."""
+        model = small_model(recurrence="ema")
+        data = small_dataset()[0]
+        with pytest.raises(TypeError, match="rng"):
+            train_clip(model, to_stack(data.frames[:2]),
+                       to_stack(data.gt_maps[:2]), model.fresh_states(),
+                       Adam(model.registry), "v0")
 
     def test_video_mixing_rejected(self):
         model = small_model()
@@ -311,10 +322,11 @@ class TestTrainClip:
         frames = to_stack(data.frames[:2])
         gts = to_stack(data.gt_maps[:2])
         opt = Adam(model.registry, lr=1e-3)
+        rng = np.random.default_rng(0)
         _, state = train_clip(model, frames, gts, model.fresh_states(), opt,
-                              "video-a")
+                              "video-a", rng)
         with pytest.raises(ValueError, match="video"):
-            train_clip(model, frames, gts, state, opt, "video-b")
+            train_clip(model, frames, gts, state, opt, "video-b", rng)
 
     def test_gradients_truncated_at_clip_boundary(self):
         # gradients of clip 2 must equal those computed with the carried
@@ -341,7 +353,8 @@ class TestTrainClip:
 
         opt = Adam(model.registry, lr=0.0)  # keep parameters fixed
         opt.lr = 0.0
-        _, carried = train_clip(model, f1, g1, model.fresh_states(), opt, "v")
+        _, carried = train_clip(model, f1, g1, model.fresh_states(), opt, "v",
+                                np.random.default_rng(0))
         frozen = model.fresh_states()
         for point, st in carried.states.items():
             frozen.states[point] = type(st)(Tensor(st.accumulator.data.copy()))
@@ -719,6 +732,30 @@ class TestCheckpoint:
             tmp_path,
             edit_header(self.saved(tmp_path), lambda h: h[section].pop(field)),
             f"malformed checkpoint header .*lacks {field}")
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("model", "dropout", "no"), ("train", "augment", "no"),
+        ("train", "clip_length", 2.5), ("model", "stages", True),
+        ("train", "epochs", True), ("model", "alpha", False),
+        ("model", "input_size", [16.0, 16.0]),
+        ("model", "ema_points", "bottleneck")])
+    def test_header_value_of_wrong_json_type_rejected(self, tmp_path, section,
+                                                      field, value):
+        """Each config value has its field's JSON type: the string "no"
+        would load as a truthy dropout or augment flag, and a bool is no
+        number here."""
+        self.assert_rejected(
+            tmp_path, edit_header(self.saved(tmp_path),
+                                  lambda h: h[section].update({field: value})),
+            f"malformed checkpoint header .*{field} is {re.escape(repr(value))}")
+
+    def test_header_int_for_float_field_loads(self, tmp_path):
+        raw = edit_header(self.saved(tmp_path),
+                          lambda h: (h["model"].update(alpha=1),
+                                     h["train"].update(lr=1)))
+        (tmp_path / "ints.salr").write_bytes(raw)
+        model, _, _, _, train_cfg = load_checkpoint(tmp_path / "ints.salr")
+        assert model.cfg.alpha == 1 and train_cfg.lr == 1
 
     @pytest.mark.parametrize("edit", [
         "unknown model key", "no adam", "null train", "no rng", "no epoch",
