@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .metrics import FixationMap
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,84 +234,117 @@ def generate(cfg: SynthConfig) -> list[VideoSample]:
 
 def write_dataset(samples: list[VideoSample], root: Path) -> None:
     """Write the PGM/text tree; the manifest goes last so readers never see
-    a partial dataset."""
+    a partial dataset. A video_id that is not a directory name
+    (`VideoEntry`) raises before its video is written."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     entries = []
     for s in samples:
-        h, w = s.frames[0].shape
+        entry = VideoEntry(s.video_id, len(s.frames), *s.frames[0].shape)
         vdir = root / s.video_id
         _write_maps(vdir / "frames", s.frames)
         _write_maps(vdir / "gt", s.gt_maps)
         (vdir / "fix").mkdir(parents=True, exist_ok=True)
         for t, fix in enumerate(s.fixations):
             write_fixations(vdir / "fix" / f"{t:04d}.txt", fix)
-        entries.append({"video_id": s.video_id, "frames": len(s.frames),
-                        "height": h, "width": w, "path": s.video_id})
+        entries.append(asdict(entry))
     manifest = {"version": MANIFEST_VERSION, "videos": entries}
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-# the fields of a manifest's video entry and their JSON types
-_ENTRY_FIELDS = {"video_id": str, "path": str, "frames": int, "height": int,
-                 "width": int}
+# the JSON types an annotation admits: a bool is no int, an int is a float
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,), "list": (list,), "dict": (dict,),
+               "object": (dict, list, str, int, float, bool, type(None))}
 
 
-def _load_manifest(root: Path) -> list[dict]:
-    """The manifest's video entries, checked before any frame is read: each
-    has every field at its type, a unique video_id that is one directory
-    name, at least one frame, and the frame size of the first video."""
-    path = Path(root) / MANIFEST_NAME
-    try:
-        manifest = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: the manifest is not a JSON object")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"{path}: unsupported manifest version "
-                         f"{manifest.get('version')}")
-    videos = manifest.get("videos")
-    if not isinstance(videos, list) or not videos:
-        raise ValueError(f"{path}: the manifest lists no videos")
-    seen = set()
-    for i, entry in enumerate(videos):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: video entry {i} is not a JSON object")
-        for key, kind in _ENTRY_FIELDS.items():
-            if key not in entry:
-                raise ValueError(f"{path}: video entry {i} lacks {key!r}")
-            if type(entry[key]) is not kind:  # rejects true/false as ints
-                raise ValueError(f"{path}: video entry {i} has {key} "
-                                 f"{entry[key]!r}, expected {kind.__name__}")
-        vid = entry["video_id"]  # a directory under `--dump-maps`, `--pred-dir`
+def read_record(cls, value, where: str):
+    """A `cls` dataclass from a JSON object that holds each of its fields,
+    and no other key, at its annotation's JSON type (a tuple as a list of
+    its item type); else ValueError naming `where`, the object's place."""
+    # annotations are strings here: the __future__ import
+    types = {f.name: f.type for f in fields(cls)}
+    if type(value) is not dict:
+        raise ValueError(f"{where} is {type(value).__name__}, not a JSON "
+                         f"object")
+    missing = [name for name in types if name not in value]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    unknown = [repr(key) for key in value if key not in types]
+    if unknown:
+        raise ValueError(f"{where} has unknown key {', '.join(unknown)}")
+    for name, kind in types.items():
+        v, seq = value[name], kind.startswith("tuple[")
+        kinds = _JSON_TYPES[kind[6:].split(",")[0] if seq else kind]
+        if not (type(v) is list and all(type(i) in kinds for i in v)
+                if seq else type(v) in kinds):
+            raise ValueError(f"{where}.{name} is {v!r}, expected {kind}")
+    return cls(**value)
+
+
+@dataclass
+class VideoEntry:
+    """A manifest's video; its maps lie in the folder named `video_id`."""
+    video_id: str
+    frames: int
+    height: int
+    width: int
+
+    def __post_init__(self):
+        vid = self.video_id  # also a directory under `--dump-maps`, `--pred-dir`
         if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
-            raise ValueError(f"{path}: video_id {vid!r} is not a directory name")
-        if entry["video_id"] in seen:
-            raise ValueError(f"{path}: video_id {entry['video_id']!r} repeats")
-        seen.add(entry["video_id"])
-        if entry["frames"] < 1:
-            raise ValueError(f"{path}: video {entry['video_id']} lists "
-                             f"{entry['frames']} frames, expected >= 1")
-        size = (entry["height"], entry["width"])
-        first = (videos[0]["height"], videos[0]["width"])
-        if size != first:
-            raise ValueError(f"{path}: video {entry['video_id']} has frames "
-                             f"of {size}, the first video of {first}")
-    return videos
+            raise ValueError(f"video_id {vid!r} is not a directory name")
+        if self.frames < 1:
+            raise ValueError(f"video {vid} lists {self.frames} frames, "
+                             f"expected >= 1")
+
+
+@dataclass
+class Manifest:
+    """A dataset's `manifest.json`: its `videos` are read as `VideoEntry`s,
+    each with its own video_id and the first video's frame size."""
+    version: int
+    videos: list
+
+    def __post_init__(self):
+        if self.version != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {self.version}")
+        if not self.videos:
+            raise ValueError("the manifest lists no videos")
+        self.videos = [read_record(VideoEntry, entry, f"videos[{i}]")
+                       for i, entry in enumerate(self.videos)]
+        first, seen = self.videos[0], set()
+        for e in self.videos:
+            if e.video_id in seen:
+                raise ValueError(f"video_id {e.video_id!r} repeats")
+            seen.add(e.video_id)
+            if (e.height, e.width) != (first.height, first.width):
+                raise ValueError(f"video {e.video_id} has frames of "
+                                 f"{(e.height, e.width)}, the first video "
+                                 f"of {(first.height, first.width)}")
 
 
 def read_dataset(root: Path) -> list[VideoSample]:
+    """The dataset under `root`. Its manifest is checked (`Manifest`), and
+    an error in it names the file, before any map is read."""
     root = Path(root)
+    path = root / MANIFEST_NAME
+    text = read_utf8(path)
+    try:
+        manifest = read_record(Manifest, json.loads(text), "manifest")
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nest
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     samples = []
-    for entry in _load_manifest(root):
-        vdir = root / entry["path"]
-        n, size = entry["frames"], (entry["height"], entry["width"])
+    for entry in manifest.videos:
+        vdir = root / entry.video_id
+        n, size = entry.frames, (entry.height, entry.width)
         frames = _read_maps(vdir / "frames", n, size)
         gts = _read_maps(vdir / "gt", n, size)
         fixes = [read_fixations(f"{vdir}/fix/{t:04d}.txt", size)
                  for t in range(n)]
-        samples.append(VideoSample(video_id=entry["video_id"], frames=frames,
+        samples.append(VideoSample(video_id=entry.video_id, frames=frames,
                                    gt_maps=gts, fixations=fixes))
     return samples
 

@@ -358,9 +358,9 @@ def report_to_csv(report: MetricReport) -> str:
 def report_from_csv(text: str, source) -> MetricReport:
     """The report in a `report_to_csv` text, dataset means as `aggregate`
     takes them. A missing column, a row whose mean is neither empty nor a
-    finite number or whose frame count is not an integer >= 0, or a second
-    row for a (video_id, metric) pair raises ValueError naming `source` and
-    the line."""
+    finite number or whose frame count is not an integer >= 0, a metric
+    outside `METRIC_NAMES`, or a second row for a (video_id, metric) pair
+    raises ValueError naming `source` and the line."""
     report = MetricReport(per_frame={})
     reader = csv.DictReader(text.splitlines(keepends=True))
     for column in REPORT_COLUMNS:
@@ -376,6 +376,9 @@ def report_from_csv(text: str, source) -> MetricReport:
         except (TypeError, ValueError):
             raise ValueError(f"{source}: line {reader.line_num} is not a "
                              f"report row") from None
+        if m not in METRIC_NAMES:
+            raise ValueError(f"{source}: line {reader.line_num} names unknown "
+                             f"metric {m!r}")
         if vid in report.video_means.get(m, {}):
             raise ValueError(f"{source}: line {reader.line_num} repeats the "
                              f"{m} row of video {vid!r}")

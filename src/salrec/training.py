@@ -12,12 +12,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .data import read_record
 from .model import ALPHA_PARAM, Model, ModelConfig, RecurrenceStates, build
 from .tensor import Tensor, backward, bce
 
@@ -247,26 +248,35 @@ def save_checkpoint(path: Path, model: Model, optimizer: Adam,
         raise
 
 
-def _config(cls, section: dict):
-    """A config dataclass from a header section that names every field at
-    its annotation's JSON type (a tuple as a list); a missing field is an
-    error, not its default."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{cls.__name__} section is "
-                         f"{type(section).__name__}, not an object")
-    missing = [f.name for f in fields(cls) if f.name not in section]
-    if missing:
-        raise ValueError(f"{cls.__name__} lacks {', '.join(missing)}")
-    # the JSON types an annotation admits: a bool is no int, an int a float
-    json_types = dict(int=(int,), float=(int, float), bool=(bool,), str=(str,))
-    for f in fields(cls):  # annotations are strings: the __future__ import
-        value, seq = section[f.name], f.type.startswith("tuple[")
-        kinds = json_types[f.type[6:].split(",")[0] if seq else f.type]
-        items = (value if type(value) is list else [None]) if seq else [value]
-        if not all(type(v) in kinds for v in items):  # None is of no kind
-            raise ValueError(f"{cls.__name__}.{f.name} is {value!r}, "
-                             f"expected {f.type}")
-    return cls(**section)
+@dataclass
+class _AdamState:
+    """A checkpoint header's `adam` section."""
+    lr: float
+    t: int
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError(f"adam.t must be >= 0, got {self.t}")
+        if not 0.0 < self.lr < math.inf:  # NaN fails too
+            raise ValueError(f"adam.lr must be positive and finite, got "
+                             f"{self.lr}")
+
+
+@dataclass
+class _Header:
+    """A checkpoint header (see the format above). `model`, `train` and
+    `adam` are records of their own, and `arrays` must equal the model's
+    index."""
+    model: dict
+    train: dict
+    adam: dict
+    rng: dict
+    epoch: int
+    arrays: object
+
+    def __post_init__(self):
+        if self.epoch < 0:
+            raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
 
 def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
@@ -290,39 +300,30 @@ def load_checkpoint(path: Path) -> tuple[Model, Adam, np.random.Generator,
             raise ValueError(f"{path}: header length {hlen} exceeds the "
                              f"{rest} bytes left in the file")
         try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
-            model = build(_config(ModelConfig, header["model"]))
-            lr, t = header["adam"]["lr"], header["adam"]["t"]
-            epoch = header["epoch"]
-            for name, value in (("adam.t", t), ("epoch", epoch)):
-                # a bool is not an int here
-                if type(value) is not int or value < 0:
-                    raise ValueError(f"{name} must be an integer >= 0, "
-                                     f"got {value!r}")
-            if type(lr) not in (int, float) or not 0.0 < lr < math.inf:
-                raise ValueError(f"adam.lr must be positive and finite, "
-                                 f"got {lr!r}")
-            optimizer = Adam(model.registry, lr=lr)
-            optimizer.t = t
-            train_cfg = _config(TrainConfig, header["train"])
+            text = f.read(hlen).decode("utf-8")
+            header = read_record(_Header, json.loads(text), "header")
+            model = build(read_record(ModelConfig, header.model, "model"))
+            adam = read_record(_AdamState, header.adam, "adam")
+            optimizer = Adam(model.registry, lr=adam.lr)
+            optimizer.t = adam.t
+            train_cfg = read_record(TrainConfig, header.train, "train")
             rng = np.random.default_rng(0)
-            rng.bit_generator.state = header["rng"]
-            index = header["arrays"]
+            rng.bit_generator.state = header.rng
         except (KeyError, TypeError, ValueError, AttributeError,
-                OverflowError, MemoryError) as exc:
+                OverflowError, MemoryError, RecursionError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header "
                              f"({type(exc).__name__}: {exc})") from exc
         arrays = _arrays(model, optimizer)
         expected = _index(arrays)
-        if index != expected:
+        if header.arrays != expected:
             raise ValueError(f"{path}: array index "
-                             f"{_index_mismatch(index, expected)}")
+                             f"{_index_mismatch(header.arrays, expected)}")
         for target in arrays.values():
             target[...] = np.frombuffer(_read_exact(f, 8 * target.size),
                                         dtype="<f8").reshape(target.shape)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the arrays")
-    return model, optimizer, rng, epoch, train_cfg
+    return model, optimizer, rng, header.epoch, train_cfg
 
 
 def train(model: Model, samples, cfg: TrainConfig,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -193,7 +194,7 @@ class TestTrain:
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
         root = tmp_path / "empty"
         root.mkdir()
-        (root / "manifest.json").write_text('{"version": 1, "videos": []}\n')
+        (root / "manifest.json").write_text('{"version": 2, "videos": []}\n')
         assert run("train", root, tmp_path / "run") == 2
         assert "no videos" in capsys.readouterr().err
 
@@ -223,8 +224,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("text, message", [
         (b'{"version": 1, "videos": [}', "not JSON"),
-        (b'{"version": 1, "videos": ["\xff"]}', "not UTF-8 text")],
-        ids=["not-json", "not-utf8"])
+        (b'{"version": 1, "videos": ["\xff"]}', "not UTF-8 text"),
+        (b"[" * 100_000, "not JSON")],
+        ids=["not-json", "not-utf8", "nested-too-deep"])
     def test_unreadable_manifest_exits_2(self, tmp_path, capsys, text,
                                          message):
         root = tmp_path / "ds"
@@ -249,6 +251,23 @@ class TestTrain:
         fix.write_bytes(b"\xff\xfe 1 2\n")
         assert run("train", root, tmp_path / "run", "--epochs", 1) == 2
         assert f"error: {fix}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_manifest_path_out_of_dataset_exits_2(self, tmp_path, capsys):
+        """A video's folder is its video_id. A `path` entry, which the first
+        manifest version had and which joined the root unchecked, is
+        rejected before anything is written: "../b/video000" once trained
+        on another dataset's frames and exited 0."""
+        a, b, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+        for root in (a, b):
+            assert run("synth", root, "--videos", 1, "--frames", 3,
+                       "--size", 16) == 0
+        shutil.rmtree(a / "video000")
+        manifest = json.loads((a / "manifest.json").read_text())
+        manifest["videos"][0]["path"] = "../b/video000"
+        (a / "manifest.json").write_text(json.dumps(manifest))
+        assert run("train", a, out, "--epochs", 1, "--stages", 2) == 2
+        assert f"error: {a / 'manifest.json'}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mixed_frame_sizes_exit_2_before_writing(self, tmp_path, capsys):
         root, out = tmp_path / "ds", tmp_path / "run"
@@ -715,10 +734,12 @@ class TestCompare:
         ("video_id,metric,mean,valid_frames\nv1,NSS,,-1\n",
          "line 2 is not a report row"),
         ("video_id,metric,mean,valid_frames\nv0,NSS,0.5,3\nv0,NSS,0.25,3\n",
-         "line 3 repeats the NSS row of video 'v0'")],
+         "line 3 repeats the NSS row of video 'v0'"),
+        ("video_id,metric,mean,valid_frames\nv0,NSS,0.5,3\nv0,nss,0.5,3\n",
+         "line 3 names unknown metric 'nss'")],
         ids=["empty", "no-metric", "no-valid-frames", "short-row",
              "bad-mean", "nan-mean", "infinite-mean", "negative-frames",
-             "repeated-row"])
+             "repeated-row", "unknown-metric"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.csv"
         report.write_text(text)

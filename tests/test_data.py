@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -149,9 +150,9 @@ class TestDatasetIO:
         manifest = json.loads((root / MANIFEST_NAME).read_text())
         for entry in manifest["videos"]:
             n = entry["frames"]
-            assert len(list((root / entry["path"] / "frames").glob("*.pgm"))) == n
-            assert len(list((root / entry["path"] / "gt").glob("*.pgm"))) == n
-            assert len(list((root / entry["path"] / "fix").glob("*.txt"))) == n
+            assert len(list((root / entry["video_id"] / "frames").glob("*.pgm"))) == n
+            assert len(list((root / entry["video_id"] / "gt").glob("*.pgm"))) == n
+            assert len(list((root / entry["video_id"] / "fix").glob("*.txt"))) == n
 
     def test_manifest_without_videos_rejected(self, tmp_path):
         root = tmp_path / "empty"
@@ -161,13 +162,18 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("key, value, match", [
         (None, None, "not a JSON object"),
-        ("height", ..., "lacks 'height'"),
-        ("video_id", ..., "lacks 'video_id'"),
-        ("frames", "3", "has frames '3'"),
-        ("frames", 2.5, "has frames 2.5"),
-        ("size", None, "the first video")],
+        ("height", ..., r"videos\[1\] lacks height"),
+        ("video_id", ..., r"videos\[1\] lacks video_id"),
+        ("frames", "3", r"videos\[1\]\.frames is '3', expected int"),
+        ("frames", 2.5, r"videos\[1\]\.frames is 2\.5, expected int"),
+        ("size", None, "the first video"),
+        ("extra", 5, r"videos\[1\] has unknown key 'extra'"),
+        ("version", True, "manifest.version is True, expected int"),
+        ("version", 1.0, "manifest.version is 1.0, expected int"),
+        ("version", 1, "unsupported manifest version 1")],
         ids=["not-object", "no-height", "no-video-id", "frames-str",
-             "frames-float", "size-differs"])
+             "frames-float", "size-differs", "unknown-key", "version-true",
+             "version-float", "version-1"])
     def test_malformed_manifest_names_it(self, tmp_path, key, value, match):
         samples, root = self.make(tmp_path)
         path = root / MANIFEST_NAME
@@ -180,6 +186,8 @@ class TestDatasetIO:
         else:
             if key is None:
                 manifest = [manifest]
+            elif key == "version":
+                manifest[key] = value
             elif value is ...:
                 del entry[key]
             else:
@@ -188,6 +196,82 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=match) as exc:
             read_dataset(root)
         assert MANIFEST_NAME in str(exc.value)
+
+    def test_write_rejects_video_id_not_a_directory_name(self, tmp_path):
+        """The writer checks each video_id as the reader does, before it
+        writes the video: "../escaped" once wrote beside the root."""
+        sample = generate(SynthConfig(n_videos=1, frames_per_video=1,
+                                      height=8, width=8))[0]
+        with pytest.raises(ValueError, match="is not a directory name"):
+            write_dataset([replace(sample, video_id="../escaped")],
+                          tmp_path / "ds")
+        assert not (tmp_path / "escaped").exists()
+
+    def test_seeded_manifest_mutants_stay_inside_the_dataset(
+            self, tmp_path, monkeypatch):
+        """Bit flips, truncations and per-field edits of a manifest (each
+        field set to a wrong JSON type, NaN, 1e400, -1, 10**30 or deleted,
+        an unknown key added, a video_id holding "..", "/" or NUL) either
+        load or raise ValueError or OSError naming a path under the dataset
+        root; and no file outside the root is ever read."""
+        root = tmp_path / "ds"
+        write_dataset(generate(SynthConfig(n_videos=2, frames_per_video=3,
+                                           height=8, width=8)), root)
+        path = root / MANIFEST_NAME
+        raw = path.read_bytes()
+        rng = np.random.default_rng(31)
+        mutants = []
+        for at in rng.integers(0, len(raw), 150):
+            bit = 1 << int(rng.integers(0, 8))
+            mutants.append(raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:])
+        mutants += [raw[:int(n)] for n in np.linspace(0, len(raw) - 1, 40)]
+        literals = ["null", "true", "1.5", '"3"', "[]", "{}", "NaN", "1e400",
+                    "-1", "0", "2", str(10 ** 30)]
+        names = ['".."', '"."', '""', '"/"', '"a\\u0000b"', '"../b/video000"',
+                 '"/tmp"', '"video000/../.."']
+
+        def edit(keys, literal=None):
+            """The manifest with its value at `keys` set to the JSON text
+            `literal`, or deleted for None."""
+            manifest = json.loads(raw)
+            *parents, last = keys
+            target = manifest
+            for key in parents:
+                target = target[key]
+            if literal is None:
+                del target[last]
+                return json.dumps(manifest).encode()
+            target[last] = "@"
+            return json.dumps(manifest).replace('"@"', literal).encode()
+
+        places = [("version",), ("videos",)] + [
+            ("videos", i, key) for i in range(2)
+            for key in ("video_id", "frames", "height", "width")]
+        for keys in places:
+            mutants += [edit(keys, literal) for literal in literals + [None]]
+        for i in range(2):
+            mutants += [edit(("videos", i, "video_id"), name) for name in names]
+            mutants.append(edit(("videos", i, "path"), '"../b/video000"'))
+
+        def inside_only(p):
+            assert root.resolve() in Path(os.path.realpath(p)).parents, p
+            return read_bytes(p)
+
+        read_bytes = data_mod._read_bytes
+        monkeypatch.setattr(data_mod, "_read_bytes", inside_only)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i, mutant in enumerate(mutants):
+            path.write_bytes(mutant)
+            try:
+                read_dataset(root)
+            except (ValueError, OSError) as exc:
+                assert str(root) in str(exc), (i, exc)
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert sum(outcomes.values()) == 338
+        # a frame count of 2 loads the first two frames of a video
+        assert outcomes["loaded"] >= 2 and outcomes["rejected"] > 300, outcomes
 
     @pytest.mark.parametrize("edit, match", [
         ("not-json", "not JSON"), ("not-utf8", "not UTF-8"),

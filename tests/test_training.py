@@ -805,8 +805,9 @@ class TestCheckpoint:
             f"malformed checkpoint header .*adam.{field}")
 
     @pytest.mark.parametrize("header, error", [
-        (b"\xff", "UnicodeDecodeError"), (b"[", "JSONDecodeError")],
-        ids=["not-utf8", "not-json"])
+        (b"\xff", "UnicodeDecodeError"), (b"[", "JSONDecodeError"),
+        (b"[" * 100_000, "RecursionError")],
+        ids=["not-utf8", "not-json", "nested-too-deep"])
     def test_undecodable_header_rejected(self, tmp_path, header, error):
         raw = self.saved(tmp_path)
         self.assert_rejected(tmp_path, raw[:12] + header + raw[13:],
