@@ -33,7 +33,8 @@ def max_rel_error(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
                   max_coords: Optional[int] = None,
                   rng: Optional[np.random.Generator] = None) -> float:
     """Compare analytic gradients of the scalar fn() against central finite
-    differences over every (or a sampled subset of) coordinate."""
+    differences over every coordinate of each tensor, or over `max_coords`
+    of them drawn from `rng`."""
     for t in tensors:
         t.requires_grad = True
         t.zero_grad()
@@ -46,8 +47,6 @@ def max_rel_error(fn: Callable[[], Tensor], tensors: Sequence[Tensor],
         flat = t.data.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords is not None and flat.size > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
             coords = rng.choice(flat.size, size=max_coords, replace=False)
         for i in coords:
             orig = flat[i]
@@ -104,9 +103,9 @@ _BCE_TARGET = Tensor([[0.0, 1.0, 0.55], [0.8, 0.0, 1.0]])
 
 # name -> (op, one input maker per input). A name's first "-"-separated
 # word is the tensor op it checks; `check_op` runs the op alone under a
-# fixed random projection of its outputs with weights in [0.5, 1.5], so
+# fixed random projection of its output with weights in [0.5, 1.5], so
 # every output element reaches the loss with its own weight, and no
-# gradient cancels over the outputs.
+# gradient cancels over the elements.
 OP_CASES = {
     # conv2d's gradients sum products of the projection weights with the
     # kernel (input gradient) or with the input (kernel gradient). A
@@ -158,14 +157,8 @@ def check_op(name: str, seed: int = 0) -> float:
     op, makers = OP_CASES[name]
     rng = np.random.default_rng(seed)
     inputs = [make(rng) for make in makers]
-
-    def outputs():
-        ys = op(*inputs)
-        return ys if isinstance(ys, list) else [ys]
-
-    weights = [Tensor(rng.uniform(0.5, 1.5, size=y.shape)) for y in outputs()]
-    return max_rel_error(lambda: reduce(add, [
-        tsum(mul(y, w)) for y, w in zip(outputs(), weights)]), inputs)
+    weights = Tensor(rng.uniform(0.5, 1.5, size=op(*inputs).shape))
+    return max_rel_error(lambda: tsum(mul(op(*inputs), weights)), inputs)
 
 
 def check_tensor_ops(seed: int = 0) -> list[GradCheckResult]:

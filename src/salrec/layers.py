@@ -56,11 +56,13 @@ class ConvLayer:
 
     An `upsampled` layer convolves the 2x nearest-neighbour upsample of its
     input, folded into the conv (`upsample_conv3x3`): one conv over the
-    input by a phase kernel of four times the output channels. Values and
-    the input and kernel gradients then match those of an explicit
-    `upsample_nearest` up to summation order, within 2.1e-15 of their
-    largest element over 3,000 random shapes; the bias gradient is bit for
-    bit. The fold holds only for a 3x3 kernel.
+    input by a phase kernel of four times the output channels. The model
+    sets it on each decoder conv whose previous decoder stage has no
+    recurrence (see `salrec.model`). Values and the input and kernel
+    gradients match those of an explicit `upsample_nearest` up to
+    summation order, within 2.1e-15 of their largest element over 3,000
+    random shapes; the bias gradient is bit for bit. The fold holds only
+    for a 3x3 kernel.
     """
 
     def __init__(self, registry: ParameterRegistry, name: str,

@@ -9,27 +9,27 @@ gradients are bit for bit those of relu first. A window holding a NaN gives
 Decoder mirrors with upsampling. Head: 1x1 conv -> sigmoid producing a
 per-frame probability map.
 
-Each decoder conv after the first folds in the upsample in front of it
-(`ConvLayer.upsampled`, `upsample_conv3x3`): one conv over the
-low-resolution map by a phase kernel, whose four output phases interleave
-into the full-size map, in place of a conv over a nearest-neighbour copy
-that does four times the window work for the same information. Values
-and gradients change only in summation order: maps within 1e-14, states
-within 1e-13 of their largest element and gradients within 1e-13 of the
-model's largest of those over an explicit upsample. A recurrence at
-`decoder<k-1>`, and the dropout mask in front of it, need the full-size
-map, so there the upsample stays explicit in front of dec<k>.
+Where the decoder upsamples follows from the insertion points alone:
+dec<k>'s 2x nearest-neighbour upsample runs right after it when a
+recurrence sits at `decoder<k>`, which, with the dropout mask in front of
+it, scans the full-size map. Otherwise it waits. For k < stages, dec<k+1>
+folds it in (`ConvLayer.upsampled`, `upsample_conv3x3`): one conv over
+the low-resolution map by a phase kernel, whose four output phases
+interleave into the full-size map, in place of a conv over a
+nearest-neighbour copy that does four times the window work. For
+k = stages, it runs after the head, and after the sigmoid too unless the
+residual `output` EMA runs first; a 1x1 conv, its bias and a sigmoid act
+on each pixel alone, so they commute with a nearest-neighbour copy and
+run on a quarter of the pixels. A recurrence at `output` runs at full
+size, so a dropout mask keeps its shape and draws.
 
-The head and the sigmoid run before the last upsample, on a quarter of the
-pixels: a 1x1 conv, its bias and a sigmoid act on each pixel alone, so they
-commute with a nearest-neighbour copy and the maps are bit for bit those of
-upsampling first. Gradients change only in summation order, as the
-upsample's backward sums the four taps of a pixel before the head, not
-after. Two exceptions: under `ema-residual` at `output` the upsample moves
-past the head only, as that EMA runs before the sigmoid; and with a
-recurrence at `decoder<stages>` it stays where it is. A recurrence at
-`output` runs after the upsample, at full size, so a dropout mask keeps its
-shape and draws.
+Against an upsample right after each dec<k>, values and gradients change
+only in summation order. The head before the last upsample keeps maps
+and states bit for bit, and gradients within 1e-13 of the model's
+largest, as the upsample's backward sums the four taps of a pixel before
+the head, not after. The fold keeps maps within 1e-14, states within
+1e-13 of their largest element and gradients within 1e-13 of the
+model's largest.
 
 The recurrence (EMA variants or a ConvLSTM at the bottleneck) scans the
 activations at the configured insertion points.
@@ -126,18 +126,6 @@ class ModelConfig:
                     "the sigmoid, can push them past 1; use ema-residual or "
                     "another insertion point")
 
-    def encoder_channels(self) -> list[int]:
-        return [self.base_channels << k for k in range(self.stages)]
-
-    @property
-    def bottleneck_channels(self) -> int:
-        return self.base_channels << (self.stages - 1)
-
-    @property
-    def bottleneck_size(self) -> tuple[int, int]:
-        h, w = self.input_size
-        return h >> self.stages, w >> self.stages
-
 
 class RecurrenceStates:
     """Per-video recurrence state bundle, tagged with its owning model and,
@@ -164,7 +152,7 @@ class Model:
         self.cfg = cfg
         self.registry = ParameterRegistry()
         rng = np.random.default_rng(cfg.seed)
-        chans = cfg.encoder_channels()
+        chans = [cfg.base_channels << k for k in range(cfg.stages)]
         self.enc_convs = []
         prev = 1  # frames are single-channel luminance
         for k, c in enumerate(chans, start=1):
@@ -175,8 +163,8 @@ class Model:
         self.dec_convs = []
         dec_out = chans[-2::-1] + [cfg.base_channels]
         for k, c in enumerate(dec_out, start=1):
-            # dec<k> folds in the upsample after dec<k-1>, unless a
-            # recurrence at decoder<k-1> needs the full-size map
+            # dec<k> folds in dec<k-1>'s upsample, which forward_frame runs
+            # itself for a recurrence at decoder<k-1>
             upsampled = k > 1 and f"decoder{k - 1}" not in self.points
             self.dec_convs.append(
                 ConvLayer(self.registry, f"dec{k}", prev, c, 3, rng,
@@ -187,9 +175,10 @@ class Model:
         self.ema_cfg: Optional[EmaConfig] = None
         self.convlstm: Optional[ConvLstmWeights] = None
         if cfg.recurrence == "convlstm":
+            h, w = cfg.input_size
             self.convlstm = ConvLstmWeights(
-                self.registry, "convlstm", cfg.bottleneck_channels,
-                cfg.bottleneck_channels, cfg.bottleneck_size, rng)
+                self.registry, "convlstm", chans[-1], chans[-1],
+                (h >> cfg.stages, w >> cfg.stages), rng)
         elif cfg.recurrence in EMA_KINDS:
             # p starts at 0, so a trainable alpha starts at sigmoid(0) = 0.5
             p = (self.registry.register(ALPHA_PARAM, Tensor(np.asarray(0.0)))
@@ -242,18 +231,17 @@ class Model:
             x = relu(maxpool2d(conv(x)))  # pool first: see the module docstring
             x = self._recur(x, f"encoder{k}", states, rng)
         x = self._recur(x, "bottleneck", states, rng)
-        # an explicit upsample follows dec<k> unless dec<k+1> folds it in;
-        # the last waits for the head, and for the sigmoid too unless the
-        # residual output EMA runs first: see the module docstring
-        late = f"decoder{self.cfg.stages}" not in self.points
-        explicit = [not conv.upsampled for conv in self.dec_convs[1:]] + [not late]
-        for k, (conv, up) in enumerate(zip(self.dec_convs, explicit), start=1):
+        # dec<k>'s upsample runs here only for a recurrence at decoder<k>;
+        # otherwise dec<k+1> folds it in, or the last one waits for the
+        # head: see the module docstring
+        for k, conv in enumerate(self.dec_convs, start=1):
             x = relu(conv(x))
-            if up:
-                x = upsample_nearest(x)
-            x = self._recur(x, f"decoder{k}", states, rng)
+            if f"decoder{k}" in self.points:
+                x = self._recur(upsample_nearest(x), f"decoder{k}", states,
+                                rng)
         x = self.head(x)
-        up = upsample_nearest if late else (lambda t: t)
+        up = (upsample_nearest if f"decoder{self.cfg.stages}" not in self.points
+              else (lambda t: t))
         # the output EMA averages maps after the sigmoid; the residual one
         # stays before it so the map keeps to [0, 1]
         if "output" in self.points and self.ema_cfg.residual:

@@ -1,16 +1,19 @@
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import salrec.layers
 import salrec.model
+import salrec.tensor
 from salrec.gradcheck import TOL, check_model, kink_distance
 from salrec.model import (RECURRENCE_KINDS, Model, ModelConfig, build,
                           parse_point)
 from salrec.recurrence import EmaConfig, EmaState, ema_step
-from salrec.tensor import (Tensor, _node, add, backward, maxpool2d, no_grad,
-                           relu, scale, sigmoid, upsample_nearest)
+from salrec.tensor import (Tensor, _node, add, backward, conv2d, maxpool2d,
+                           no_grad, relu, scale, sigmoid, upsample_nearest)
 from salrec.training import bce_loss
 
 
@@ -63,7 +66,6 @@ class TestBuild:
     def test_bottleneck_size_and_parameter_count(self):
         cfg = ModelConfig(input_size=(32, 32), stages=3, base_channels=8)
         model = build(cfg)
-        assert cfg.bottleneck_size == (4, 4)
         # closed-form count: conv kernels + biases along the channel plan
         chans = [8, 16, 32]
         expected = 0
@@ -76,6 +78,9 @@ class TestBuild:
             prev = c
         expected += 1 * prev * 1 + 1  # 1x1 head
         assert parameter_count(model) == expected
+        # the bottleneck's size reaches the model as the peephole shape
+        lstm = build(ModelConfig(recurrence="convlstm"))
+        assert lstm.registry["convlstm.u.peephole"].shape == (32, 4, 4)
 
     def test_convlstm_registry(self):
         model = build(ModelConfig(recurrence="convlstm"))
@@ -506,26 +511,49 @@ class TestLowResolutionTail:
             assert np.abs(p.grad - ref_reg[name].grad).max() <= bound, name
 
 
+def explicit_upsample_conv3x3(x, kernel, bias):
+    """Oracle for `upsample_conv3x3`: a conv over the explicit upsample."""
+    return conv2d(upsample_nearest(x), kernel, bias)
+
+
 class TestFoldedUpsample:
     """Each decoder conv after the first folds the upsample in front of it
     (`upsample_conv3x3`) unless a recurrence sits at the `decoderK` point
-    in between. `forward_frame` against the same model with every fold
-    turned off, so that each decoder conv runs over an explicit
-    `upsample_nearest`. The values sum the same products in another order:
-    over 1,500 drawn cases, maps moved by at most 3.3e-16, states by
-    1.2e-15 of each state's largest element, and gradients by 1.5e-15 of
-    the model's largest."""
+    in between. `forward_frame` against the same model run with the op
+    replaced by `explicit_upsample_conv3x3`, so that each folding decoder
+    conv runs over an explicit `upsample_nearest`. The values sum the same
+    products in another order: over 1,500 drawn cases, maps moved by at
+    most 3.3e-16, states by 1.2e-15 of each state's largest element, and
+    gradients by 1.5e-15 of the model's largest."""
 
     MAP_ATOL = 1e-14  # maps lie in [0, 1]
     STATE_RTOL = 1e-13
     GRAD_RTOL = 1e-13
 
     @staticmethod
-    def unfolded(cfg):
-        model = build(cfg)
-        for conv in model.dec_convs:
-            conv.upsampled = False
-        return model
+    def runs(cfg, n_frames, with_rng, seed):
+        """(maps, state values, registry) after two clips and their
+        backward: the model as built, then the explicit-upsample oracle."""
+        h, w = cfg.input_size
+        data = np.random.default_rng(seed).uniform(size=(2, n_frames, 1, h, w))
+
+        def run():
+            model = build(cfg)
+            states = model.fresh_states()
+            drop = np.random.default_rng(seed) if with_rng else None
+            # a second clip folds in the state that the first carries
+            maps = [model.forward_frame(Tensor(clip), states, drop)
+                    for clip in data]
+            backward(add(*(bce_loss(m, Tensor(g))
+                           for m, g in zip(maps, data[::-1]))))
+            return [m.data for m in maps], state_values(states), model.registry
+
+        folded = run()
+        # a context manager, not the monkeypatch fixture: Hypothesis runs
+        # every example inside one call of a function-scoped fixture
+        with mock.patch.object(salrec.layers, "upsample_conv3x3",
+                               explicit_upsample_conv3x3):
+            return folded, run()
 
     @pytest.mark.parametrize("recurrence,folds", [
         ("none", [False, True, True]), ("ema", [False, False, True])])
@@ -540,20 +568,8 @@ class TestFoldedUpsample:
     @given(tail_configs(), st.integers(1, 3), st.booleans(),
            st.integers(0, 2 ** 16))
     def test_matches_explicit_upsample(self, cfg, n_frames, with_rng, seed):
-        h, w = cfg.input_size
-        data = np.random.default_rng(seed).uniform(size=(2, n_frames, 1, h, w))
-        runs = []
-        for model in (build(cfg), self.unfolded(cfg)):
-            states = model.fresh_states()
-            drop = np.random.default_rng(seed) if with_rng else None
-            # a second clip folds in the state that the first carries
-            maps = [model.forward_frame(Tensor(clip), states, drop)
-                    for clip in data]
-            backward(add(*(bce_loss(m, Tensor(g))
-                           for m, g in zip(maps, data[::-1]))))
-            runs.append(([m.data for m in maps], state_values(states),
-                         model.registry))
-        (maps, state, reg), (ref_maps, ref_state, ref_reg) = runs
+        (maps, state, reg), (ref_maps, ref_state, ref_reg) = self.runs(
+            cfg, n_frames, with_rng, seed)
         for a, b in zip(maps, ref_maps):
             assert np.abs(a - b).max() <= self.MAP_ATOL
         assert len(state) == len(ref_state)
@@ -563,6 +579,17 @@ class TestFoldedUpsample:
                                      for _, p in ref_reg.items())
         for name, p in reg.items():
             assert np.abs(p.grad - ref_reg[name].grad).max() <= bound, name
+
+    def test_planted_phase_swap_fails(self, monkeypatch):
+        """Phases (0, 1) and (1, 0) trade fold columns, forward and back:
+        the folded model's maps leave the oracle's."""
+        for name in ("_PHASE_FOLD", "_PHASE_UNFOLD"):
+            monkeypatch.setattr(salrec.tensor, name,
+                                getattr(salrec.tensor, name)[[0, 2, 1, 3]])
+        cfg = ModelConfig(input_size=(16, 16), stages=3, base_channels=2)
+        (maps, _, _), (ref_maps, _, _) = self.runs(cfg, 2, False, 0)
+        assert max(np.abs(a - b).max()
+                   for a, b in zip(maps, ref_maps)) > self.MAP_ATOL
 
 
 class TestModelGradcheck:
