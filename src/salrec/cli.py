@@ -166,10 +166,15 @@ def cmd_train(args) -> int:
     samples = data_mod.read_dataset(args.data_dir)
     model_cfg = _resolve(ModelConfig, asdict(model_cfg),
                          input_size=samples[0].frames[0].shape)
+    try:  # before anything is written
+        model = build(model_cfg)
+    except (MemoryError, OverflowError, ValueError) as exc:  # too large
+        raise UsageError(
+            f"a model of stages={model_cfg.stages} and base_channels="
+            f"{model_cfg.base_channels} cannot be allocated: {exc}") from None
     out = Path(args.out_dir)
     _write_resolved_config(out, {"model": asdict(model_cfg),
                                  "train": asdict(train_cfg)})
-    model = build(model_cfg)
     log_path = out / "loss_log.txt"
 
     def on_epoch(epoch, report, optimizer, rng):

@@ -180,10 +180,14 @@ def check_recurrence(seed: int = 0) -> list[GradCheckResult]:
     rng = np.random.default_rng(seed)
     frames = [_rand(rng, n, 1, 2, 2) for n in CALLS]
 
-    def ema_run(cfg):  # the summed squares of the outputs and accumulators
+    def ema_run(cfg, residual):
+        """The summed squares of the outputs, s_t + e_t under `residual` as
+        `ema-residual` adds them, and of the accumulators."""
         state, terms = rec.EmaState(), []
         for s, n in zip(frames, CALLS):
             out, state = rec.ema_step(s, state, cfg, frames=n)
+            if residual:
+                out = add(s, out)
             acc = state.accumulator
             terms += [tsum(mul(out, out)), tsum(mul(acc, acc))]
         return reduce(add, terms)
@@ -194,11 +198,12 @@ def check_recurrence(seed: int = 0) -> list[GradCheckResult]:
     # seed 16)
     p = Tensor(np.asarray(-0.8))
     results = [GradCheckResult(name, max_rel_error(
-        lambda: ema_run(cfg), frames if cfg.p is None else [p] + frames))
-        for name, cfg in (
-            ("ema_step", rec.EmaConfig(alpha=0.3)),
-            ("trainable alpha", rec.EmaConfig(p=p)),
-            ("ema-residual", rec.EmaConfig(alpha=0.3, residual=True)))]
+        lambda: ema_run(cfg, residual),
+        frames if cfg.p is None else [p] + frames))
+        for name, cfg, residual in (
+            ("ema_step", rec.EmaConfig(alpha=0.3), False),
+            ("trainable alpha", rec.EmaConfig(p=p), False),
+            ("ema-residual", rec.EmaConfig(alpha=0.3), True))]
 
     reg = ParameterRegistry()
     w = rec.ConvLstmWeights(reg, "clstm", 2, 2, (3, 3),

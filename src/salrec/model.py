@@ -46,7 +46,7 @@ import numpy as np
 from .layers import ConvLayer, ParameterRegistry, dropout_forward
 from .recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig, EmaState,
                          convlstm_step, ema_step)
-from .tensor import (Tensor, maxpool2d, no_grad, relu, sigmoid,
+from .tensor import (Tensor, add, maxpool2d, no_grad, relu, sigmoid,
                      upsample_nearest)
 
 EMA_KINDS = ("ema", "ema-trainable", "ema-residual")
@@ -93,6 +93,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Every setting is checked the same way under every recurrence:
+        1 or 2 distinct points, the ConvLSTM's at the bottleneck alone, a
+        fixed alpha in (0, 1] (the CLI records 0.1 where it reads none)
+        and dropout only in front of a recurrence."""
         self.input_size = tuple(self.input_size)
         h, w = self.input_size
         if self.stages < 1:
@@ -101,30 +105,31 @@ class ModelConfig:
             raise ValueError("base_channels must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if h % (1 << self.stages) or w % (1 << self.stages):
+        # shifts, which never build the integer 2^stages
+        if any((n >> self.stages) << self.stages != n for n in (h, w)):
             raise ValueError(
                 f"input size {self.input_size} not divisible by 2^{self.stages}")
         if self.recurrence not in RECURRENCE_KINDS:
             raise ValueError(f"unknown recurrence {self.recurrence!r}")
+        EmaConfig(self.alpha)  # alpha in (0, 1], whatever the recurrence
         pts = self.ema_points = tuple(parse_point(p, self.stages)
                                       for p in self.ema_points)
-        if self.recurrence == "convlstm":
-            if pts != ("bottleneck",):
-                raise ValueError("convlstm recurrence is placed only at the "
-                                 "bottleneck; --ema-at does not apply")
-        elif self.recurrence in EMA_KINDS:
-            if not 1 <= len(pts) <= 2:
-                raise ValueError("ema supports 1 or 2 insertion points")
-            if len(set(pts)) != len(pts):
-                raise ValueError("duplicate insertion points")
-            if self.recurrence != "ema-trainable":  # it learns sigmoid(p)
-                EmaConfig(self.alpha)  # checks the fixed alpha
-            if (self.dropout and "output" in pts
-                    and self.recurrence != "ema-residual"):
-                raise ValueError(
-                    "dropout before the output EMA, which averages maps after "
-                    "the sigmoid, can push them past 1; use ema-residual or "
-                    "another insertion point")
+        if not 1 <= len(pts) <= 2:
+            raise ValueError("a model takes 1 or 2 insertion points")
+        if len(set(pts)) != len(pts):
+            raise ValueError("duplicate insertion points")
+        if self.recurrence == "convlstm" and pts != ("bottleneck",):
+            raise ValueError("convlstm recurrence is placed only at the "
+                             "bottleneck; --ema-at does not apply")
+        if self.dropout and self.recurrence == "none":
+            raise ValueError("dropout runs in front of a recurrence; "
+                             "recurrence none has none")
+        if (self.dropout and "output" in pts
+                and self.recurrence != "ema-residual"):
+            raise ValueError(
+                "dropout before the output EMA, which averages maps after "
+                "the sigmoid, can push them past 1; use ema-residual or "
+                "another insertion point")
 
 
 class RecurrenceStates:
@@ -183,8 +188,7 @@ class Model:
             # p starts at 0, so a trainable alpha starts at sigmoid(0) = 0.5
             p = (self.registry.register(ALPHA_PARAM, Tensor(np.asarray(0.0)))
                  if cfg.recurrence == "ema-trainable" else None)
-            self.ema_cfg = EmaConfig(
-                alpha=cfg.alpha, residual=cfg.recurrence == "ema-residual", p=p)
+            self.ema_cfg = EmaConfig(alpha=cfg.alpha, p=p)
 
     def fresh_states(self) -> RecurrenceStates:
         return RecurrenceStates(self)
@@ -193,7 +197,8 @@ class Model:
         """The recurrence at `point` scanned over the frame stack x, whose
         axis 0 is time, in one call; x itself when no recurrence sits
         there. An empty slot starts from a fresh state: the ConvLSTM's is
-        batch 1, the EMA's takes its first frame."""
+        batch 1, the EMA's takes its first frame. `ema-residual` adds its
+        input, after dropout, to the EMA: x + e_t, one `add` node."""
         if point not in states.states:
             return x
         if self.cfg.dropout:
@@ -205,6 +210,8 @@ class Model:
         else:
             out, states.states[point] = ema_step(
                 x, st or EmaState(), self.ema_cfg, frames=x.shape[0])
+            if self.cfg.recurrence == "ema-residual":
+                out = add(x, out)
         return out
 
     def forward_frame(self, frames: Tensor, states: RecurrenceStates,
@@ -244,7 +251,7 @@ class Model:
               else (lambda t: t))
         # the output EMA averages maps after the sigmoid; the residual one
         # stays before it so the map keeps to [0, 1]
-        if "output" in self.points and self.ema_cfg.residual:
+        if "output" in self.points and self.cfg.recurrence == "ema-residual":
             x = sigmoid(self._recur(up(x), "output", states, rng))
         else:
             x = self._recur(up(sigmoid(x)), "output", states, rng)
@@ -265,8 +272,7 @@ class Model:
         model = self
         if alpha_override is not None and self.ema_cfg is not None:
             model = copy.copy(self)
-            model.ema_cfg = EmaConfig(alpha_override,
-                                      residual=self.ema_cfg.residual)
+            model.ema_cfg = EmaConfig(alpha_override)
         states = model.fresh_states()
         with no_grad():
             return [model.forward_frame(Tensor(f[None, None]), states).data[0, 0]

@@ -1,5 +1,5 @@
-"""Temporal recurrences: exponential moving average (fixed alpha, trainable
-alpha, residual skip) and a peephole ConvLSTM cell.
+"""Temporal recurrences: exponential moving average (fixed or trainable
+alpha) and a peephole ConvLSTM cell.
 
 Each scans a stack of consecutive frames of one video in one call and
 records one tape node, whose backward is the reverse scan: `convlstm_step`
@@ -28,9 +28,8 @@ from .tensor import (Tensor, _node, _sigmoid, _unbroadcast, _unwindow,
 class EmaConfig:
     """The EMA's settings. A registered scalar `p` makes alpha trainable,
     sigmoid(p), and `alpha` is then unused; without one, `alpha` is fixed
-    and must lie in (0, 1]. `residual` adds the input to the output."""
+    and must lie in (0, 1]."""
     alpha: float = 0.1
-    residual: bool = False
     p: Optional[Tensor] = None
 
     def __post_init__(self):
@@ -48,11 +47,10 @@ def ema_step(s: Tensor, state: EmaState, cfg: EmaConfig,
     """The EMA scanned over s, `frames` consecutive frames stacked in equal
     blocks along axis 0 (by default one frame, s whole, of any shape), as
     one tape node whose backward runs the updates in reverse; returns
-    (outputs, advanced state). Each update runs the numpy expressions of
-    the single-op chain in its order, so outputs and the gradients to the
-    frames and to a carried-in accumulator are bit for bit those of
-    `frames` one-frame calls. With residual enabled the outputs are
-    s_t + e_t, sliced out of the node; the accumulator still stores e_t.
+    (e_1..e_T, shaped like s, and the advanced state). Each update runs the
+    numpy expressions of the single-op chain in its order, so outputs and
+    the gradients to the frames and to a carried-in accumulator are bit for
+    bit those of `frames` one-frame calls.
     """
     prev, m = state.accumulator, s.shape[0]
     n = m // frames if frames > 0 else 0
@@ -66,7 +64,7 @@ def ema_step(s: Tensor, state: EmaState, cfg: EmaConfig,
     # updates before `first` are e_t = s_t: the first frame of a fresh
     # state, or every frame at a fixed alpha of 1.0, a bit-exact identity
     first = frames if cfg.p is None and cfg.alpha == 1.0 else int(prev is None)
-    if first == frames and not cfg.residual:
+    if first == frames:
         return s, EmaState(accumulator=_rows(s, m - n, m))
     a = cfg.alpha if cfg.p is None else _sigmoid(cfg.p.data)
     b = 1.0 - a
@@ -77,32 +75,28 @@ def ema_step(s: Tensor, state: EmaState, cfg: EmaConfig,
 
     def reverse(g):
         """From g at the node: the gradients at s, at prev and at p."""
-        g = g.reshape((-1,) + block)
+        g = g.reshape(xs.shape)
         ds = np.empty_like(xs)
-        # e_t's gradient from later: the next update's or the accumulator's
-        carry, dp = g[frames] if cfg.residual else 0.0, 0.0
-        for t in reversed(range(frames)):
+        # e_t's gradient from later: the next update's
+        carry, dp = 0.0, 0.0
+        for t in reversed(range(first, frames)):
             ge = g[t] + carry
-            if t < first:  # s_t is e_t; under residual, both addends of g
-                ds[t] = (g[t] + g[t]) + carry if cfg.residual else ge
-                carry = 0.0
-                continue
-            ds[t] = g[t] + ge * a if cfg.residual else ge * a
+            ds[t] = ge * a
             if cfg.p is not None:  # d alpha / d p = a * (1 - a)
                 dp = dp + (_unbroadcast(ge * xs[t], ())
                            - _unbroadcast(ge * es[t], ())) * a * b
             carry = ge * b
+        if first:  # s_0 is e_0
+            ds[0] = g[0] + carry
         return ds.reshape(s.shape), carry, dp
 
     edges = [(s, lambda d: d[0])]
     if first == 0:
         edges.append((prev, lambda d: d[1]))
-    if cfg.p is not None and first < frames:
+    if cfg.p is not None:
         edges.append((cfg.p, lambda d: d[2]))
-    out = np.concatenate([xs + es[1:], es[-1:]]) if cfg.residual else es[1:]
-    node = _node(out.reshape((-1,) + s.shape[1:]), *edges, prepare=reverse)
-    e_rows = (m, m + n) if cfg.residual else (m - n, m)
-    return _rows(node, 0, m), EmaState(accumulator=_rows(node, *e_rows))
+    node = _node(es[1:].reshape(s.shape), *edges, prepare=reverse)
+    return node, EmaState(accumulator=_rows(node, m - n, m))
 
 
 @dataclass

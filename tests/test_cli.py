@@ -36,6 +36,22 @@ def edit_header(ckpt: Path, edit) -> None:
                      + raw[12 + hlen:])
 
 
+def run_capped(*argv) -> subprocess.CompletedProcess:
+    """`salrec` with argv in a child process whose address space is capped
+    at 2 GiB, so the cap binds the child alone and a huge request fails at
+    once there."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from salrec import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", child, *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(src),
+             "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=60)
+
+
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -179,6 +195,28 @@ class TestTrain:
         # checked before the (here missing) dataset is read
         assert run("train", tmp_path / "missing", out, "--epochs", 1,
                    *flags) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--stages", 10 ** 12], "not divisible by 2^1000000000000"),
+        (["--stages", 2, "--base-channels", 10 ** 11],
+         "stages=2 and base_channels=100000000000 cannot be allocated: "
+         "Unable to allocate 6.55 TiB"),
+        (["--stages", 2, "--base-channels", 10 ** 19],
+         "base_channels=10000000000000000000 cannot be allocated")],
+        ids=["stages", "base-channels", "base-channels-past-int64"])
+    def test_too_large_for_memory_exits_1(self, small_ds, tmp_path, flags,
+                                          message):
+        """Settings that would need more memory than there is exit 1 and
+        write nothing: 2^stages is never built, and a model whose arrays
+        cannot be allocated (a 6.55 TiB kernel, or a dimension past numpy's
+        int64 limit) is a config error. Run under a capped address
+        space."""
+        out = tmp_path / "run"
+        proc = run_capped("train", small_ds, out, "--epochs", 1, *flags)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, code", [
@@ -429,6 +467,24 @@ class TestEval:
         assert f"error: {ckpt}: malformed checkpoint header" in err
         assert "lacks alpha" in err
 
+    @pytest.mark.parametrize("setting", [
+        dict(dropout=True), dict(alpha=-3.0),
+        dict(ema_points=["output", "output", "decoder1"])],
+        ids=["dropout", "alpha", "three-points"])
+    def test_header_settings_train_rejects_exit_2(self, small_ds, tmp_path,
+                                                  capsys, setting):
+        """A `none` model's header holding a setting `salrec train`
+        rejects as a flag is malformed too."""
+        ckpt = tmp_path / "none.salr"
+        model = build(ModelConfig(input_size=(16, 16)))
+        save_checkpoint(ckpt, model, Adam(model.registry),
+                        np.random.default_rng(0), 0, TrainConfig())
+        edit_header(ckpt, lambda h: h["model"].update(setting))
+        assert run("eval", small_ds, tmp_path / "e", "--checkpoint", ckpt) == 2
+        assert (f"error: {ckpt}: malformed checkpoint header"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "e").exists()
+
     def test_header_too_large_to_allocate_exits_2(self, small_ds, tmp_path):
         """A header whose model cannot be allocated is a malformed
         checkpoint: exit 2 naming the file, not a traceback. The address
@@ -439,17 +495,8 @@ class TestEval:
                         np.random.default_rng(0), 0, TrainConfig())
         # enc2's kernel alone would be (2e6, 1e6, 3, 3): 131 TiB
         edit_header(ckpt, lambda h: h["model"].update(base_channels=10 ** 6))
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-                 "from salrec import cli\n"
-                 "sys.exit(cli.main(sys.argv[1:]))\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "eval", str(small_ds),
-             str(tmp_path / "e"), "--checkpoint", str(ckpt)],
-            env={**os.environ, "PYTHONPATH": str(src),
-                 "OPENBLAS_NUM_THREADS": "1"},
-            capture_output=True, text=True, timeout=60)
+        proc = run_capped("eval", small_ds, tmp_path / "e", "--checkpoint",
+                          ckpt)
         assert proc.returncode == 2, proc.stderr
         assert (f"error: {ckpt}: malformed checkpoint header (MemoryError"
                 in proc.stderr)

@@ -108,6 +108,24 @@ class TestBuild:
         for name in a.registry.names():
             assert np.array_equal(a.registry[name].data, b.registry[name].data)
 
+    @pytest.mark.parametrize("setting, match", [
+        (dict(alpha=-3.0), "alpha"), (dict(alpha=1.5), "alpha"),
+        (dict(ema_points=("output", "output", "decoder1")), "1 or 2"),
+        (dict(ema_points=()), "1 or 2"),
+        (dict(ema_points=("bottleneck", "encoder3")), "duplicate")],
+        ids=["alpha-negative", "alpha-1.5", "three-points", "no-point",
+             "duplicate"])
+    def test_every_kind_checks_every_setting(self, setting, match):
+        """The checks hold whatever the recurrence, `none` included; the
+        CLI records alpha 0.1 where it reads none."""
+        for kind in RECURRENCE_KINDS:
+            with pytest.raises(ValueError, match=match):
+                ModelConfig(recurrence=kind, **setting)
+
+    def test_dropout_needs_a_recurrence(self):
+        with pytest.raises(ValueError, match="dropout"):
+            ModelConfig(recurrence="none", dropout=True)
+
     def test_three_ema_points_rejected(self):
         with pytest.raises(ValueError, match="1 or 2"):
             ModelConfig(recurrence="ema",
@@ -441,7 +459,7 @@ def full_size_tail(model, frames, states, rng=None):
         x = model._recur(x if fold else upsample_nearest(x), f"decoder{k}",
                          states, rng)
     x = model.head(x)
-    residual = model.ema_cfg is not None and model.ema_cfg.residual
+    residual = model.cfg.recurrence == "ema-residual"
     if residual:
         x = model._recur(x, "output", states, rng)
     x = sigmoid(x)

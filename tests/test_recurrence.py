@@ -11,7 +11,7 @@ from salrec.recurrence import (ConvLstmState, ConvLstmWeights, EmaConfig,
                                EmaState, convlstm_step, ema_step)
 from salrec.tensor import (ComputationTape, Tensor, _node, _sigmoid, add,
                            add_const, backward, broadcast_mul, conv2d, mul,
-                           scale, sigmoid, tanh, tsum)
+                           no_grad, scale, sigmoid, tanh, tsum)
 from salrec.training import bce_loss
 
 
@@ -71,22 +71,33 @@ class TestEmaStep:
         with pytest.raises(ValueError, match="shape"):
             ema_step(Tensor(np.zeros((3, 3))), state, cfg)
 
+    @staticmethod
+    def residual_recur(alpha, stacks):
+        """The `ema-residual` model's bottleneck recurrence over each of the
+        stacks in turn, the state carried; its outputs and accumulators."""
+        model = build(ModelConfig(recurrence="ema-residual", alpha=alpha))
+        states, outs, accs = model.fresh_states(), [], []
+        for x in stacks:
+            outs.append(model._recur(Tensor(x), "bottleneck", states, None))
+            accs.append(states.states["bottleneck"].accumulator)
+        return outs, accs
+
     def test_residual_with_alpha_one_doubles(self):
         rng = np.random.default_rng(2)
-        xs = [rng.normal(size=(2, 2)) for _ in range(4)]
-        outs = run_ema(xs, EmaConfig(alpha=1.0, residual=True))
+        xs = [rng.normal(size=(3, 32, 4, 4)) for _ in range(2)]
+        outs, _ = self.residual_recur(1.0, xs)
         for x, o in zip(xs, outs):
-            np.testing.assert_allclose(o, 2.0 * x)
+            assert np.array_equal(o.data, 2.0 * x)
 
     def test_residual_accumulator_stores_plain_ema(self):
-        cfg = EmaConfig(alpha=0.5, residual=True)
-        state = EmaState()
-        out, state = ema_step(Tensor(np.full((1,), 1.0)), state, cfg)
-        assert state.accumulator.data[0] == 1.0  # e_0 = s_0, output = 2
-        assert out.data[0] == 2.0
-        out, state = ema_step(Tensor(np.full((1,), 0.0)), state, cfg)
-        assert state.accumulator.data[0] == 0.5
-        assert out.data[0] == 0.5
+        """The skip is the model's `add` after the scan: the output is
+        s_t + e_t, the accumulator e_t."""
+        ones, zeros = np.ones((1, 32, 4, 4)), np.zeros((1, 32, 4, 4))
+        outs, accs = self.residual_recur(0.5, [ones, zeros])
+        assert np.all(accs[0].data == 1.0)  # e_0 = s_0, output = 2
+        assert np.all(outs[0].data == 2.0)
+        assert np.all(accs[1].data == 0.5)
+        assert np.all(outs[1].data == 0.5)
 
 
 class TestEmaAlpha:
@@ -116,7 +127,8 @@ class TestEmaAlpha:
 
 def chain_ema(s_t, state, cfg):
     """Oracle: the EMA update as a chain of single ops, 3 tape nodes for a
-    fixed alpha and 6 for a trainable one, where `ema_step` records one."""
+    fixed alpha and 6 for a trainable one, where `ema_step` records one;
+    returns (e_t, advanced state)."""
     prev = state.accumulator
     if prev is None or (cfg.p is None and cfg.alpha == 1.0):
         e_t = s_t
@@ -126,16 +138,16 @@ def chain_ema(s_t, state, cfg):
         e_t = add(broadcast_mul(s_t, a), broadcast_mul(prev, one_minus))
     else:
         e_t = add(scale(s_t, cfg.alpha), scale(prev, 1.0 - cfg.alpha))
-    return (add(s_t, e_t) if cfg.residual else e_t), EmaState(accumulator=e_t)
+    return e_t, EmaState(accumulator=e_t)
 
 
-def ema_unroll(step_fn, data, upstream, alpha, p0, residual):
+def ema_unroll(step_fn, data, upstream, alpha, p0):
     """Run `step_fn` over the frames, backpropagate the outputs and the
     final accumulator projected onto fixed upstream weights (the last for
     the accumulator); returns the frames, outputs, accumulators and p (None
     for a fixed alpha), whose grads backward filled."""
     p = None if p0 is None else Tensor(np.asarray(p0), requires_grad=True)
-    cfg = EmaConfig(alpha=alpha, residual=residual, p=p)
+    cfg = EmaConfig(alpha=alpha, p=p)
     frames = [Tensor(x, requires_grad=True) for x in data]
     state, outs, accs, total = EmaState(), [], [], None
     for s_t, up in zip(frames, upstream):
@@ -148,12 +160,12 @@ def ema_unroll(step_fn, data, upstream, alpha, p0, residual):
     return frames, outs, accs, p
 
 
-def ema_scan(data, upstream, alpha, p0, residual):
+def ema_scan(data, upstream, alpha, p0):
     """`ema_unroll`'s problem as one `ema_step` call over the stack of the
     frames; returns the blocks of the outputs and of the stack's gradient,
     the final accumulator and p."""
     p = None if p0 is None else Tensor(np.asarray(p0), requires_grad=True)
-    cfg = EmaConfig(alpha=alpha, residual=residual, p=p)
+    cfg = EmaConfig(alpha=alpha, p=p)
     stack = Tensor(np.concatenate([Tensor(x).data for x in data]),
                    requires_grad=True)
     out, state = ema_step(stack, EmaState(), cfg, frames=len(data))
@@ -184,15 +196,15 @@ class TestEmaNode:
     P_RTOL = 1e-14
     SHAPES = [(), (3,), (2, 2, 3, 3)]  # a Tensor holds 0-d data as (1,)
 
-    def assert_matches_chain(self, shape, steps, alpha, p0, residual, seed):
+    def assert_matches_chain(self, shape, steps, alpha, p0, seed):
         rng = np.random.default_rng(seed)
         data = [rng.uniform(-2, 2, size=shape) for _ in range(steps)]
         upstream = [rng.normal(size=shape) for _ in range(steps + 1)]
         (frames, outs, accs, p), (frames_ref, outs_ref, accs_ref, p_ref) = (
-            ema_unroll(fn, data, upstream, alpha, p0, residual)
+            ema_unroll(fn, data, upstream, alpha, p0)
             for fn in (ema_step, chain_ema))
         stack_outs, stack_grads, acc, p_stack = ema_scan(
-            data, upstream, alpha, p0, residual)
+            data, upstream, alpha, p0)
         for t in range(steps):
             assert_bits_equal(outs[t].data, outs_ref[t].data, ("out", t))
             assert_bits_equal(stack_outs[t], outs_ref[t].data,
@@ -201,12 +213,7 @@ class TestEmaNode:
             assert_bits_equal(frames[t].grad, frames_ref[t].grad, ("s_t", t))
             assert_bits_equal(stack_grads[t], frames_ref[t].grad,
                               ("stack s_t", t))
-            # under residual the accumulator is a slice of the node and
-            # gets only what later updates send; the frames' gradients
-            # above include that
-            if not residual:
-                assert_bits_equal(accs[t].grad, accs_ref[t].grad,
-                                  ("e_t grad", t))
+            assert_bits_equal(accs[t].grad, accs_ref[t].grad, ("e_t grad", t))
         assert_bits_equal(acc.data, accs_ref[-1].data, "stack e_T")
         if p is None:
             return
@@ -225,10 +232,9 @@ class TestEmaNode:
     @given(shape=st.sampled_from(SHAPES), steps=st.integers(1, 6),
            alpha=st.floats(0, 1, exclude_min=True, exclude_max=True)
            | st.just(1.0),
-           p0=st.none() | st.floats(-4, 4), residual=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_chain(self, shape, steps, alpha, p0, residual, seed):
-        self.assert_matches_chain(shape, steps, alpha, p0, residual, seed)
+           p0=st.none() | st.floats(-4, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_chain(self, shape, steps, alpha, p0, seed):
+        self.assert_matches_chain(shape, steps, alpha, p0, seed)
 
     @pytest.mark.parametrize("fault", ["p edge without a(1-a)",
                                        "accumulator edge one ulp high"])
@@ -250,7 +256,7 @@ class TestEmaNode:
         monkeypatch.setattr(salrec.recurrence, "_node", planted)
         p0 = 0.7 if fault == "p edge without a(1-a)" else None
         with pytest.raises(AssertionError):
-            self.assert_matches_chain((2, 2, 3, 3), 4, 0.3, p0, False, 0)
+            self.assert_matches_chain((2, 2, 3, 3), 4, 0.3, p0, 0)
 
     @pytest.mark.parametrize("p0", [None, 0.2])
     def test_one_node_per_update(self, p0):
@@ -264,19 +270,15 @@ class TestEmaNode:
         assert e_1._parents == (s_1, s_0) + (() if p is None else (p,))
         assert ComputationTape(e_1).ops == [e_1]
 
-    @pytest.mark.parametrize("residual", [False, True])
-    def test_one_node_per_stack(self, residual):
-        """A 4-frame stack is one node; its accumulator, and under residual
-        its outputs too, are slices of it."""
+    def test_one_node_per_stack(self):
+        """A 4-frame stack is one node; its accumulator is a slice of it."""
         p = Tensor(np.asarray(0.2), requires_grad=True)
         s = Tensor(np.ones((4, 2, 3, 3)), requires_grad=True)
-        out, state = ema_step(s, EmaState(), EmaConfig(residual=residual, p=p),
-                              frames=4)
-        scan = out._parents[0] if residual else out
-        assert scan._parents == (s, p)
-        assert state.accumulator._parents == (scan,)
-        assert np.array_equal(state.accumulator.data, scan.data[-1:])
-        assert len(ComputationTape(tsum(out)).ops) == 2 + residual
+        out, state = ema_step(s, EmaState(), EmaConfig(p=p), frames=4)
+        assert out._parents == (s, p)
+        assert state.accumulator._parents == (out,)
+        assert np.array_equal(state.accumulator.data, out.data[-1:])
+        assert len(ComputationTape(tsum(out)).ops) == 2
 
     @pytest.mark.parametrize("s, acc, frames", [
         ((4, 2), None, 0),  # no frame
@@ -289,34 +291,48 @@ class TestEmaNode:
         with pytest.raises(ValueError, match="ema_step"):
             ema_step(Tensor(np.zeros(s)), state, EmaConfig(), frames=frames)
 
-    @pytest.mark.parametrize("kind", EMA_KINDS)
-    def test_two_point_clip_matches_chain(self, monkeypatch, kind):
-        """A default-shape 6-frame clip with dropout and the EMA at
-        `encoder1` and `decoder2`, `forward_frame` and backward, with each
-        point scanned and as `chain_ema` frame by frame: maps and every
-        gradient bit-equal, but p's. The chain adds the per-step terms of
-        both points into p.grad one by one, each scan adds its point's sum,
-        so they agree to 1e-15 (1.2e-16 here, at seed 1)."""
-        def chain_scan(s, state, cfg, frames=1):
-            outs = []
-            for s_t in split(s, frames, axis=0):
-                out, state = chain_ema(s_t, state, cfg)
-                outs.append(out)
-            return concat(*outs, axis=0), state
+    @staticmethod
+    def chain_scan(s, state, cfg, frames=1, skip=False):
+        """`chain_ema` frame by frame over the stack s; with `skip`, each
+        frame's output is add(s_t, e_t), the skip added frame by frame."""
+        outs = []
+        for s_t in split(s, frames, axis=0):
+            e_t, state = chain_ema(s_t, state, cfg)
+            outs.append(add(s_t, e_t) if skip else e_t)
+        return concat(*outs, axis=0), state
 
+    @staticmethod
+    def clip_run(monkeypatch, kind, step_fn, model_add=add, carried=False):
+        """A default-shape 6-frame clip with dropout and the EMA at
+        `encoder1` and `decoder2`, `forward_frame` and backward, with the
+        model's `ema_step` and `add` replaced by the given ones; after a
+        first clip under `no_grad` when `carried`. Returns the maps and the
+        registry, whose grads backward filled."""
+        monkeypatch.setattr(salrec.model, "ema_step", step_fn)
+        monkeypatch.setattr(salrec.model, "add", model_add)
         rng = np.random.default_rng(1)
         frames, gts = (Tensor(rng.uniform(size=(6, 1, 32, 32)))
                        for _ in range(2))
-        runs = []
-        for step_fn in (ema_step, chain_scan):
-            monkeypatch.setattr(salrec.model, "ema_step", step_fn)
-            model = build(ModelConfig(recurrence=kind, dropout=True, seed=1,
-                                      ema_points=("encoder1", "decoder2")))
-            maps = model.forward_frame(frames, model.fresh_states(),
-                                       np.random.default_rng(1))
-            backward(bce_loss(maps, gts))
-            runs.append((maps.data, model.registry))
-        (maps, reg), (maps_ref, reg_ref) = runs
+        model = build(ModelConfig(recurrence=kind, dropout=True, seed=1,
+                                  ema_points=("encoder1", "decoder2")))
+        states, rng = model.fresh_states(), np.random.default_rng(1)
+        if carried:
+            with no_grad():
+                model.forward_frame(frames, states, rng)
+        maps = model.forward_frame(frames, states, rng)
+        backward(bce_loss(maps, gts))
+        return maps.data, model.registry
+
+    @pytest.mark.parametrize("kind", EMA_KINDS)
+    def test_two_point_clip_matches_chain(self, monkeypatch, kind):
+        """`clip_run` with each point scanned and as `chain_ema` frame by
+        frame: maps and every gradient bit-equal, but p's. The chain adds
+        the per-step terms of both points into p.grad one by one, each scan
+        adds its point's sum, so they agree to 1e-15 (1.2e-16 here, at
+        seed 1)."""
+        (maps, reg), (maps_ref, reg_ref) = (
+            self.clip_run(monkeypatch, kind, step_fn)
+            for step_fn in (ema_step, self.chain_scan))
         assert_bits_equal(maps, maps_ref, "maps")
         for name in reg.names():
             if name == "ema.p":
@@ -325,18 +341,45 @@ class TestEmaNode:
             else:
                 assert_bits_equal(reg[name].grad, reg_ref[name].grad, name)
 
+    RESIDUAL_RTOL = 1e-15
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_residual_matches_skip_per_frame(self, monkeypatch, carried):
+        """`ema-residual` in `clip_run`, the model's one `add` after the
+        scan, against the chain that adds the skip frame by frame, the
+        model's `add` passing the chain's outputs through: maps bit-equal.
+        A clip that continues a state gives bit-equal gradients too. On a
+        fresh state's first frame s_0 is also e_0: the chain sums its
+        gradient as (g + g) + carry, the tape as g + (g + carry), so the
+        gradients agree to RESIDUAL_RTOL of the model's largest (9.4e-17 at
+        seed 1)."""
+        (maps, reg), (maps_ref, reg_ref) = (
+            self.clip_run(monkeypatch, "ema-residual", ema_step,
+                          carried=carried),
+            self.clip_run(monkeypatch, "ema-residual",
+                          lambda *a, **k: self.chain_scan(*a, **k, skip=True),
+                          model_add=lambda x, out: out, carried=carried))
+        assert_bits_equal(maps, maps_ref, "maps")
+        largest = max(np.abs(reg[n].grad).max() for n in reg.names())
+        for name in reg.names():
+            if carried:
+                assert_bits_equal(reg[name].grad, reg_ref[name].grad, name)
+            else:
+                np.testing.assert_allclose(
+                    reg[name].grad, reg_ref[name].grad, rtol=0,
+                    atol=self.RESIDUAL_RTOL * largest, err_msg=name)
+
     @pytest.mark.parametrize("kind, nodes", [
         ("ema", 24), ("ema-trainable", 24), ("ema-residual", 25),
         ("convlstm", 25)])
     def test_default_clip_tape_nodes(self, kind, nodes):
         """A default-config 10-frame clip: 23 nodes without a recurrence,
-        and one for the EMA's scan over the clip, plus the slice of its
-        outputs under residual. Split into frames, one node per update
-        after the first frame and a concat back recorded 43 (53 with the
-        residual adds); the single-op chains 61 for `ema` and 88 for
-        `ema-trainable`. The ConvLSTM scans the clip in one node, plus the
-        slice of its C_t stack; stepped frame by frame with a conv and a
-        two-node cell, it recorded 73."""
+        and one for the EMA's scan over the clip, plus the `add` of the
+        skip under `ema-residual`. Split into frames, one node per update
+        after the first frame and a concat back recorded 43; the single-op
+        chains 61 for `ema` and 88 for `ema-trainable`. The ConvLSTM scans
+        the clip in one node, plus the slice of its C_t stack; stepped
+        frame by frame with a conv and a two-node cell, it recorded 73."""
         rng = np.random.default_rng(26)
         model = build(ModelConfig(recurrence=kind))
         frames, gts = (Tensor(rng.uniform(size=(10, 1, 32, 32)))
@@ -533,24 +576,6 @@ class TestBpttGradients:
 
         self.plant(monkeypatch, fault)
         self.assert_probes_fail(["trainable alpha"])
-
-    def test_planted_residual_first_frame_fails(self, monkeypatch):
-        """Under residual, the first frame of a fresh stack given its
-        output's gradient once, where it reaches the output twice: through
-        the skip and as e_0 = s_0. A residual node from a fresh state has
-        the frames' edge alone and one row more than the frames."""
-        def planted(data, *edges, prepare=None):
-            if prepare is not None and len(edges) == 1 and (
-                    len(data) > len(edges[0][0].data)):
-                def reverse(g, prepare=prepare):
-                    ds, *rest = prepare(g)
-                    ds[0] -= g[0]
-                    return ds, *rest
-                prepare = reverse
-            return _node(data, *edges, prepare=prepare)
-
-        monkeypatch.setattr(salrec.recurrence, "_node", planted)
-        self.assert_probes_fail(["ema-residual"])
 
     def test_planted_cell_error_fails(self, monkeypatch):
         """A cell state whose gradient from downstream is 1e-5 too large,
